@@ -4,27 +4,21 @@ A SparsePoly2 is a finitely supported map from exponent pairs (i, j) to
 nonzero coefficients (int or Fraction).  Exponents are plain Python
 ints, so iterates whose degrees overflow machine words stay exact.
 
-The inner loops live in a kernel module selected at import time: the
-compiled _speedups extension when it built, otherwise the pure-Python
-_kernels twin.  Set SKEWPROD_PURE=1 to force the fallback.
+The inner loops live in the _kernels module, reached through the
+`kernels` name so that a caller can wrap them.  Its product kernel picks
+between a dict loop and Kronecker substitution from the operands.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _kernels as kernels
 from .exact import as_coeff, format_exact
 
-if os.environ.get("SKEWPROD_PURE"):
-    from . import _kernels as kernels
-else:
-    try:
-        from . import _speedups as kernels  # type: ignore[no-redef]
-    except ImportError:
-        from . import _kernels as kernels
-
+# The one kernel there is; kept as a name because benchmark reports
+# record it.
 KERNEL_BACKEND = kernels.BACKEND
 
 

@@ -1,5 +1,4 @@
 import json
-import os
 import random
 import subprocess
 import sys
@@ -137,7 +136,6 @@ def test_exit_status_on_check_failures(monkeypatch, tmp_path):
 
 
 def test_pure_backend_verifies_fixtures():
-    env = dict(os.environ, SKEWPROD_PURE="1")
     code = (
         "import skewprod as sp\n"
         "assert sp.KERNEL_BACKEND == 'pure'\n"
@@ -147,7 +145,7 @@ def test_pure_backend_verifies_fixtures():
         "print('pure ok')\n" % str(DATA / "g2.germ")
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                       text=True, env=env)
+                       text=True)
     assert r.returncode == 0, r.stderr
     assert "pure ok" in r.stdout
 
