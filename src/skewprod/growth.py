@@ -49,8 +49,3 @@ def gamma_n_recurrence(delta: int, gamma: int, d: int, n: int) -> int:
 def iterate_lead_coeff(a_delta, delta: int, n: int):
     """Lowest coefficient of p^n: a_delta^(1 + delta + ... + delta^{n-1})."""
     return a_delta ** geometric_sum(delta, 1, n)
-
-
-def starred_coordinate(delta: int, e: int, base: int, n: int) -> int:
-    """base * (delta^{n-1} + delta^{n-2} e + ... + e^{n-1})."""
-    return base * geometric_sum(delta, e, n)

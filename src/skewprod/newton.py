@@ -86,32 +86,32 @@ class NewtonPolygon:
         """min(n + l*m) over the vertices; equals the support minimum."""
         return min(n + Fraction(l) * m for n, m in self.vertices)
 
-    def index_of(self, point) -> int | None:
-        for k, v in enumerate(self.vertices, start=1):
-            if v == point:
-                return k
-        return None
-
 
 def newton_polygon(poly: SparsePoly2) -> NewtonPolygon:
     return NewtonPolygon.of_poly(poly)
 
 
 def weight(poly: SparsePoly2, l) -> Fraction:
-    """w_l(poly) = min(i + l*j) over the support; requires l > 0."""
+    """w_l(poly) = min(i + l*j) over the support; requires l > 0.
+
+    With l = a/b in lowest terms, b * w_l = min(b*i + a*j), so the scan
+    runs on ints and only the result is a Fraction.
+    """
     l = Fraction(l)
     if l <= 0:
         raise ValueError("weight parameter l must be positive")
     if poly.is_zero:
         raise ValueError("zero polynomial has no weight")
-    return min(i + l * j for i, j in poly.support())
+    a, b = l.numerator, l.denominator
+    return Fraction(min(b * i + a * j for i, j in poly.support()), b)
 
 
 def support_on_edge(poly: SparsePoly2, vertex, l) -> list:
     """Support points on the line of slope -1/l through the given vertex."""
     l = Fraction(l)
-    level = vertex[0] + l * vertex[1]
-    return sorted(p for p in poly.support() if p[0] + l * p[1] == level)
+    a, b = l.numerator, l.denominator
+    level = b * vertex[0] + a * vertex[1]
+    return sorted(p for p in poly.support() if b * p[0] + a * p[1] == level)
 
 
 def a1_transform(point, l, delta):

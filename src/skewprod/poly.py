@@ -167,7 +167,7 @@ class SparsePoly2:
         return all(j == 0 for _, j in self._terms)
 
     def eval_exact(self, z, w):
-        """Exact value at rational (z, w); used only by tests."""
+        """Exact value at rational (z, w)."""
         return sum((c * z**i * w**j for (i, j), c in self._terms.items()),
                    start=Fraction(0))
 

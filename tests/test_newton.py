@@ -14,6 +14,7 @@ from skewprod import (
     transform_lattice,
     weight,
 )
+from skewprod.newton import support_on_edge
 
 
 def P(src):
@@ -62,6 +63,8 @@ def test_weight_examples():
     with pytest.raises(ValueError):
         weight(q, 0)
     with pytest.raises(ValueError):
+        weight(q, Fraction(-3, 2))
+    with pytest.raises(ValueError):
         weight(SparsePoly2.zero(), 1)
 
 
@@ -105,6 +108,74 @@ def test_weight_equals_vertex_minimum(p, l):
     if p.is_zero:
         return
     assert weight(p, l) == newton_polygon(p).min_weight(l)
+
+
+def _weight_reference(poly, l):
+    l = Fraction(l)
+    return min(i + l * j for i, j in poly.support())
+
+
+def _edge_reference(poly, vertex, l):
+    l = Fraction(l)
+    level = vertex[0] + l * vertex[1]
+    return sorted(p for p in poly.support() if p[0] + l * p[1] == level)
+
+
+big_exponent = st.integers(0, 10**6)
+big_polys = st.dictionaries(
+    st.tuples(big_exponent, big_exponent),
+    st.integers(-5, 5).filter(bool),
+    min_size=1,
+    max_size=8,
+).map(SparsePoly2)
+big_positive_ls = st.builds(Fraction, st.integers(1, 10**12),
+                            st.integers(1, 10**12))
+
+
+@st.composite
+def edge_polys(draw):
+    """A polynomial with several support points on one line of slope -1/l.
+
+    Steps of (a, -b) keep i + (a/b)*j fixed, so the chain lies on that
+    line; extra points land anywhere.
+    """
+    a = draw(st.integers(1, 10**6))
+    b = draw(st.integers(1, 10**6))
+    k = draw(st.integers(1, 4))
+    i0 = draw(big_exponent)
+    j0 = b * k + draw(big_exponent)
+    chain = {(i0 + a * t, j0 - b * t): 1 for t in range(k + 1)}
+    extra = draw(st.dictionaries(st.tuples(big_exponent, big_exponent),
+                                 st.integers(-5, 5).filter(bool), max_size=4))
+    return SparsePoly2({**extra, **chain}), (i0, j0), Fraction(a, b)
+
+
+@given(st.one_of(polys, big_polys), st.one_of(positive_ls, big_positive_ls))
+@settings(max_examples=200, deadline=None)
+def test_weight_matches_fraction_reference(p, l):
+    assert repr(weight(p, l)) == repr(_weight_reference(p, l))
+    assert repr(weight(p, str(l))) == repr(_weight_reference(p, l))
+
+
+@given(st.one_of(polys, big_polys), st.one_of(positive_ls, big_positive_ls),
+       st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_support_on_edge_matches_fraction_reference(p, l, negate, data):
+    if negate:
+        l = -l
+    vertex = data.draw(st.sampled_from(sorted(p.support())))
+    assert repr(support_on_edge(p, vertex, l)) == repr(
+        _edge_reference(p, vertex, l))
+
+
+@given(edge_polys())
+@settings(max_examples=100, deadline=None)
+def test_support_on_edge_finds_collinear_chain(case):
+    p, vertex, l = case
+    got = support_on_edge(p, vertex, l)
+    assert repr(got) == repr(_edge_reference(p, vertex, l))
+    assert len(got) >= 2
+    assert repr(weight(p, l)) == repr(_weight_reference(p, l))
 
 
 @given(polys)

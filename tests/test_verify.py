@@ -55,6 +55,12 @@ def test_extra_weight_samples(germs):
     assert report.failures == 0
 
 
+def test_nonpositive_extra_weight_rejected(germs):
+    # an out-of-range sample is still read, and w_l needs l > 0
+    with pytest.raises(ValueError):
+        verify_germ(germs["g1"], 2, extra_ls=(-1,))
+
+
 def test_detects_seeded_defects(germs):
     """Deliberately wrong case payloads must fail: the checks have to
     reject wrong weights, a wrong dominant vertex, and a wrong delta."""
