@@ -7,32 +7,44 @@ are the hot loops of the iteration oracle.
 mul_terms has two paths.  The dict loop multiplies term by term through
 the coefficient objects themselves.  Kronecker substitution (Kronecker
 1882; Harvey, J. Symbolic Comput. 44, 2009) packs each operand into one
-big int with a fixed-width signed slot per cell of the product's
-bounding box, multiplies the two ints once, and reads the product's
-coefficients back out of the slots.  mul_terms picks the path from the
-operands alone; both give the same dict, coefficient types included.
-Every step is integer arithmetic, so the results are exact.
+big number with a fixed-width signed slot of decimal digits per cell of
+the product's bounding box, multiplies the two numbers once, and reads
+the product's coefficients back out of the slots.  The packed numbers
+are Decimals built from digit strings: the C decimal module (libmpdec)
+multiplies large operands by a number-theoretic transform, in
+quasi-linear time, where CPython's ints use Karatsuba.  Decimal <-> str
+is linear; int <-> Decimal is not, so no int is converted whole.  A slot
+is read with int(str), so a product whose slots would need more digits
+than sys.get_int_max_str_digits() allows goes to the dict loop.
+mul_terms picks the path from the operands alone; both give the same
+dict, coefficient types included.  Every step is exact integer or
+exact decimal arithmetic.
 """
 
+import sys
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, DivisionByZero,
+                     Inexact, InvalidOperation, Overflow)
 from fractions import Fraction
 from itertools import compress
 from math import lcm
 
 BACKEND = "pure"
 
-# Below this many multiply-adds (len(a) * len(b)) packing and decoding
-# cost more than the dict loop they replace.
-KRONECKER_MIN_WORK = 4096
-# The dict loop's cost grows with the multiply-adds, Kronecker's with
-# the cells of the product's bounding box.  Measured on the oracle's
-# products, Kronecker wins while there are at least this many
-# multiply-adds per cell ...
-KRONECKER_MIN_WORK_PER_CELL = 4
-# ... and while cells**1.5 / work stays below this: CPython multiplies
-# big ints by Karatsuba, about cells**1.58, so on products of millions
-# of multiply-adds the first bound alone lets Kronecker lose (7.8M
-# multiply-adds at 10 per cell: 10.2 s against the dict loop's 5.3 s).
-KRONECKER_MAX_KARATSUBA_RATIO = 32
+# The dict loop's cost grows with the multiply-adds (len(a) * len(b)),
+# Kronecker's with the cells of the product's bounding box times their
+# digits.  Timed on every product the benchmark workloads make, the
+# total was least at this many multiply-adds per cell (fuzz_campaign's
+# 6,956 products: 1.503 s, against 1.509 s at 4 and 1.517 s at 6), and
+# a floor on the multiply-adds changed it by under 0.1%.  The transform
+# keeps the bound flat in size: a 2,802 x 2,801-term product spread to
+# 5.3 multiply-adds per cell took 3.9 s against the dict loop's 5.0 s.
+KRONECKER_MIN_WORK_PER_CELL = 5
+
+# Decimal arithmetic that never rounds: an inexact result raises.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                 traps=[Inexact, InvalidOperation, DivisionByZero, Overflow])
+# 0, no limit, where the interpreter has none (before 3.11).
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def add_terms(a, b):
@@ -60,17 +72,17 @@ def scale_terms(a, c):
 def mul_terms(a, b):
     """Product of two term dicts; cancellations are dropped.
 
-    Large products whose bounding box is dense enough go through
-    mul_kronecker when their coefficient types allow it, all others
-    through mul_dict.
+    Products with at least KRONECKER_MIN_WORK_PER_CELL multiply-adds
+    per cell of their bounding box go through mul_kronecker when it
+    takes them, all others through mul_dict.
     """
-    work = len(a) * len(b)
-    if work >= KRONECKER_MIN_WORK:
-        rows, width = _product_shape(_box(a), _box(b))
-        cells = rows * width
-        if (cells * KRONECKER_MIN_WORK_PER_CELL <= work
-                and cells ** 3 <= (KRONECKER_MAX_KARATSUBA_RATIO * work) ** 2):
-            out = mul_kronecker(a, b)
+    # cells >= max(len(a), len(b)), so a product reaches the bound only
+    # if its smaller operand has at least that many terms.
+    if min(len(a), len(b)) >= KRONECKER_MIN_WORK_PER_CELL:
+        box_a, box_b = _box(a), _box(b)
+        rows, width = _product_shape(box_a, box_b)
+        if rows * width * KRONECKER_MIN_WORK_PER_CELL <= len(a) * len(b):
+            out = mul_kronecker(a, b, box_a, box_b)
             if out is not None:
                 return out
     return mul_dict(a, b)
@@ -101,15 +113,18 @@ def mul_dict(a, b):
     return out
 
 
-def mul_kronecker(a, b):
+def mul_kronecker(a, b, box_a=None, box_b=None):
     """Product of two term dicts by Kronecker substitution.
 
     Returns the dict mul_dict returns, coefficient types included, or
     None when the types of the operands' coefficients do not fix the
-    type of every product coefficient.  They do in two cases: both
+    type of every product coefficient, or when a slot would need more
+    decimal digits than int <-> str conversion allows
+    (sys.get_int_max_str_digits).  The types fix it in two cases: both
     operands all-int (the product is all-int) and one operand
     all-Fraction (the product is all-Fraction; Fraction arithmetic
-    never turns back into int).
+    never turns back into int).  box_a and box_b, when given, are the
+    operands' _box.
     """
     if not a or not b:
         return {}
@@ -120,46 +135,57 @@ def mul_kronecker(a, b):
     elif ({Fraction} in (types_a, types_b)
           and types_a | types_b <= {int, Fraction}):
         den_a, num_a = _clear_denominators(a)
-        den_b, num_b = _clear_denominators(b)
+        den_b, num_b = (den_a, num_a) if b is a else _clear_denominators(b)
         den = den_a * den_b
     else:
         return None
 
-    box_a, box_b = _box(a), _box(b)
+    # No product coefficient exceeds sum|a| * max|b| or max|a| * sum|b|
+    # in absolute value, so a slot of `digits` digits holds each one,
+    # biased by half, without carries.
+    abs_a, abs_b = list(map(abs, num_a.values())), list(map(abs, num_b.values()))
+    bound = min(sum(abs_a) * max(abs_b), max(abs_a) * sum(abs_b))
+    digits = _slot_digits(bound)
+    limit = _int_max_str_digits()
+    if limit and digits > limit:
+        return None
+
+    box_a = box_a or _box(a)
+    box_b = box_b or _box(b)
     rows, width = _product_shape(box_a, box_b)
     cells = rows * width
-    # No product coefficient sums more than min(len(a), len(b)) terms,
-    # so this bound plus a sign bit fits every slot without carries.
-    bound = (min(len(a), len(b)) * max(map(abs, num_a.values()))
-             * max(map(abs, num_b.values())))
-    size = (bound.bit_length() + 8) // 8
-    packed_a = _pack(num_a, box_a, width, size)
-    packed_b = packed_a if b is a else _pack(num_b, box_b, width, size)
-
+    ctx = _EXACT
+    packed_a = _pack(num_a, box_a, width, digits)
+    packed_b = packed_a if b is a else _pack(num_b, box_b, width, digits)
+    product = ctx.multiply(packed_a, packed_b)
+    del packed_a, packed_b
     # Adding `half` to every slot maps a coefficient v, |v| < half, to
-    # the unsigned slot v + half, so the slots decode independently.
-    half = 1 << (8 * size - 1)
-    zero = half.to_bytes(size, "little")
-    end = cells * size
-    data = (packed_a * packed_b
-            + int.from_bytes(zero * cells, "little")).to_bytes(end, "little")
+    # the slot v + half in [1, 10**digits), so the slots decode
+    # independently.  The top slot may have fewer digits, hence zfill.
+    zero = "5" + "0" * (digits - 1)
+    product = ctx.add(product, _repeat(zero, cells))
+    end = cells * digits
+    data = str(product)
+    del product
+    data = data.zfill(end)
+    # Slot m is data[end - (m + 1) * digits:end - m * digits].
     nonzero = map(zero.__ne__, map(data.__getitem__, map(
-        slice, range(0, end, size), range(size, end + size, size))))
+        slice, range(end - digits, -1, -digits), range(end, 0, -digits))))
+    half = 5 * 10 ** (digits - 1)
     i0, j0 = box_a[0] + box_b[0], box_a[2] + box_b[2]
-    from_bytes = int.from_bytes
     out = {}
     for m in compress(range(cells), nonzero):
         i, j = divmod(m, width)
-        at = m * size
-        v = from_bytes(data[at:at + size], "little") - half
+        at = end - m * digits
+        v = int(data[at - digits:at]) - half
         out[(i0 + i, j0 + j)] = v if den is None else Fraction(v, den)
     return out
 
 
 def _box(a):
     """(min i, max i, min j, max j) over a nonempty term dict."""
-    return (min(i for i, _ in a), max(i for i, _ in a),
-            min(j for _, j in a), max(j for _, j in a))
+    i_s, j_s = zip(*a)
+    return min(i_s), max(i_s), min(j_s), max(j_s)
 
 
 def _product_shape(box_a, box_b):
@@ -176,17 +202,64 @@ def _clear_denominators(a):
                  for key, c in a.items()}
 
 
-def _pack(nums, box, width, size):
-    """One int holding each coefficient of nums in a signed slot of
-    `size` bytes, slot (i - min i) * width + (j - min j)."""
-    i0, i1, j0, j1 = box
-    span = ((i1 - i0) * width + j1 - j0 + 1) * size
-    pos = bytearray(span)
-    neg = bytearray(span)
-    for (i, j), c in nums.items():
-        at = ((i - i0) * width + j - j0) * size
+def _slot_digits(bound):
+    """Fewest decimal digits d with 5 * 10**(d - 1) > bound >= 1, that
+    is, the digit count of 2 * bound."""
+    x = 2 * bound
+    # 1233 / 4096 < log10(2), so this never exceeds the digit count.
+    digits = x.bit_length() * 1233 >> 12
+    power = 10 ** digits
+    while power <= x:
+        digits += 1
+        power *= 10
+    return digits
+
+
+def _repeat(block, count):
+    """The Decimal whose digit string is `count` copies of `block`.
+
+    Built by doubling, so no digit string of the full length exists.
+    """
+    ctx = _EXACT
+    out, size = ctx.create_decimal(0), 0
+    unit, span = ctx.create_decimal(block), len(block)
+    while True:
+        if count & 1:
+            out = ctx.add(out, ctx.scaleb(unit, size))
+            size += span
+        count >>= 1
+        if not count:
+            return out
+        unit = ctx.add(unit, ctx.scaleb(unit, span))
+        span *= 2
+
+
+def _pack(nums, box, width, digits):
+    """A Decimal holding each coefficient of nums in a signed slot of
+    `digits` decimal digits, slot (i - min i) * width + (j - min j).
+
+    The positive and the negative coefficients each go into one digit
+    string, top slot first, joined from runs: a coefficient zero-filled
+    to `digits` digits, then the zeros of the empty slots below it.
+    """
+    i0, j0 = box[0], box[2]
+    slots = {(i - i0) * width + j - j0: c for (i, j), c in nums.items()}
+    pos, neg = [], []
+    pos_at = neg_at = 0  # the slot last written to each string
+    for m in sorted(slots, reverse=True):
+        c = slots[m]
         if c > 0:
-            pos[at:at + size] = c.to_bytes(size, "little")
+            if pos:
+                pos.append("0" * ((pos_at - m - 1) * digits))
+            pos.append(str(c).zfill(digits))
+            pos_at = m
         else:
-            neg[at:at + size] = (-c).to_bytes(size, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+            if neg:
+                neg.append("0" * ((neg_at - m - 1) * digits))
+            neg.append(str(-c).zfill(digits))
+            neg_at = m
+    pos.append("0" * (pos_at * digits))
+    neg.append("0" * (neg_at * digits))
+    create = _EXACT.create_decimal
+    return _EXACT.subtract(create("".join(pos) or "0"),
+                           create("".join(neg) or "0"))

@@ -64,7 +64,7 @@ class NewtonPolygon:
     def of_poly(cls, poly: SparsePoly2) -> "NewtonPolygon":
         if poly.is_zero:
             raise ValueError("zero polynomial has no Newton polygon")
-        return cls.from_points(poly.support())
+        return cls.from_points(poly.exponents())
 
     @property
     def s(self) -> int:
@@ -103,7 +103,7 @@ def weight(poly: SparsePoly2, l) -> Fraction:
     if poly.is_zero:
         raise ValueError("zero polynomial has no weight")
     a, b = l.numerator, l.denominator
-    return Fraction(min(b * i + a * j for i, j in poly.support()), b)
+    return Fraction(min(b * i + a * j for i, j in poly.exponents()), b)
 
 
 def support_on_edge(poly: SparsePoly2, vertex, l) -> list:
@@ -111,7 +111,7 @@ def support_on_edge(poly: SparsePoly2, vertex, l) -> list:
     l = Fraction(l)
     a, b = l.numerator, l.denominator
     level = b * vertex[0] + a * vertex[1]
-    return sorted(p for p in poly.support() if b * p[0] + a * p[1] == level)
+    return sorted(p for p in poly.exponents() if b * p[0] + a * p[1] == level)
 
 
 def a1_transform(point, l, delta):

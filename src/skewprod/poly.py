@@ -48,16 +48,21 @@ DEFAULT_LIMITS = ResourceLimits()
 
 
 def check_limits(terms: dict, limits: ResourceLimits | None) -> dict:
+    _check_term_count(terms, limits)
     lim = limits or DEFAULT_LIMITS
-    if len(terms) > lim.max_terms:
-        raise ResourceCapError(
-            f"term count {len(terms)} exceeds cap {lim.max_terms}")
     if terms:
         deg = max(i + j for i, j in terms)
         if deg > lim.max_total_degree:
             raise ResourceCapError(
                 f"total degree {deg} exceeds cap {lim.max_total_degree}")
     return terms
+
+
+def _check_term_count(terms: dict, limits: ResourceLimits | None) -> None:
+    lim = limits or DEFAULT_LIMITS
+    if len(terms) > lim.max_terms:
+        raise ResourceCapError(
+            f"term count {len(terms)} exceeds cap {lim.max_terms}")
 
 
 def _precheck_mul(a: dict, b: dict, limits: ResourceLimits | None) -> None:
@@ -137,6 +142,10 @@ class SparsePoly2:
     def support(self):
         """Set of exponent pairs with nonzero coefficient."""
         return set(self._terms)
+
+    def exponents(self):
+        """The same pairs as support(), as a view that copies nothing."""
+        return self._terms.keys()
 
     def items(self):
         return self._terms.items()
@@ -219,7 +228,9 @@ def poly_mul(a: SparsePoly2, b: SparsePoly2,
              limits: ResourceLimits | None = None) -> SparsePoly2:
     _precheck_mul(a._terms, b._terms, limits)
     out = kernels.mul_terms(a._terms, b._terms)
-    return SparsePoly2._raw(check_limits(out, limits))
+    # The precheck bounded the degree; only the term count is new.
+    _check_term_count(out, limits)
+    return SparsePoly2._raw(out)
 
 
 def poly_pow(a: SparsePoly2, k: int,
@@ -227,15 +238,17 @@ def poly_pow(a: SparsePoly2, k: int,
     """a**k by repeated squaring; k >= 0."""
     if not isinstance(k, int) or k < 0:
         raise ValueError("exponent must be a non-negative integer")
-    result = SparsePoly2.constant(1)
+    # Starting from the first factor, not from 1, saves a product that
+    # would only copy it.
+    result = None
     base = a
     while k:
         if k & 1:
-            result = poly_mul(result, base, limits)
+            result = base if result is None else poly_mul(result, base, limits)
         k >>= 1
         if k:
             base = poly_mul(base, base, limits)
-    return result
+    return SparsePoly2.constant(1) if result is None else result
 
 
 # -- parsing and printing ----------------------------------------------

@@ -1,9 +1,12 @@
 """The two product paths, Kronecker substitution and the dict loop, must
 agree exactly: same terms, same coefficient types."""
 
+import decimal
 import random
+import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -110,8 +113,9 @@ def test_negative_coefficients():
 
 
 def test_slot_width_boundaries():
-    # A slot of k bytes holds |v| <= 2**(8k - 1) - 1.  These products put
-    # the bound on the output coefficients, and exactly at that limit.
+    # Coefficients and sums that reach exactly |v| = 2**(8k - 1) - 1, the
+    # most a signed k-byte int holds; the decimal boundaries are in
+    # test_decimal_slot_boundaries.
     for k in (1, 2, 3, 4, 8):
         top = 2**(8 * k - 1) - 1
         for sign in (1, -1):
@@ -146,14 +150,133 @@ def test_single_term_and_empty_operands():
         assert mul_terms(a, {}) == mul_dict(a, {}) == {}
 
 
+def test_slot_digits():
+    # The fewest digits d with 5 * 10**(d - 1) > bound: a slot of d digits
+    # holds |v| <= 5 * 10**(d - 1) - 1, and one more digit is needed from
+    # 5 * 10**(d - 1) on.
+    for d in (*range(1, 60), 300, 1234, 4300, 5001):
+        top = 5 * 10**(d - 1) - 1
+        assert _kernels._slot_digits(top) == d
+        assert _kernels._slot_digits(top + 1) == d + 1
+        if d > 1:
+            assert _kernels._slot_digits(10**(d - 1)) == d
+
+
+def test_decimal_slot_boundaries():
+    # Coefficients and sums that reach exactly +-(5 * 10**(d - 1) - 1), the
+    # most a slot of d digits holds once biased by 5 * 10**(d - 1).
+    for d in (1, 2, 3, 7, 19, 20, 40):
+        top = 5 * 10**(d - 1) - 1
+        for sign in (1, -1):
+            a = {(0, 0): sign * top, (2, 1): -sign * top, (1, 1): 1}
+            assert mul_kronecker(a, {(0, 0): 1}) == a
+            assert_paths_agree(a, {(0, 0): 1})
+            assert_paths_agree(a, {(0, 0): -1, (1, 0): 1})
+            assert_paths_agree({(0, 0): sign * (top + 1)}, {(3, 0): 1})
+    # n equal terms times n equal terms: the middle slot sums n products
+    # to exactly the largest value d digits hold.
+    for d, n, ca, cb in ((1, 4, 1, 1), (2, 7, 7, 1), (6, 127, 127, 31),
+                         (8, 23, 7, 310559), (11, 29, 1, 1724137931)):
+        assert n * ca * cb == 5 * 10**(d - 1) - 1
+        a = {(i, 0): ca for i in range(n)}
+        for sign in (1, -1):
+            b = {(i, 0): sign * cb for i in range(n)}
+            assert mul_kronecker(a, b)[(n - 1, 0)] == sign * n * ca * cb
+            assert_paths_agree(a, b)
+            assert_paths_agree(a, {(0, i): sign * cb for i in range(n)})
+            fa = {key: Fraction(c, 3) for key, c in a.items()}
+            assert mul_kronecker(fa, b)[(n - 1, 0)] == Fraction(
+                sign * n * ca * cb, 3)
+            assert_paths_agree(fa, b)
+
+
+def test_decimal_cancelling_product():
+    # top * (1 + z + w) times top * (1 - z): the z slot cancels between
+    # two products of the full slot width.
+    top = 5 * 10**19 - 1
+    a = {(0, 0): top, (1, 0): top, (0, 1): top}
+    b = {(0, 0): top, (1, 0): -top}
+    out = mul_kronecker(a, b)
+    assert (1, 0) not in out
+    assert out == {(0, 0): top**2, (2, 0): -top**2, (0, 1): top**2,
+                   (1, 1): -top**2}
+    assert_paths_agree(a, b)
+
+
+def test_short_top_slot():
+    # The product's top slot holds -top, so its biased value is 1, one
+    # digit where the slot has d: the decoder must pad it back.
+    for d in (2, 5, 30):
+        top = 5 * 10**(d - 1) - 1
+        for a in ({(0, 0): 1, (1, 0): -top}, {(0, 0): top, (0, 3): -top},
+                  {(0, 0): Fraction(1, 7), (2, 2): Fraction(-top, 7)}):
+            assert mul_kronecker(a, {(0, 0): 1}) == a
+            assert_paths_agree(a, {(0, 0): 1})
+            assert_paths_agree(a, {(0, 0): 1, (0, 1): 1})
+
+
+def test_transform_sized_products():
+    # The smaller packed operand has more than 10**5 digits, so libmpdec
+    # multiplies by its number-theoretic transform, not its base case.
+    rng = random.Random(20261018)
+    for kind in ("int", "fraction"):
+        a = {(rng.randrange(60), rng.randrange(200)):
+             random_coeff(rng, kind, 10**15) for _ in range(150)}
+        b = {(rng.randrange(60), rng.randrange(200)):
+             random_coeff(rng, kind, 10**15) for _ in range(150)}
+        # Both boxes are 60 x 200, so each operand fills 59 * 399 + 200
+        # slots of the 119 x 399 product box.
+        a[(0, 0)] = b[(0, 0)] = random_coeff(rng, kind, 9)
+        a[(59, 199)] = b[(59, 199)] = random_coeff(rng, kind, 9)
+        num_a = _kernels._clear_denominators(a)[1]
+        num_b = _kernels._clear_denominators(b)[1]
+        bound = min(sum(map(abs, num_a.values())) * max(map(abs, num_b.values())),
+                    max(map(abs, num_a.values())) * sum(map(abs, num_b.values())))
+        assert (59 * 399 + 200) * _kernels._slot_digits(bound) > 10**5
+        assert_paths_agree(a, b)
+
+
+def test_decimal_is_the_c_module():
+    # The pure-Python decimal multiplies in quadratic time.
+    _decimal = pytest.importorskip("_decimal")
+    assert decimal.Decimal is _decimal.Decimal
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no limit on int <-> str conversion")
+def test_slots_past_the_int_str_limit_take_the_dict_path():
+    # A slot is read with int(str), which raises past the limit, so the
+    # kernel gives such products to the dict loop.
+    top = 5 * 10**639 - 1  # the most a slot of 640 digits holds
+    fits = {(i, j): 1 + (i + j) % 3 for i in range(6) for j in range(6)}
+    fits[(0, 0)] = top
+    dense = {(i, j): 10**700 + i - j for i in range(8) for j in range(8)}
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        over = mul_kronecker({(0, 0): top + 1}, {(0, 0): 1})
+        at_limit = mul_kronecker({(0, 0): top}, {(0, 0): 1})
+        big = [mul_kronecker(dense, dense), mul_terms(dense, dense),
+               mul_kronecker(dense, fits), mul_terms(fits, dense),
+               mul_kronecker(fits, {(0, 0): 1})]
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert over is None
+    assert at_limit == {(0, 0): top}
+    assert big[0] is None and big[2] is None
+    assert exact(big[1]) == exact(mul_dict(dense, dense))
+    assert exact(big[3]) == exact(mul_dict(fits, dense))
+    assert big[4] == fits
+
+
 def test_sparse_box_takes_the_dict_path(monkeypatch):
     n = 64  # n * n multiply-adds, enough for Kronecker if it were dense
-    assert n * n >= _kernels.KRONECKER_MIN_WORK
+    assert n >= _kernels.KRONECKER_MIN_WORK_PER_CELL
     a = {(1000 * i, 0): i + 1 for i in range(n)}
     b = {(0, 1000 * j): j - 7 for j in range(n)}
     expected = exact(mul_dict(a, b))
 
-    def refuse(a, b):
+    def refuse(*args):
         raise AssertionError("a sparse product reached mul_kronecker")
 
     monkeypatch.setattr(_kernels, "mul_kronecker", refuse)
@@ -163,7 +286,7 @@ def test_sparse_box_takes_the_dict_path(monkeypatch):
 def test_dense_box_takes_the_kronecker_path(monkeypatch):
     a = {(i, j): i - 3 * j - 100 for i in range(8) for j in range(8)}
     b = {(i, j): Fraction(i + 1, j + 2) for i in range(8) for j in range(8)}
-    assert len(a) * len(b) >= _kernels.KRONECKER_MIN_WORK
+    assert len(a) * len(b) >= 15 * 15 * _kernels.KRONECKER_MIN_WORK_PER_CELL
     expected = [exact(mul_dict(a, a)), exact(mul_dict(a, b))]
 
     def refuse(a, b):
