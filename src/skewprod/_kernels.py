@@ -25,7 +25,6 @@ import sys
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, DivisionByZero,
                      Inexact, InvalidOperation, Overflow)
 from fractions import Fraction
-from itertools import compress
 from math import lcm
 
 BACKEND = "pure"
@@ -39,6 +38,20 @@ BACKEND = "pure"
 # keeps the bound flat in size: a 2,802 x 2,801-term product spread to
 # 5.3 multiply-adds per cell took 3.9 s against the dict loop's 5.0 s.
 KRONECKER_MIN_WORK_PER_CELL = 5
+# A dict-loop multiply-add costs about 14x more on Fractions, so a
+# product with an all-Fraction operand goes to Kronecker from half a
+# multiply-add per cell, that is, at most this many cells per
+# multiply-add.  Timed one by one, Fraction products broke even at
+# 0.35-0.5 per cell (17 x 17 terms at 0.34: 0.93 ms dict loop, 1.07 ms
+# Kronecker; 39 x 39 at 0.40: 5.7 ms, 5.1 ms), and over oracle_rational's
+# products the total was flat from 0 to 3/4 per cell (38.7 ms), and
+# 39.5 ms at 1 and 46.2 ms at 2 to 5.
+KRONECKER_FRACTION_CELLS_PER_WORK = 2
+# Below this many terms in the smaller operand every product stays in
+# the dict loop: cells >= the larger operand's terms, so an int product
+# cannot reach its bound, and a Fraction one timed slower by Kronecker
+# (4 x 5 terms at 0.48 per cell: 0.06 ms dict loop, 0.11 ms Kronecker).
+KRONECKER_MIN_TERMS = 5
 
 # Decimal arithmetic that never rounds: an inexact result raises.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
@@ -72,16 +85,20 @@ def scale_terms(a, c):
 def mul_terms(a, b):
     """Product of two term dicts; cancellations are dropped.
 
-    Products with at least KRONECKER_MIN_WORK_PER_CELL multiply-adds
-    per cell of their bounding box go through mul_kronecker when it
-    takes them, all others through mul_dict.
+    Products whose smaller operand has at least KRONECKER_MIN_TERMS
+    terms and whose multiply-adds reach KRONECKER_MIN_WORK_PER_CELL per
+    cell of their bounding box (with an all-Fraction operand: whose
+    cells are at most KRONECKER_FRACTION_CELLS_PER_WORK per multiply-add)
+    go through mul_kronecker when it takes them, all others through
+    mul_dict.
     """
-    # cells >= max(len(a), len(b)), so a product reaches the bound only
-    # if its smaller operand has at least that many terms.
-    if min(len(a), len(b)) >= KRONECKER_MIN_WORK_PER_CELL:
+    if min(len(a), len(b)) >= KRONECKER_MIN_TERMS:
         box_a, box_b = _box(a), _box(b)
         rows, width = _product_shape(box_a, box_b)
-        if rows * width * KRONECKER_MIN_WORK_PER_CELL <= len(a) * len(b):
+        cells, work = rows * width, len(a) * len(b)
+        if (cells * KRONECKER_MIN_WORK_PER_CELL <= work
+                or (cells <= KRONECKER_FRACTION_CELLS_PER_WORK * work
+                    and (_all_fraction(a) or _all_fraction(b)))):
             out = mul_kronecker(a, b, box_a, box_b)
             if out is not None:
                 return out
@@ -168,18 +185,31 @@ def mul_kronecker(a, b, box_a=None, box_b=None):
     data = str(product)
     del product
     data = data.zfill(end)
-    # Slot m is data[end - (m + 1) * digits:end - m * digits].
-    nonzero = map(zero.__ne__, map(data.__getitem__, map(
-        slice, range(end - digits, -1, -digits), range(end, 0, -digits))))
+    # Row i (slots i * width .. i * width + width - 1) is the `span`
+    # characters ending at end - i * span, its highest j first.  An
+    # all-zero row is skipped with one comparison.
     half = 5 * 10 ** (digits - 1)
-    i0, j0 = box_a[0] + box_b[0], box_a[2] + box_b[2]
+    span = width * digits
+    zero_row = zero * width
+    j0 = box_a[2] + box_b[2]
+    columns = range(j0 + width - 1, j0 - 1, -1)
+    starts = range(0, span, digits)
     out = {}
-    for m in compress(range(cells), nonzero):
-        i, j = divmod(m, width)
-        at = end - m * digits
-        v = int(data[at - digits:at]) - half
-        out[(i0 + i, j0 + j)] = v if den is None else Fraction(v, den)
+    i = box_a[0] + box_b[0]
+    for at in range(end, 0, -span):
+        row = data[at - span:at]
+        if row != zero_row:
+            for j, start in zip(columns, starts):
+                slot = row[start:start + digits]
+                if slot != zero:
+                    v = int(slot) - half
+                    out[(i, j)] = v if den is None else Fraction(v, den)
+        i += 1
     return out
+
+
+def _all_fraction(a):
+    return all(type(c) is Fraction for c in a.values())
 
 
 def _box(a):

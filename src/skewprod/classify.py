@@ -57,14 +57,6 @@ class Interval:
             return l <= self.upper
         return l < self.upper
 
-    def is_empty(self) -> bool:
-        if is_inf(self.upper):
-            return False
-        if self.lower < self.upper:
-            return False
-        return not (self.lower == self.upper
-                    and self.lower_closed and self.upper_closed)
-
     def sample_points(self):
         """Deterministic exact probes: closed endpoints plus a midpoint."""
         pts = []

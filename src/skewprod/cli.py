@@ -115,7 +115,7 @@ def _cmd_iterate(args) -> int:
     fn = iterate_germ(f, args.n)
     polygon = newton_polygon(fn.q)
     c_qn, ord_z, ord_w = fn.q.orders()
-    c_pn = min(i for i, _ in fn.p.support())
+    c_pn = min(fn.p.column_minima())
     payload = {
         "germ": germ_json(f),
         "n": args.n,

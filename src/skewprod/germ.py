@@ -1,9 +1,26 @@
 """Skew-product germs f(z, w) = (p(z), q(z, w)) and their exact iteration.
 
 The oracle computes f^n = (p^n, Q^n) by brute-force symbolic
-composition: Q^{k+1}(z, w) = q(p^k(z), Q^k(z, w)).  Substitution is
-Horner-style in the w-variable, so the number of multiplications by the
-large iterate Q^k is bounded by the w-degree of q.
+composition: Q^{k+1}(z, w) = q(p^k(z), Q^k(z, w)).  substitute has two
+schedules for poly(P, W) = sum_j (sum_i c_ij P^i) W^j, which give the
+same polynomial (Horner 1819; Paterson & Stockmeyer, SIAM J. Comput. 2,
+1973, for the trade-off):
+
+* Power table, when P is one term a*z^m*w^k and every coefficient of
+  poly, P and W is an int.  P^i = a^i z^(i*m) w^(i*k) needs no product,
+  so each layer sum_i c_ij P^i is written down term by term.  W^j is
+  built by squaring, once per needed j, and the result is the sum of
+  the products layer_j * W^j.  Each large product then has a few-term
+  layer as one operand.  Every p^k is a monomial when p is, as for
+  every fixture germ.
+* Horner in w, with a Horner in P per layer, for every other call.  It
+  is the reference.  The number of multiplications by the large
+  iterate Q^k is bounded by the w-degree of q, but each multiplies the
+  whole accumulator.
+
+Both schedules make every product through poly_mul, so the resource
+caps see each one, and substitute checks the term count of the result,
+which no product may have formed (a sum is not a product).
 """
 
 from __future__ import annotations
@@ -11,6 +28,8 @@ from __future__ import annotations
 from .poly import (
     ResourceLimits,
     SparsePoly2,
+    check_product_degree,
+    check_term_count,
     format_poly,
     parse_poly,
     poly_mul,
@@ -40,12 +59,13 @@ class SkewGerm:
             raise InvalidGermError("p and q must be nonzero")
         if not p.depends_only_on_z():
             raise InvalidGermError("p must depend only on z")
-        if any(i + j < 1 for i, j in p.support()) or any(
-                i + j < 1 for i, j in q.support()):
+        # Exponents are non-negative, so (0, 0) is the only one with
+        # i + j < 1.
+        if p.coeff(0, 0) or q.coeff(0, 0):
             raise InvalidGermError("constant term: the germ must fix the origin")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-        delta = min(i for i, _ in p.support())
+        delta = min(p.column_minima())
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "a_delta", p.coeff(delta, 0))
 
@@ -83,12 +103,29 @@ def _eval_univariate_at(coeffs_by_i: dict, P: SparsePoly2,
 
 def substitute(poly: SparsePoly2, P: SparsePoly2, W: SparsePoly2,
                limits: ResourceLimits | None = None) -> SparsePoly2:
-    """Exact value of poly(P, W), Horner in the w-variable."""
+    """Exact value of poly(P, W); the module docstring gives the two
+    schedules."""
     if poly.is_zero:
         return SparsePoly2.zero()
+    by_j = _layers(poly)
+    if len(P) == 1 and not P.coeff(0, 0) and _all_int(poly, P, W):
+        out = _substitute_power_table(by_j, P, W, limits)
+    else:
+        out = _substitute_horner(by_j, P, W, limits)
+    check_term_count(out, limits)
+    return out
+
+
+def _layers(poly: SparsePoly2) -> dict:
+    """{j: {i: c_ij}}: the coefficients of poly by power of w."""
     by_j: dict = {}
     for (i, j), c in poly.items():
         by_j.setdefault(j, {})[i] = c
+    return by_j
+
+
+def _substitute_horner(by_j: dict, P: SparsePoly2, W: SparsePoly2,
+                       limits: ResourceLimits | None) -> SparsePoly2:
     acc = SparsePoly2.zero()
     prev_j = None
     for j in sorted(by_j, reverse=True):
@@ -100,6 +137,52 @@ def substitute(poly: SparsePoly2, P: SparsePoly2, W: SparsePoly2,
         prev_j = j
     if prev_j:
         acc = poly_mul(acc, poly_pow(W, prev_j, limits), limits)
+    return acc
+
+
+def _all_int(*polys: SparsePoly2) -> bool:
+    return all(type(c) is int for poly in polys for _, c in poly.items())
+
+
+def _substitute_power_table(by_j: dict, P: SparsePoly2, W: SparsePoly2,
+                            limits: ResourceLimits | None) -> SparsePoly2:
+    # P = a z^m w^k with (m, k) != (0, 0), so distinct i give distinct
+    # exponents in a layer and no coefficient c * a**i is zero.
+    ((m, k), a), = P.items()
+    if W.is_zero:  # only the layer j = 0 survives
+        by_j = {0: by_j[0]} if 0 in by_j else {}
+    # W^j is W^(j/2) squared, or W^(j-1) * W for odd j; first collect
+    # every exponent that chain passes through, then build them upward.
+    needed = set()
+    for j in by_j:
+        while j > 1 and j not in needed:
+            needed.add(j)
+            j = j - 1 if j & 1 else j >> 1
+    powers = {1: W}
+    for j in sorted(needed):
+        if j & 1:
+            powers[j] = poly_mul(powers[j - 1], W, limits)
+        else:
+            half = powers[j >> 1]
+            powers[j] = poly_mul(half, half, limits)
+
+    parts = []
+    for j, coeffs in by_j.items():
+        # Horner would reach this degree in the products of the layer.
+        top = max(coeffs)
+        if top:
+            check_product_degree(top * (m + k), limits)
+        layer = SparsePoly2({(i * m, i * k): c * a**i
+                             for i, c in coeffs.items()})
+        parts.append(poly_mul(layer, powers[j], limits) if j else layer)
+    if not parts:
+        return SparsePoly2.zero()
+    # add_terms copies its first operand and loops over its second, so
+    # the largest part goes first.
+    parts.sort(key=len, reverse=True)
+    acc = parts[0]
+    for part in parts[1:]:
+        acc = acc + part
     return acc
 
 

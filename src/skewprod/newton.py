@@ -64,7 +64,8 @@ class NewtonPolygon:
     def of_poly(cls, poly: SparsePoly2) -> "NewtonPolygon":
         if poly.is_zero:
             raise ValueError("zero polynomial has no Newton polygon")
-        return cls.from_points(poly.exponents())
+        # The lowest point of each column carries every vertex.
+        return cls.from_points(poly.column_minima().items())
 
     @property
     def s(self) -> int:
@@ -95,7 +96,9 @@ def weight(poly: SparsePoly2, l) -> Fraction:
     """w_l(poly) = min(i + l*j) over the support; requires l > 0.
 
     With l = a/b in lowest terms, b * w_l = min(b*i + a*j), so the scan
-    runs on ints and only the result is a Fraction.
+    runs on ints and only the result is a Fraction.  As a > 0, each
+    column's minimum is at its least j, so only the staircase of
+    column_minima is scanned.
     """
     l = Fraction(l)
     if l <= 0:
@@ -103,7 +106,8 @@ def weight(poly: SparsePoly2, l) -> Fraction:
     if poly.is_zero:
         raise ValueError("zero polynomial has no weight")
     a, b = l.numerator, l.denominator
-    return Fraction(min(b * i + a * j for i, j in poly.exponents()), b)
+    return Fraction(
+        min(b * i + a * j for i, j in poly.column_minima().items()), b)
 
 
 def support_on_edge(poly: SparsePoly2, vertex, l) -> list:

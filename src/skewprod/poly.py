@@ -47,22 +47,21 @@ class ResourceLimits:
 DEFAULT_LIMITS = ResourceLimits()
 
 
-def check_limits(terms: dict, limits: ResourceLimits | None) -> dict:
-    _check_term_count(terms, limits)
-    lim = limits or DEFAULT_LIMITS
-    if terms:
-        deg = max(i + j for i, j in terms)
-        if deg > lim.max_total_degree:
-            raise ResourceCapError(
-                f"total degree {deg} exceeds cap {lim.max_total_degree}")
-    return terms
-
-
-def _check_term_count(terms: dict, limits: ResourceLimits | None) -> None:
+def check_term_count(terms, limits: ResourceLimits | None) -> None:
+    """Raise if terms (a term dict or a SparsePoly2) has more terms than
+    the cap allows."""
     lim = limits or DEFAULT_LIMITS
     if len(terms) > lim.max_terms:
         raise ResourceCapError(
             f"term count {len(terms)} exceeds cap {lim.max_terms}")
+
+
+def check_product_degree(deg: int, limits: ResourceLimits | None) -> None:
+    """Raise if a product of total degree deg would pass the degree cap."""
+    lim = limits or DEFAULT_LIMITS
+    if deg > lim.max_total_degree:
+        raise ResourceCapError(
+            f"product degree {deg} exceeds cap {lim.max_total_degree}")
 
 
 def _precheck_mul(a: dict, b: dict, limits: ResourceLimits | None) -> None:
@@ -71,11 +70,8 @@ def _precheck_mul(a: dict, b: dict, limits: ResourceLimits | None) -> None:
     # gigantic multiplication
     if not a or not b:
         return
-    lim = limits or DEFAULT_LIMITS
-    deg = max(i + j for i, j in a) + max(i + j for i, j in b)
-    if deg > lim.max_total_degree:
-        raise ResourceCapError(
-            f"product degree {deg} exceeds cap {lim.max_total_degree}")
+    check_product_degree(
+        max(i + j for i, j in a) + max(i + j for i, j in b), limits)
 
 
 class SparsePoly2:
@@ -85,9 +81,10 @@ class SparsePoly2:
     non-negative ints, and the zero polynomial has empty support.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_columns")
 
     def __init__(self, terms=None):
+        self._columns = None
         clean = {}
         if terms:
             for (i, j), c in terms.items():
@@ -113,6 +110,7 @@ class SparsePoly2:
         # internal: terms already normalized by a kernel
         p = object.__new__(cls)
         p._terms = terms
+        p._columns = None
         return p
 
     @classmethod
@@ -150,6 +148,23 @@ class SparsePoly2:
     def items(self):
         return self._terms.items()
 
+    def column_minima(self):
+        """{i: least j with (i, j) in the support}: the lower-left
+        staircase, which fixes the orders, the Newton polygon and every
+        weight w_l with l > 0.  Computed once, in one pass, and cached;
+        the polynomial is immutable, so the cache never goes stale.
+        Callers must not modify the returned dict."""
+        columns = self._columns
+        if columns is None:
+            columns = {}
+            get = columns.get
+            for i, j in self._terms:
+                low = get(i)
+                if low is None or j < low:
+                    columns[i] = j
+            self._columns = columns
+        return columns
+
     def coeff(self, i: int, j: int):
         """Coefficient of z^i w^j (0 when absent)."""
         return self._terms.get((i, j), 0)
@@ -164,13 +179,15 @@ class SparsePoly2:
         return max(i + j for i, j in self._terms)
 
     def orders(self):
-        """(c, ord_z, ord_w): minimal total, z- and w-degree over the support."""
+        """(c, ord_z, ord_w): minimal total, z- and w-degree over the support.
+
+        Each minimum is reached on the staircase of column_minima.
+        """
         if not self._terms:
             raise ValueError("zero polynomial has no orders")
-        c = min(i + j for i, j in self._terms)
-        ord_z = min(i for i, _ in self._terms)
-        ord_w = min(j for _, j in self._terms)
-        return c, ord_z, ord_w
+        columns = self.column_minima()
+        c = min(i + j for i, j in columns.items())
+        return c, min(columns), min(columns.values())
 
     def depends_only_on_z(self) -> bool:
         return all(j == 0 for _, j in self._terms)
@@ -229,7 +246,7 @@ def poly_mul(a: SparsePoly2, b: SparsePoly2,
     _precheck_mul(a._terms, b._terms, limits)
     out = kernels.mul_terms(a._terms, b._terms)
     # The precheck bounded the degree; only the term count is new.
-    _check_term_count(out, limits)
+    check_term_count(out, limits)
     return SparsePoly2._raw(out)
 
 

@@ -109,7 +109,7 @@ def oracle_records(f: SkewGerm, n_max: int,
     try:
         for n, fn in iterates(f, n_max, limits):
             c_qn, ord_z, ord_w = fn.q.orders()
-            c_pn = min(i for i, _ in fn.p.support())
+            c_pn = min(fn.p.column_minima())
             records.append(OracleRecord(
                 n=n,
                 germ=fn,

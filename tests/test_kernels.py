@@ -296,6 +296,93 @@ def test_dense_box_takes_the_kronecker_path(monkeypatch):
     assert [exact(mul_terms(a, a)), exact(mul_terms(a, b))] == expected
 
 
+def test_row_decode_shapes():
+    # The decoder reads the product one row of the bounding box (one i) at
+    # a time, highest j first, and skips an all-zero row whole.
+    for one in (1, Fraction(1, 3)):
+        # Width 1: every row is one slot.
+        a = {(i, 4): one * (i - 3) for i in range(7) if i != 3}
+        assert_paths_agree(a, {(0, 0): one, (2, 0): -one, (5, 0): 2 * one})
+        # One row: the whole product is one row.
+        b = {(2, j): one * (j + 1) * (-1) ** j for j in range(9)}
+        assert_paths_agree(b, {(1, 0): one, (1, 3): -one, (1, 7): 3 * one})
+        # Rows next to the top and the bottom are empty: rows {0, 2} times
+        # rows {0, 3} fill rows 0, 2, 3 and 5 of 0..5.
+        c = {(0, 0): one, (0, 3): 2 * one, (2, 1): -one, (2, 2): 3 * one}
+        d = {(0, 0): one, (0, 1): -one, (3, 0): 5 * one}
+        out = mul_kronecker(c, d)
+        assert sorted({i for i, _ in out}) == [0, 2, 3, 5]
+        assert_paths_agree(c, d)
+        # A row whose highest-j slot is zero and one whose only nonzero
+        # slot is its lowest j.
+        e = {(0, 0): one, (0, 5): one, (1, 0): 4 * one, (2, 2): -one}
+        f = {(0, 0): one, (1, 0): 2 * one}
+        out = mul_kronecker(e, f)
+        assert out[(1, 0)] == 6 * one * one
+        assert (1, 5) in out and (2, 5) not in out
+        assert_paths_agree(e, f)
+        # A middle row that cancels: (1 - z^2)(w + 3 w^3).
+        g = {(0, 0): one, (1, 0): one, (0, 2): 3 * one, (1, 2): 3 * one}
+        h = {(0, 1): one, (1, 1): -one}
+        out = mul_kronecker(g, h)
+        assert out == {(0, 1): one * one, (0, 3): 3 * one * one,
+                       (2, 1): -one * one, (2, 3): -3 * one * one}
+        assert {type(v) for v in out.values()} == {type(one)}
+        assert_paths_agree(g, h)
+
+
+def shape_of(a, b):
+    rows, width = _kernels._product_shape(_kernels._box(a), _kernels._box(b))
+    return rows * width, len(a) * len(b)
+
+
+def test_fraction_products_have_their_own_bound(monkeypatch):
+    # 6 x 6 terms spread over a 7 x 7 box of cells: 36 multiply-adds in
+    # 49 cells, under the int bound but over the Fraction one.
+    a = {(i, i % 3): i + 1 for i in range(6)}
+    b = {(i, 3 - i % 4): 2 * i - 5 for i in range(6)}
+    cells, work = shape_of(a, b)
+    assert cells * _kernels.KRONECKER_MIN_WORK_PER_CELL > work
+    assert cells <= _kernels.KRONECKER_FRACTION_CELLS_PER_WORK * work
+    fa = {key: Fraction(c, 7) for key, c in a.items()}
+    mixed = {**a, (0, 0): Fraction(1, 2)}
+    expected = {name: exact(mul_dict(x, y)) for name, (x, y) in {
+        "int": (a, b), "fraction": (fa, b), "both": (fa, fa),
+        "mixed": (mixed, mixed)}.items()}
+    with monkeypatch.context() as m:
+        m.setattr(_kernels, "mul_dict", refuse("mul_dict"))
+        assert exact(mul_terms(fa, b)) == expected["fraction"]
+        assert exact(mul_terms(b, fa)) == expected["fraction"]
+        assert exact(mul_terms(fa, fa)) == expected["both"]
+    with monkeypatch.context() as m:
+        m.setattr(_kernels, "mul_kronecker", refuse("mul_kronecker"))
+        assert exact(mul_terms(a, b)) == expected["int"]
+    # Mixed x mixed: Kronecker cannot fix the types, so the dict loop.
+    assert mul_kronecker(mixed, mixed) is None
+    assert exact(mul_terms(mixed, mixed)) == expected["mixed"]
+
+
+def test_sparse_fraction_products_take_the_dict_path(monkeypatch):
+    # 5 x 5 terms over 9 x 9 cells: 25 multiply-adds in 81 cells, under
+    # the Fraction bound; and 4 terms, under the floor, however dense.
+    a = {(2 * i, 2 * i): Fraction(i + 1, 3) for i in range(5)}
+    cells, work = shape_of(a, a)
+    assert cells > _kernels.KRONECKER_FRACTION_CELLS_PER_WORK * work
+    four = {(i, j): Fraction(i - j, 5) or Fraction(1) for i in (0, 1)
+            for j in (0, 1)}
+    dense = {(i, j): Fraction(i + j + 1, 2) for i in range(3) for j in range(3)}
+    assert len(four) < _kernels.KRONECKER_MIN_TERMS
+    expected = [exact(mul_dict(a, a)), exact(mul_dict(four, dense))]
+    monkeypatch.setattr(_kernels, "mul_kronecker", refuse("mul_kronecker"))
+    assert [exact(mul_terms(a, a)), exact(mul_terms(four, dense))] == expected
+
+
+def refuse(name):
+    def stub(*args):
+        raise AssertionError(f"this product reached {name}")
+    return stub
+
+
 def test_backend_reported():
     assert KERNEL_BACKEND == "pure"
 

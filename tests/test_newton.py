@@ -201,3 +201,66 @@ def test_polygon_invariants(p):
         slope = np_.edge_slope(k)
         for i, j in p.support():
             assert j - m_k >= slope * (i - n_k)
+
+
+# The staircase: orders, polygon and weight read column_minima(), and must
+# equal the same reads over the full support.
+
+def _orders_reference(poly):
+    support = poly.support()
+    return (min(i + j for i, j in support), min(i for i, _ in support),
+            min(j for _, j in support))
+
+
+def _staircase_reference(poly):
+    columns = {}
+    for i, j in sorted(poly.support(), reverse=True):
+        columns[i] = j
+    return columns
+
+
+line_exponent = st.integers(0, 40)
+single_row = st.builds(
+    lambda j, cs: SparsePoly2({(i, j): c for i, c in cs.items()}),
+    line_exponent, st.dictionaries(line_exponent, st.integers(-5, 5).filter(bool),
+                                   min_size=1, max_size=8))
+single_column = st.builds(
+    lambda i, cs: SparsePoly2({(i, j): c for j, c in cs.items()}),
+    line_exponent, st.dictionaries(line_exponent, st.integers(-5, 5).filter(bool),
+                                   min_size=1, max_size=8))
+dense_polys = st.dictionaries(
+    st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    st.integers(-5, 5).filter(bool), min_size=1, max_size=30).map(SparsePoly2)
+
+
+@given(st.one_of(polys, big_polys, single_row, single_column, dense_polys),
+       st.one_of(positive_ls, big_positive_ls))
+@settings(max_examples=300, deadline=None)
+def test_staircase_reads_equal_full_support_reads(p, l):
+    if p.is_zero:
+        return
+    assert repr(sorted(p.column_minima().items())) == repr(
+        sorted(_staircase_reference(p).items()))
+    assert repr(p.orders()) == repr(_orders_reference(p))
+    assert repr(newton_polygon(p)) == repr(NewtonPolygon.from_points(p.support()))
+    assert repr(weight(p, l)) == repr(_weight_reference(p, l))
+
+
+def test_staircase_of_a_line():
+    row = P("z^2*w^3 + z^5*w^3 + 7*z^9*w^3")
+    assert row.column_minima() == {2: 3, 5: 3, 9: 3}
+    assert row.orders() == (5, 2, 3)
+    assert newton_polygon(row).vertices == ((2, 3),)
+    column = P("z^4*w + z^4*w^6 - z^4*w^2")
+    assert column.column_minima() == {4: 1}
+    assert column.orders() == (5, 4, 1)
+    assert newton_polygon(column).vertices == ((4, 1),)
+    assert weight(column, Fraction(1, 3)) == Fraction(13, 3)
+
+
+def test_staircase_is_cached():
+    p = P("z^3*w + z*w^2 + z^3*w^5")
+    first = p.column_minima()
+    assert first == {1: 2, 3: 1}
+    assert p.column_minima() is first
+    assert (p * p).column_minima() == {2: 4, 4: 3, 6: 2}
