@@ -19,16 +19,22 @@ same polynomial (Horner 1819; Paterson & Stockmeyer, SIAM J. Comput. 2,
   whole accumulator.
 
 Both schedules make every product through poly_mul, so the resource
-caps see each one, and substitute checks the term count of the result,
-which no product may have formed (a sum is not a product).
+caps see each one.  The caps trip where Horner's products would trip
+them, with Horner's message: the table runs only when no product of
+Horner's could pass the degree cap (a bound read off the degrees of the
+layers and of W, with no product), and when a table product, or the
+table's result, passes the term cap, Horner runs instead.  One case is
+left: a Horner product may pass the term cap where every table product
+and the result stay under it, and then the table returns the result.
 """
 
 from __future__ import annotations
 
 from .poly import (
+    DEFAULT_LIMITS,
+    ResourceCapError,
     ResourceLimits,
     SparsePoly2,
-    check_product_degree,
     check_term_count,
     format_poly,
     parse_poly,
@@ -108,12 +114,16 @@ def substitute(poly: SparsePoly2, P: SparsePoly2, W: SparsePoly2,
     if poly.is_zero:
         return SparsePoly2.zero()
     by_j = _layers(poly)
-    if len(P) == 1 and not P.coeff(0, 0) and _all_int(poly, P, W):
-        out = _substitute_power_table(by_j, P, W, limits)
-    else:
-        out = _substitute_horner(by_j, P, W, limits)
-    check_term_count(out, limits)
-    return out
+    max_degree = (limits or DEFAULT_LIMITS).max_total_degree
+    if (len(P) == 1 and not P.coeff(0, 0) and _all_int(poly, P, W)
+            and _horner_degree_bound(by_j, P, W) <= max_degree):
+        try:
+            out = _substitute_power_table(by_j, P, W, limits)
+            check_term_count(out, limits)
+            return out
+        except ResourceCapError:
+            pass  # Horner, the reference, decides where the cap trips
+    return _substitute_horner(by_j, P, W, limits)
 
 
 def _layers(poly: SparsePoly2) -> dict:
@@ -138,6 +148,26 @@ def _substitute_horner(by_j: dict, P: SparsePoly2, W: SparsePoly2,
     if prev_j:
         acc = poly_mul(acc, poly_pow(W, prev_j, limits), limits)
     return acc
+
+
+def _horner_degree_bound(by_j: dict, P: SparsePoly2, W: SparsePoly2) -> int:
+    """The largest degree _substitute_horner could check before a
+    product, which also bounds every product of the power table.
+
+    The degree of a product is the sum of its operands' degrees, and a
+    sum may only lose its top terms, so this is an upper bound.  Layer j
+    has degree top_j * deg P, which its Horner in P reaches in its last
+    product.  Every product by a power of W has degree at most
+    top_j + j * deg W for some layer j > 0, and poly_mul checks nothing
+    when W is zero.
+    """
+    tops = {j: max(coeffs) * P.total_degree() for j, coeffs in by_j.items()}
+    bound = max(tops.values())
+    if not W.is_zero:
+        deg_w = W.total_degree()
+        bound = max([bound] + [top + j * deg_w
+                               for j, top in tops.items() if j])
+    return bound
 
 
 def _all_int(*polys: SparsePoly2) -> bool:
@@ -168,10 +198,6 @@ def _substitute_power_table(by_j: dict, P: SparsePoly2, W: SparsePoly2,
 
     parts = []
     for j, coeffs in by_j.items():
-        # Horner would reach this degree in the products of the layer.
-        top = max(coeffs)
-        if top:
-            check_product_degree(top * (m + k), limits)
         layer = SparsePoly2({(i * m, i * k): c * a**i
                              for i, c in coeffs.items()})
         parts.append(poly_mul(layer, powers[j], limits) if j else layer)

@@ -56,22 +56,17 @@ def check_term_count(terms, limits: ResourceLimits | None) -> None:
             f"term count {len(terms)} exceeds cap {lim.max_terms}")
 
 
-def check_product_degree(deg: int, limits: ResourceLimits | None) -> None:
-    """Raise if a product of total degree deg would pass the degree cap."""
-    lim = limits or DEFAULT_LIMITS
-    if deg > lim.max_total_degree:
-        raise ResourceCapError(
-            f"product degree {deg} exceeds cap {lim.max_total_degree}")
-
-
 def _precheck_mul(a: dict, b: dict, limits: ResourceLimits | None) -> None:
     # degree of a product is known before computing it; fail fast so a
     # blowing-up composition aborts instead of grinding through one
     # gigantic multiplication
     if not a or not b:
         return
-    check_product_degree(
-        max(i + j for i, j in a) + max(i + j for i, j in b), limits)
+    lim = limits or DEFAULT_LIMITS
+    deg = max(i + j for i, j in a) + max(i + j for i, j in b)
+    if deg > lim.max_total_degree:
+        raise ResourceCapError(
+            f"product degree {deg} exceeds cap {lim.max_total_degree}")
 
 
 class SparsePoly2:

@@ -1,6 +1,6 @@
 """substitute's two schedules, the power table and Horner, must give the
 same polynomial with the same coefficient types, and trip the resource
-caps at the same iterate."""
+caps at the same iterate with Horner's message."""
 
 from fractions import Fraction
 
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from skewprod import ResourceCapError, ResourceLimits, SparsePoly2, parse_poly
 from skewprod import germ as germ_module
+from skewprod import poly as poly_module
 from skewprod.germ import iterates, substitute
 from conftest import FIXTURES, germ
 
@@ -139,6 +140,10 @@ def reach(f, n_max, limits):
     return reached, None
 
 
+def horner_only(m):
+    m.setattr(germ_module, "_all_int", lambda *polys: False)
+
+
 @pytest.mark.parametrize("name, n_max", [("g2", 7), ("g7", 4), ("g8", 3)])
 def test_term_cap_trips_at_the_same_iterate(monkeypatch, name, n_max):
     f = germ(*FIXTURES[name])
@@ -147,8 +152,57 @@ def test_term_cap_trips_at_the_same_iterate(monkeypatch, name, n_max):
         limits = ResourceLimits(max_terms=cap)
         table = reach(f, n_max, limits)
         with monkeypatch.context() as m:
-            m.setattr(germ_module, "_substitute_power_table",
-                      germ_module._substitute_horner)
+            horner_only(m)
             horner = reach(f, n_max, limits)
         assert table == horner
         assert table[0] == want
+
+
+@pytest.mark.parametrize("name, n_max", [("g2", 6), ("g7", 3), ("g8", 2)])
+def test_every_cap_trips_with_horners_message(monkeypatch, name, n_max):
+    # Every degree cap up to past the iterate's degree, and the term caps
+    # around its size, where the table's products and Horner's differ.
+    f = germ(*FIXTURES[name])
+    q = list(iterates(f, n_max))[-1][1].q
+    caps = [ResourceLimits(max_total_degree=d)
+            for d in range(1, q.total_degree() + 2)]
+    caps += [ResourceLimits(max_terms=t)
+             for t in range(max(1, len(q) - 30), len(q) + 2)]
+    table = [reach(f, n_max, limits) for limits in caps]
+    with monkeypatch.context() as m:
+        horner_only(m)
+        horner = [reach(f, n_max, limits) for limits in caps]
+    assert table == horner
+    assert any(message for _, message in table)
+
+
+@given(substitutions())
+@settings(max_examples=200, deadline=None)
+def test_degree_bound_covers_every_checked_product(args):
+    # No product either schedule checks passes the bound, so under any
+    # degree cap at or above it neither trips.
+    q, P, W = args
+    by_j = germ_module._layers(q)
+    checked = []
+    precheck = poly_module._precheck_mul
+
+    def recording(a, b, limits):
+        if a and b:
+            checked.append(max(i + j for i, j in a) + max(i + j for i, j in b))
+        precheck(a, b, limits)
+
+    poly_module._precheck_mul = recording
+    try:
+        both_schedules(q, P, W)
+    finally:
+        poly_module._precheck_mul = precheck
+    assert max(checked, default=0) <= germ_module._horner_degree_bound(
+        by_j, P, W)
+
+
+def test_degree_cap_on_g8():
+    # The power table would first form W^4 * W^4 (degree 80); Horner's
+    # first product past 42 is acc * W^2.
+    f = germ(*FIXTURES["g8"])
+    assert reach(f, 2, ResourceLimits(max_total_degree=42)) == (
+        1, "product degree 60 exceeds cap 42")

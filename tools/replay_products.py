@@ -1,19 +1,15 @@
 """Replay the products of one operation through each product-kernel path.
 
     python3 tools/replay_products.py --workload NAME [--repeat K] [--ratios R,...]
-    python3 tools/replay_products.py --iterate P Q N [--repeat K] [--dict-max-work W]
 
 Run from the root of a source checkout; skewprod is imported from src/.
 The script runs one operation with skewprod._kernels.mul_terms wrapped
-and keeps the operands of every call.  The operation is either one
-operation of a perfbench workload (perfbench/workloads.py) or
-iterate_germ on the germ p = P, q = Q to n = N.  It then times each
+and keeps the operands of every call; the operation is one operation
+of a perfbench workload (perfbench/workloads.py).  It then times each
 recorded product best-of-K through mul_terms as dispatched, through
 mul_dict, and through mul_kronecker where that path takes the product,
 and checks that the outputs agree by repr(sorted(...)), coefficient
-types included.  A product with more than --dict-max-work multiply-adds
-(default 4,000,000, about 2 s) skips the dict loop; the dispatched and
-Kronecker outputs are still compared, and the ratio totals leave it out.
+types included.
 
 Products fall in three classes: "int" (both operands all-int),
 "fraction" (an all-Fraction operand) and "mixed" (all others, which
@@ -41,7 +37,6 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from skewprod import _kernels  # noqa: E402
 
 DEFAULT_RATIOS = "1/2,1,2,3,4,5,6,8"
-DICT_MAX_WORK = 4_000_000
 
 
 def exact(terms) -> str:
@@ -74,13 +69,6 @@ def workload_operation(name: str):
     return lambda: workload.run(inputs, [])
 
 
-def iterate_operation(p: str, q: str, n: int):
-    from skewprod import iterate_germ, parse_germ_file
-
-    germ = parse_germ_file(f"p = {p}\nq = {q}\n")
-    return lambda: iterate_germ(germ, n)
-
-
 def best_of(fn, a, b, repeat: int):
     """(least seconds over `repeat` calls, the last output)."""
     best = out = None
@@ -102,7 +90,7 @@ def kind(a, b) -> str:
     return "mixed"
 
 
-def replay(calls, repeat: int, dict_max_work: int = DICT_MAX_WORK) -> list:
+def replay(calls, repeat: int) -> list:
     """One row per product: its shape, class, the seconds of each path
     (None where the path did not run), and whether the paths agree."""
     rows = []
@@ -113,11 +101,8 @@ def replay(calls, repeat: int, dict_max_work: int = DICT_MAX_WORK) -> list:
             shape = _kernels._product_shape(_kernels._box(a), _kernels._box(b))
             row["cells"] = shape[0] * shape[1]
         row["dispatch"], out = best_of(_kernels.mul_terms, a, b, repeat)
-        outputs = [exact(out)]
-        row["dict"] = None
-        if row["work"] <= dict_max_work:
-            row["dict"], expected = best_of(_kernels.mul_dict, a, b, repeat)
-            outputs.append(exact(expected))
+        row["dict"], expected = best_of(_kernels.mul_dict, a, b, repeat)
+        outputs = [exact(out), exact(expected)]
         row["kronecker"], kron = best_of(_kernels.mul_kronecker, a, b, repeat)
         if kron is None:
             row["kronecker"] = None
@@ -133,7 +118,7 @@ def total_at(rows, ratio: Fraction, which: str) -> float:
     multiply-adds per cell went to Kronecker."""
     total = 0.0
     for row in rows:
-        if row["kind"] != which or row["dict"] is None:
+        if row["kind"] != which:
             continue
         dense = (row["min_terms"] >= _kernels.KRONECKER_MIN_TERMS
                  and row["cells"] * ratio <= row["work"])
@@ -160,21 +145,13 @@ def summarize(rows, ratios) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("--workload")
-    source.add_argument("--iterate", nargs=3, metavar=("P", "Q", "N"))
+    parser.add_argument("--workload", required=True)
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--ratios", default=DEFAULT_RATIOS)
-    parser.add_argument("--dict-max-work", type=int, default=DICT_MAX_WORK)
     args = parser.parse_args(argv)
 
-    if args.workload:
-        operation = workload_operation(args.workload)
-    else:
-        p, q, n = args.iterate
-        operation = iterate_operation(p, q, int(n))
     ratios = [Fraction(r) for r in args.ratios.split(",")]
-    rows = replay(record(operation), args.repeat, args.dict_max_work)
+    rows = replay(record(workload_operation(args.workload)), args.repeat)
     summary = summarize(rows, ratios)
     print(f"{summary['products']} products {summary['by_kind']}, "
           f"{summary['mismatches']} mismatches")
