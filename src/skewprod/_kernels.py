@@ -60,20 +60,25 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
 _int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
-def add_terms(a, b):
-    """Sum of two term dicts; zero coefficients are dropped."""
+def add_terms(a, *rest):
+    """Sum of term dicts in one pass; zero coefficients are dropped.
+
+    Only the first operand is copied, and every further one is added
+    into that copy in turn, so the largest should come first.
+    """
     out = dict(a)
     get = out.get
-    for key, c in b.items():
-        v = get(key)
-        if v is None:
-            out[key] = c
-        else:
-            v = v + c
-            if v:
-                out[key] = v
+    for b in rest:
+        for key, c in b.items():
+            v = get(key)
+            if v is None:
+                out[key] = c
             else:
-                del out[key]
+                v = v + c
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
     return out
 
 

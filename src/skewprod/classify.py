@@ -17,6 +17,12 @@ The module also builds the weight intervals attached to each case, the
 raw inequality systems that define them (kept separate so closed forms
 can be property-tested against the definitions), and the induced affine
 action R(l) = (gamma + l d) / delta on weights.
+
+Interval membership, the raw systems and the R-map read a weight
+l = a/b as the int pair (a, b) with b > 0.  Each inequality is scaled
+by its positive denominators, so a level gamma + l*d is compared as the
+int b*gamma + a*d against b*i + a*j over the support, and a rational
+result is built once as Fraction(numerator, denominator).
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import INF, is_inf
+from .exact import INF, as_fraction, is_inf
 from .germ import SkewGerm
 from .growth import gamma_n
 from .newton import NewtonPolygon, newton_polygon
@@ -45,17 +51,20 @@ class Interval:
     upper_closed: bool = True
 
     def contains(self, l) -> bool:
-        l = Fraction(l)
-        if self.lower_closed:
-            if l < self.lower:
-                return False
-        elif l <= self.lower:
+        # l = a/b against an end p/q, all with positive denominators:
+        # l < p/q exactly when a*q < p*b.
+        l = as_fraction(l)
+        a, b = l.numerator, l.denominator
+        lo = self.lower
+        lo_b = lo.numerator * b
+        a_lo = a * lo.denominator
+        if a_lo < lo_b if self.lower_closed else a_lo <= lo_b:
             return False
-        if is_inf(self.upper):
+        hi = self.upper
+        if is_inf(hi):
             return True
-        if self.upper_closed:
-            return l <= self.upper
-        return l < self.upper
+        a_hi, hi_b = a * hi.denominator, hi.numerator * b
+        return a_hi <= hi_b if self.upper_closed else a_hi < hi_b
 
     def sample_points(self):
         """Deterministic exact probes: closed endpoints plus a midpoint."""
@@ -248,7 +257,7 @@ class CaseFourRectangle:
 
     def second_of(self, l_first) -> Interval:
         """The interval of admissible l_(2) for a given l_(1)."""
-        l_first = Fraction(l_first)
+        l_first = as_fraction(l_first)
         if not self.first.contains(l_first):
             raise ValueError(f"l_(1) = {l_first} outside the first interval")
         top = self.l1 + self.l2
@@ -262,7 +271,7 @@ class CaseFourRectangle:
 
     def contains(self, l_first, l_sum) -> bool:
         """Membership of the pair (l_(1), l_(1) + l_(2))."""
-        l_first, l_sum = Fraction(l_first), Fraction(l_sum)
+        l_first, l_sum = as_fraction(l_first), as_fraction(l_sum)
         if not self.first.contains(l_first):
             return False
         return self.second_of(l_first).contains(l_sum - l_first)
@@ -325,64 +334,69 @@ def equality_interval(case: CaseData) -> Interval:
 def system_membership(f: SkewGerm, case: CaseData, l) -> bool:
     """Direct evaluation of the defining inequalities of the main weight
     set over the whole support, bypassing the closed forms."""
-    l = Fraction(l)
-    if l <= 0:
+    l = as_fraction(l)
+    a, b = l.numerator, l.denominator
+    if a <= 0:
         return False
-    gamma, d, delta = case.gamma, case.d, case.delta
-    level = gamma + l * d
     if case.kind == CASE1:
         return True
+    level = b * case.gamma + a * case.d
     if case.kind == CASE2:
-        if l * delta > level:
+        if a * case.delta > level:
             return False
-        return all(level <= i + l * j for i, j in f.q.support())
-    if case.kind == CASE3:
-        if level > l * delta:
+    elif case.kind == CASE3:
+        if level > a * case.delta:
             return False
-        return all(level <= i + l * j for i, j in f.q.support())
-    raise ValueError("Case 4 uses the staged systems")
+    else:
+        raise ValueError("Case 4 uses the staged systems")
+    return all(level <= b * i + a * j for i, j in f.q.exponents())
 
 
 def system_membership_case4_first(case: CaseData, l) -> bool:
-    l = Fraction(l)
-    if l <= 0:
+    l = as_fraction(l)
+    a, b = l.numerator, l.denominator
+    if a <= 0:
         return False
-    gamma, d, delta, k = case.gamma, case.d, case.delta, case.k
-    level = gamma + l * d
-    verts = case.polygon.vertices
-    for idx, (n, m) in enumerate(verts, start=1):
-        if idx <= k - 1 and level > n + l * m:
+    k = case.k
+    level = b * case.gamma + a * case.d
+    for idx, (n, m) in enumerate(case.polygon.vertices, start=1):
+        if idx <= k - 1 and level > b * n + a * m:
             return False
-        if idx >= k + 1 and level >= n + l * m:
+        if idx >= k + 1 and level >= b * n + a * m:
             return False
-    return l * delta <= level
+    return a * case.delta <= level
 
 
 def system_membership_case4_second(f: SkewGerm, case: CaseData,
                                    l_first, l_second) -> bool:
-    l_first, l_second = Fraction(l_first), Fraction(l_second)
-    if l_second <= 0:
+    # The first stage maps (i, j) to (i + l_(1) (j - delta), j).  Scaled
+    # by B = b1*b2, with A1 = a1*b2, A2 = a2*b1 and s = A1 + A2, the
+    # level (gamma + l_(1) (d - delta)) + l_(2) d is
+    # B*gamma + s*d - A1*delta, and the shared -A1*delta drops out of
+    # every comparison against a transformed support point.
+    l_first, l_second = as_fraction(l_first), as_fraction(l_second)
+    a2, b2 = l_second.numerator, l_second.denominator
+    if a2 <= 0:
         return False
+    a1, b1 = l_first.numerator, l_first.denominator
     gamma, d, delta = case.gamma, case.d, case.delta
-    g_t = gamma + l_first * d - l_first * delta
-    level = g_t + l_second * d
-    if level > l_second * delta:
+    big_b, a1_s, a2_s = b1 * b2, a1 * b2, a2 * b1
+    s = a1_s + a2_s
+    if big_b * gamma + a1_s * (d - delta) + a2_s * d > a2_s * delta:
         return False
-    for i, j in f.q.support():
-        i_t = i + l_first * j - l_first * delta
-        if level > i_t + l_second * j:
-            return False
-    return True
+    level = big_b * gamma + s * d
+    return all(level <= big_b * i + s * j for i, j in f.q.exponents())
 
 
 def system_membership_case4_ar(case: CaseData, l) -> bool:
-    l = Fraction(l)
-    if l <= 0:
+    l = as_fraction(l)
+    a, b = l.numerator, l.denominator
+    if a <= 0:
         return False
-    gamma, d, k = case.gamma, case.d, case.k
-    level = gamma + l * d
+    k = case.k
+    level = b * case.gamma + a * case.d
     for idx, (n, m) in enumerate(case.polygon.vertices, start=1):
-        if idx != k and level > n + l * m:
+        if idx != k and level > b * n + a * m:
             return False
     return True
 
@@ -392,8 +406,8 @@ def system_membership_case4_pair(f: SkewGerm, case: CaseData,
     """Pair membership for the rectangle via the staged systems."""
     if not system_membership_case4_first(case, l_first):
         return False
-    return system_membership_case4_second(f, case, l_first,
-                                          Fraction(l_sum) - Fraction(l_first))
+    return system_membership_case4_second(
+        f, case, l_first, as_fraction(l_sum) - as_fraction(l_first))
 
 
 # -- the induced action on weights ---------------------------------------
@@ -401,15 +415,18 @@ def system_membership_case4_pair(f: SkewGerm, case: CaseData,
 
 def r_step(case: CaseData, l) -> Fraction:
     """R(l) = (gamma + l d) / delta."""
-    return Fraction(Fraction(case.gamma) + Fraction(l) * case.d, case.delta)
+    l = as_fraction(l)
+    a, b = l.numerator, l.denominator
+    return Fraction(case.gamma * b + a * case.d, b * case.delta)
 
 
 def r_map(case: CaseData, l, n: int) -> Fraction:
     """R^n(l) by the closed form (gamma_n + l d^n) / delta^n; n = 0 is l."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    l = Fraction(l)
+    l = as_fraction(l)
     if n == 0:
         return l
+    a, b = l.numerator, l.denominator
     g_n = gamma_n(case.delta, case.gamma, case.d, n)
-    return Fraction(g_n + l * case.d**n, case.delta**n)
+    return Fraction(g_n * b + a * case.d**n, b * case.delta**n)

@@ -59,6 +59,11 @@ def recip(x):
     return 1 / x
 
 
+def as_fraction(x) -> Fraction:
+    """x as a Fraction; one that already is a Fraction is returned as is."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def as_coeff(x):
     """Canonical coefficient: int when integral, Fraction otherwise."""
     if isinstance(x, int):

@@ -40,6 +40,7 @@ from .poly import (
     parse_poly,
     poly_mul,
     poly_pow,
+    poly_sum,
 )
 
 
@@ -203,13 +204,10 @@ def _substitute_power_table(by_j: dict, P: SparsePoly2, W: SparsePoly2,
         parts.append(poly_mul(layer, powers[j], limits) if j else layer)
     if not parts:
         return SparsePoly2.zero()
-    # add_terms copies its first operand and loops over its second, so
-    # the largest part goes first.
+    # poly_sum copies its first operand once, so the largest part goes
+    # first.
     parts.sort(key=len, reverse=True)
-    acc = parts[0]
-    for part in parts[1:]:
-        acc = acc + part
-    return acc
+    return poly_sum(parts)
 
 
 def compose_germ(g: SkewGerm, h: SkewGerm,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import as_coeff
+from .exact import as_coeff, as_fraction
 from .poly import SparsePoly2
 
 
@@ -100,12 +100,12 @@ def weight(poly: SparsePoly2, l) -> Fraction:
     column's minimum is at its least j, so only the staircase of
     column_minima is scanned.
     """
-    l = Fraction(l)
-    if l <= 0:
+    l = as_fraction(l)
+    a, b = l.numerator, l.denominator
+    if a <= 0:
         raise ValueError("weight parameter l must be positive")
     if poly.is_zero:
         raise ValueError("zero polynomial has no weight")
-    a, b = l.numerator, l.denominator
     return Fraction(
         min(b * i + a * j for i, j in poly.column_minima().items()), b)
 

@@ -245,6 +245,17 @@ def poly_mul(a: SparsePoly2, b: SparsePoly2,
     return SparsePoly2._raw(out)
 
 
+def poly_sum(polys) -> SparsePoly2:
+    """Sum of a non-empty sequence of polynomials in one pass.
+
+    The first is copied once and the rest are added into the copy, so
+    the largest should come first.
+    """
+    first, *rest = polys
+    return SparsePoly2._raw(
+        kernels.add_terms(first._terms, *(p._terms for p in rest)))
+
+
 def poly_pow(a: SparsePoly2, k: int,
              limits: ResourceLimits | None = None) -> SparsePoly2:
     """a**k by repeated squaring; k >= 0."""

@@ -30,7 +30,7 @@ from .classify import (
     CaseData,
     equality_interval,
 )
-from .exact import as_coeff
+from .exact import as_coeff, as_fraction
 from .germ import SkewGerm
 from .growth import gamma_n, geometric_sum, iterate_lead_coeff
 from .newton import newton_polygon, support_on_edge
@@ -66,12 +66,22 @@ def dominant_term(f: SkewGerm, case: CaseData, n: int):
 
 def predict_weight(f: SkewGerm, case: CaseData, n: int, l):
     """(w_l(Q^n), exact=True) for l in the case's equality interval."""
-    l = Fraction(l)
-    if not equality_interval(case).contains(l):
+    l = as_fraction(l)
+    _check_in_range(equality_interval(case), case, l)
+    return _weight_value(gamma_n(case.delta, case.gamma, case.d, n),
+                         case.d**n, l), True
+
+
+def _check_in_range(interval, case: CaseData, l: Fraction) -> None:
+    if not interval.contains(l):
         raise PredictionRangeError(
             f"l = {l} is outside the equality range for {case.kind}")
-    g_n = gamma_n(case.delta, case.gamma, case.d, n)
-    return g_n + l * case.d**n, True
+
+
+def _weight_value(g_n: int, d_n: int, l: Fraction) -> Fraction:
+    """gamma_n + l d^n, built once from ints."""
+    b = l.denominator
+    return Fraction(g_n * b + l.numerator * d_n, b)
 
 
 # -- critical pure-z coefficient recursion --------------------------------
@@ -468,11 +478,14 @@ def predict(f: SkewGerm, case: CaseData, n: int, ls=None,
     if case.may_vanish and critical_present is None:
         seq = critical_coeff_sequence(f, n)
         critical_present = bool(seq[n - 1]) if seq else None
+    interval = equality_interval(case)
     if ls is None:
-        ls = equality_interval(case).sample_points()
-    claims = tuple(
-        WeightClaim(Fraction(l), predict_weight(f, case, n, l)[0])
-        for l in ls)
+        ls = interval.sample_points()
+    claims = []
+    for l in ls:
+        l = as_fraction(l)
+        _check_in_range(interval, case, l)
+        claims.append(WeightClaim(l, _weight_value(g_n, d_n, l)))
     cqn = predict_cqn_bounds(f, case, n, critical_present)
     cfn_lower, cfn_upper = predict_cfn(f, case, n, cqn)
     coeff, _ = dominant_term(f, case, n)
@@ -492,7 +505,7 @@ def predict(f: SkewGerm, case: CaseData, n: int, ls=None,
         dominant_coeff=coeff,
         may_vanish=case.dominant_may_vanish,
         critical_present=critical_present,
-        weight_claims=claims,
+        weight_claims=tuple(claims),
         cqn=cqn,
         theorem_cqn=theorem_bracket(case, n),
         cfn_lower=cfn_lower,

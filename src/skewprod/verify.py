@@ -34,7 +34,7 @@ from .classify import (
     system_membership_case4_pair,
     weight_intervals,
 )
-from .exact import format_exact
+from .exact import as_fraction, format_exact
 from .germ import SkewGerm, iterates
 from .growth import gamma_n
 from .newton import newton_polygon, weight
@@ -131,7 +131,7 @@ def verify_germ(f: SkewGerm, n_max: int, extra_ls=(),
     """Full exact verification of every applicable case reading."""
     records, error = oracle_records(f, n_max, limits)
     variants = [
-        _verify_variant(f, case, records, tuple(Fraction(x) for x in extra_ls))
+        _verify_variant(f, case, records, tuple(map(as_fraction, extra_ls)))
         for case in case_variants(f)
     ]
     return VerificationReport(
@@ -372,7 +372,7 @@ def _r_map_checks(case: CaseData, ls, out, n_top: int = 10):
     interval = equality_interval(case)
     alpha = case.alpha
     for l in ls[:3]:
-        seq = [Fraction(l)]
+        seq = [l]
         for _ in range(n_top):
             seq.append(r_step(case, seq[-1]))
         closed_ok = all(r_map(case, l, n) == seq[n] for n in range(n_top + 1))
@@ -411,16 +411,21 @@ def _slope_lemma_check(case: CaseData, out, n_top: int = 6):
                     f"slopes {sorted(map(format_exact, slopes))}"))
 
 
+# The offsets 0, 1/7, 1/2 and 1 as (numerator, denominator).
+_PROBE_OFFSETS = ((0, 1), (1, 7), (1, 2), (1, 1))
+
+
 def _probe_values(*anchors):
-    offsets = (Fraction(0), Fraction(1, 7), Fraction(1, 2), Fraction(1))
+    # Anchor p/q minus or plus offset r/s is (p*s -+ r*q) / (q*s).
     vals = {Fraction(1, 3), Fraction(1), Fraction(3)}
     for a in anchors:
         if a is None or not isinstance(a, (int, Fraction)):
             continue
-        for off in offsets:
-            for v in (a - off, a + off):
-                if v > 0:
-                    vals.add(Fraction(v))
+        p, q = a.numerator, a.denominator
+        for r, s in _PROBE_OFFSETS:
+            for num in (p * s - r * q, p * s + r * q):
+                if num > 0:
+                    vals.add(Fraction(num, q * s))
     return sorted(vals)
 
 

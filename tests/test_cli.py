@@ -21,6 +21,22 @@ def run_cli(*argv, **kw):
     ("predict", ("--n", "2")),
 ])
 def test_golden_json(name, command, flags):
+    assert_matches_golden(name, command, flags)
+
+
+# g4's equality interval is [1/2, 2]: 5/2 lies outside it, so its
+# weight is reported without a claim, and 1 adds a claim inside it.
+VERIFY_FLAGS = {"g4": ("--l", "5/2", "--l", "1")}
+
+
+@pytest.mark.parametrize("name", ["g1", "g2", "g3", "g4", "g5", "g6", "g7"])
+def test_golden_verify_json(name):
+    """Every claim, detail string and prediction verify reports."""
+    assert_matches_golden(name, "verify",
+                          ("--n-max", "3") + VERIFY_FLAGS.get(name, ()))
+
+
+def assert_matches_golden(name, command, flags):
     result = run_cli(command, "--germ", str(DATA / f"{name}.germ"),
                      *flags, "--format", "json")
     assert result.returncode == 0, result.stderr

@@ -1,7 +1,17 @@
+import hashlib
+import itertools
 import json
 
 from skewprod import FuzzConfig, fuzz
-from skewprod.fuzz import generate_germs
+from skewprod.fuzz import _projected_degree, generate_germs
+from skewprod.jsonio import verification_json
+from skewprod.poly import ResourceLimits
+from skewprod.verify import verify_germ
+
+# The acceptance campaign's configuration (test_criterion_5).
+CRITERION_5 = FuzzConfig(seed=20260809, germ_count=240, delta_max=3,
+                         support_max=6, coeff_min=-3, coeff_max=3, n_max=3,
+                         boundary_bias_pct=25)
 
 
 def test_determinism_bit_identical():
@@ -49,3 +59,30 @@ def test_degree_cap_skips_counted():
     summary = fuzz(FuzzConfig(seed=5, germ_count=30, n_max=3, degree_cap=8))
     assert summary.skipped > 0
     assert summary.failures == 0
+
+
+def test_campaign_sample_verification_digest():
+    """The full verification JSON of the campaign's first 40 germs.
+
+    The campaign's own digest covers only its summary counts; this pins
+    every claim, detail string and prediction of the reports, with the
+    Case 3, Case 4 and two-reading boundary germs the fixtures lack.
+    Germs are run as fuzz runs them: past the degree cap they are
+    skipped, and the rest verified under the campaign's limits.
+    """
+    cfg = CRITERION_5
+    limits = ResourceLimits(max_terms=cfg.max_terms,
+                            max_total_degree=max(cfg.degree_cap * 10, 10**6))
+    h = hashlib.sha256()
+    kinds = set()
+    two_readings = 0
+    for g in itertools.islice(generate_germs(cfg), 40):
+        if _projected_degree(g, cfg.n_max) > cfg.degree_cap:
+            continue
+        report = verify_germ(g, cfg.n_max, limits=limits)
+        kinds.update(v.case.kind for v in report.variants)
+        two_readings += len(report.variants) > 1
+        h.update(json.dumps(verification_json(report), sort_keys=True).encode())
+    assert kinds == {"Case1", "Case2", "Case3", "Case4"}
+    assert two_readings >= 10
+    assert h.hexdigest()[:16] == "51af101c642e98ed"

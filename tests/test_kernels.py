@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from skewprod import _kernels
 from skewprod._kernels import mul_dict, mul_kronecker, mul_terms
-from skewprod.poly import KERNEL_BACKEND
+from skewprod.poly import KERNEL_BACKEND, SparsePoly2, poly_sum
 
 
 def exact(terms):
@@ -418,3 +418,49 @@ def test_mixed_products_match_the_dict_loop(a, b):
     else:
         assert out is None
     assert exact(mul_terms(a, b)) == exact(mul_dict(a, b))
+
+
+def add_pair(a, b):
+    """The two-operand sum, written out: copy a, add b, drop zeros."""
+    out = dict(a)
+    for key, c in b.items():
+        if key in out:
+            v = out[key] + c
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+        else:
+            out[key] = c
+    return out
+
+
+@given(st.lists(st.one_of(int_terms, fraction_terms, mixed_terms),
+                min_size=1, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_add_terms_in_one_pass_matches_pairwise_sums(parts):
+    """Same terms, coefficient types and key order as summing in pairs,
+    cancellations included; no operand is modified."""
+    # Negated copies make terms cancel and come back.
+    parts = parts + [{k: -c for k, c in parts[0].items()}, parts[-1]]
+    before = [repr(list(p.items())) for p in parts]
+    expected = parts[0]
+    for part in parts[1:]:
+        expected = add_pair(expected, part)
+    out = _kernels.add_terms(*parts)
+    assert repr(list(out.items())) == repr(list(expected.items()))
+    assert [repr(list(p.items())) for p in parts] == before
+
+
+def test_poly_sum_copies_only_the_first_operand(monkeypatch):
+    calls = []
+    inner = _kernels.add_terms
+    monkeypatch.setattr(_kernels, "add_terms",
+                        lambda *ts: calls.append(len(ts)) or inner(*ts))
+    parts = [SparsePoly2({(i, 0): 1, (0, i + 1): 2}) for i in range(1, 5)]
+    total = poly_sum(parts)
+    assert calls == [4]
+    expected = parts[0]
+    for p in parts[1:]:
+        expected = expected + p
+    assert repr(list(total.items())) == repr(list(expected.items()))
