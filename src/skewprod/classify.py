@@ -199,17 +199,7 @@ def _build(f: SkewGerm, polygon: NewtonPolygon, kind: str, k: int,
 
 def classify(f: SkewGerm) -> CaseData:
     """Primary case of the germ (priority Case1, Case2, Case3, Case4)."""
-    polygon = newton_polygon(f.q)
-    applicable = _applicable_kinds(f.delta, polygon)
-    s = polygon.s
-    if s == 1:
-        return _build(f, polygon, CASE1, 1, applicable)
-    if CASE2 in applicable:
-        return _build(f, polygon, CASE2, s, applicable)
-    if CASE3 in applicable:
-        return _build(f, polygon, CASE3, 1, applicable)
-    k = _case4_indices(f.delta, polygon)[0]
-    return _build(f, polygon, CASE4, k, applicable)
+    return case_variants(f)[0]
 
 
 def case_variants(f: SkewGerm) -> tuple:

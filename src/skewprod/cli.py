@@ -17,7 +17,7 @@ from fractions import Fraction
 from .classify import classify
 from .exact import format_exact
 from .fuzz import FuzzConfig, fuzz
-from .germ import SkewGerm, parse_germ_file
+from .germ import SkewGerm, iterate_germ, parse_germ_file
 from .jsonio import (
     asymptotic_json,
     case_json,
@@ -27,10 +27,9 @@ from .jsonio import (
     prediction_json,
     verification_json,
 )
-from .newton import newton_polygon
 from .poly import ResourceCapError, format_poly
-from .predict import asymptotic, critical_coeff_sequence, predict
-from .verify import verify_germ
+from .predict import asymptotic
+from .verify import oracle_record, predictions, verify_germ, weight_samples
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURES = 1
@@ -110,12 +109,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_iterate(args) -> int:
     f = _load_germ(args.germ)
-    from .germ import iterate_germ
-
     fn = iterate_germ(f, args.n)
-    polygon = newton_polygon(fn.q)
-    c_qn, ord_z, ord_w = fn.q.orders()
-    c_pn = min(fn.p.column_minima())
+    rec = oracle_record(f, args.n, fn)
     payload = {
         "germ": germ_json(f),
         "n": args.n,
@@ -123,20 +118,20 @@ def _cmd_iterate(args) -> int:
         "q_n": format_poly(fn.q),
         "p_n_terms": [[i, j, format_exact(c)] for (i, j), c in fn.p.sorted_terms()],
         "q_n_terms": [[i, j, format_exact(c)] for (i, j), c in fn.q.sorted_terms()],
-        "polygon": polygon_json(polygon),
-        "c_qn": c_qn,
-        "ord_z": ord_z,
-        "ord_w": ord_w,
-        "c_pn": c_pn,
-        "c_fn": min(c_pn, c_qn),
+        "polygon": polygon_json(rec.polygon),
+        "c_qn": rec.c_qn,
+        "ord_z": rec.ord_z,
+        "ord_w": rec.ord_w,
+        "c_pn": rec.c_pn,
+        "c_fn": rec.c_fn,
     }
     lines = [
         f"p^{args.n} = {payload['p_n']}",
         f"Q^{args.n} = {payload['q_n']}",
-        f"polygon vertices: {' '.join(str(v) for v in polygon.vertices)}",
-        f"intercepts: {', '.join(format_exact(t) for t in polygon.intercepts) or '(none)'}",
-        f"c(Q^n) = {c_qn}, ord_z = {ord_z}, ord_w = {ord_w}, "
-        f"c(f^n) = {payload['c_fn']}",
+        f"polygon vertices: {' '.join(str(v) for v in rec.polygon.vertices)}",
+        f"intercepts: {', '.join(format_exact(t) for t in rec.polygon.intercepts) or '(none)'}",
+        f"c(Q^n) = {rec.c_qn}, ord_z = {rec.ord_z}, ord_w = {rec.ord_w}, "
+        f"c(f^n) = {rec.c_fn}",
     ]
     _emit(payload, args.format, lines)
     return EXIT_OK
@@ -145,24 +140,8 @@ def _cmd_iterate(args) -> int:
 def _cmd_predict(args) -> int:
     f = _load_germ(args.germ)
     case = classify(f)
-    extra = _parse_l(args.l)
-    from .classify import equality_interval
-
-    interval = equality_interval(case)
-    ls = interval.sample_points()
-    no_claim = []
-    for l in extra:
-        if interval.contains(l):
-            if l not in ls:
-                ls.append(l)
-        else:
-            no_claim.append(l)
-    ls.sort()
-    seq = critical_coeff_sequence(f, args.n) if case.may_vanish else None
-    preds = []
-    for n in range(1, args.n + 1):
-        present = bool(seq[n - 1]) if seq else None
-        preds.append(predict(f, case, n, ls=ls, critical_present=present))
+    ls, no_claim = weight_samples(case, _parse_l(args.l))
+    preds, _ = predictions(f, case, args.n, ls)
     ar = asymptotic(f, case)
     payload = {
         "germ": germ_json(f),

@@ -12,7 +12,7 @@ from fractions import Fraction
 class _PosInf:
     """Positive infinity for weight bounds (l2 in the unbounded cases).
 
-    Compares greater than every finite number; its reciprocal is 0.
+    Compares greater than every finite number.
     """
 
     __slots__ = ()
@@ -47,16 +47,6 @@ INF = _PosInf()
 
 def is_inf(x) -> bool:
     return x is INF
-
-
-def recip(x):
-    """Exact reciprocal extended by recip(INF) = 0 and recip(0) = INF."""
-    if x is INF:
-        return Fraction(0)
-    x = Fraction(x)
-    if x == 0:
-        return INF
-    return 1 / x
 
 
 def as_fraction(x) -> Fraction:

@@ -258,9 +258,15 @@ def _projected_degree(f: SkewGerm, n_max: int) -> int:
     return base**n_max
 
 
-def generate_germs(cfg: FuzzConfig):
-    """The deterministic germ sequence for a config (degree-capped)."""
-    rng = random.Random(cfg.seed)
+def generate_germs(cfg: FuzzConfig, rng: random.Random | None = None):
+    """The campaign's germ_count germs, drawn from rng (by default the
+    config's seed).
+
+    Germs whose projected degree passes cfg.degree_cap are yielded too;
+    a campaign skips them.
+    """
+    if rng is None:
+        rng = random.Random(cfg.seed)
     produced = 0
     while produced < cfg.germ_count:
         g = _draw(rng, cfg)
@@ -270,17 +276,17 @@ def generate_germs(cfg: FuzzConfig):
         yield g
 
 
-def _is_boundary(f: SkewGerm) -> bool:
-    polygon = newton_polygon(f.q)
-    return any(t == f.delta for t in polygon.intercepts)
+def campaign_limits(cfg: FuzzConfig) -> ResourceLimits:
+    """The resource caps each campaign germ is verified under."""
+    return ResourceLimits(max_terms=cfg.max_terms,
+                          max_total_degree=max(cfg.degree_cap * 10, 10**6))
 
 
 def fuzz(cfg: FuzzConfig) -> FuzzSummary:
     """Run the campaign; zero failures is the expected outcome."""
     rng = random.Random(cfg.seed)
     summary = FuzzSummary(config=cfg)
-    limits = ResourceLimits(max_terms=cfg.max_terms,
-                            max_total_degree=max(cfg.degree_cap * 10, 10**6))
+    limits = campaign_limits(cfg)
     kinds_seen = set()
     saw_vanishing = False
     saw_boundary = False
@@ -293,7 +299,7 @@ def fuzz(cfg: FuzzConfig) -> FuzzSummary:
         case = classify(germ)
         kinds_seen.add(case.kind)
         summary.case_counts[case.kind] = summary.case_counts.get(case.kind, 0) + 1
-        if _is_boundary(germ):
+        if germ.delta in case.polygon.intercepts:
             summary.boundary_count += 1
             saw_boundary = True
         report = verify_germ(germ, cfg.n_max, limits=limits)
@@ -315,12 +321,7 @@ def fuzz(cfg: FuzzConfig) -> FuzzSummary:
                     {"germ": format_germ_file(germ),
                      "claims": sorted(set(failed))})
 
-    produced = 0
-    while produced < cfg.germ_count:
-        g = _draw(rng, cfg)
-        if g is None:
-            continue
-        produced += 1
+    for g in generate_germs(cfg, rng):
         run_one(g)
 
     # Coverage retries: targeted constructions from the same stream.

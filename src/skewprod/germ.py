@@ -223,10 +223,9 @@ def iterate_germ(f: SkewGerm, n: int,
     """f^n = (p^n, Q^n) for n >= 1 by exact composition."""
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
-    cur = f
-    for _ in range(n - 1):
-        cur = compose_germ(f, cur, limits)
-    return cur
+    for _, fn in iterates(f, n, limits):
+        pass
+    return fn
 
 
 def iterates(f: SkewGerm, n_max: int, limits: ResourceLimits | None = None):

@@ -101,6 +101,23 @@ class VerificationReport:
         return out
 
 
+def oracle_record(f: SkewGerm, n: int, fn: SkewGerm) -> OracleRecord:
+    """The data the checks read off fn = f^n."""
+    c_qn, ord_z, ord_w = fn.q.orders()
+    c_pn = min(fn.p.column_minima())
+    return OracleRecord(
+        n=n,
+        germ=fn,
+        polygon=newton_polygon(fn.q),
+        c_qn=c_qn,
+        ord_z=ord_z,
+        ord_w=ord_w,
+        c_pn=c_pn,
+        c_fn=min(c_pn, c_qn),
+        delta_pow=f.delta**n,
+    )
+
+
 def oracle_records(f: SkewGerm, n_max: int,
                    limits: ResourceLimits | None = None):
     """Iterate the germ, keeping every n that fits in the resource caps."""
@@ -108,22 +125,47 @@ def oracle_records(f: SkewGerm, n_max: int,
     error = None
     try:
         for n, fn in iterates(f, n_max, limits):
-            c_qn, ord_z, ord_w = fn.q.orders()
-            c_pn = min(fn.p.column_minima())
-            records.append(OracleRecord(
-                n=n,
-                germ=fn,
-                polygon=newton_polygon(fn.q),
-                c_qn=c_qn,
-                ord_z=ord_z,
-                ord_w=ord_w,
-                c_pn=c_pn,
-                c_fn=min(c_pn, c_qn),
-                delta_pow=f.delta**n,
-            ))
+            records.append(oracle_record(f, n, fn))
     except ResourceCapError as exc:
         error = str(exc)
     return records, error
+
+
+def weight_samples(case: CaseData, extra_ls=()):
+    """The sampled weights of a case reading, as (claimed, outside).
+
+    `claimed` holds the equality interval's sample points and every
+    extra l inside the interval, sorted; w_l(Q^n) is claimed at these
+    only.  `outside` holds the other extras in their given order.
+    """
+    interval = equality_interval(case)
+    ls = interval.sample_points()
+    outside = []
+    for l in extra_ls:
+        if interval.contains(l):
+            if l not in ls:
+                ls.append(l)
+        else:
+            outside.append(l)
+    ls.sort()
+    return ls, outside
+
+
+def predictions(f: SkewGerm, case: CaseData, n_max: int, ls):
+    """predict(f, case, n) for n = 1 .. n_max, and the critical sequence.
+
+    The critical pure-z coefficients come from their recursion when the
+    reading may vanish (None otherwise); each prediction reads whether
+    its own coefficient is nonzero.
+    """
+    crit_seq = critical_coeff_sequence(f, n_max) if (
+        case.may_vanish and n_max) else None
+    preds = [
+        predict(f, case, n, ls=ls,
+                critical_present=bool(crit_seq[n - 1]) if crit_seq else None)
+        for n in range(1, n_max + 1)
+    ]
+    return preds, crit_seq
 
 
 def verify_germ(f: SkewGerm, n_max: int, extra_ls=(),
@@ -154,27 +196,13 @@ def _verify_variant(f: SkewGerm, case: CaseData, records, extra_ls):
     rep = VariantReport(case=case)
     out = rep.checks.append
 
-    interval = equality_interval(case)
-    ls = list(interval.sample_points())
-    outside = []
-    for l in extra_ls:
-        if interval.contains(l):
-            if l not in ls:
-                ls.append(l)
-        else:
-            outside.append(l)
-    ls.sort()
-
+    ls, outside = weight_samples(case, extra_ls)
     reached = records[-1].n if records else 0
-    crit_seq = critical_coeff_sequence(f, reached) if (
-        case.may_vanish and reached) else None
+    rep.predictions, crit_seq = predictions(f, case, reached, ls)
     crit_base = case.polygon.vertex(case.s)[0] if case.may_vanish else None
 
-    for rec in records:
+    for rec, pred in zip(records, rep.predictions):
         n = rec.n
-        crit_present = bool(crit_seq[n - 1]) if crit_seq else None
-        pred = predict(f, case, n, ls=ls, critical_present=crit_present)
-        rep.predictions.append(pred)
         Q = rec.germ.q
         dom = pred.dominant_bidegree
         dom_obs = Q.coeff(*dom)

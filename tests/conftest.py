@@ -2,10 +2,15 @@ import pathlib
 
 import pytest
 
-from skewprod import SkewGerm, parse_poly
+from skewprod import FuzzConfig, SkewGerm, parse_poly
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# The acceptance campaign's configuration (test_criterion_5).
+CRITERION_5 = FuzzConfig(seed=20260809, germ_count=240, delta_max=3,
+                         support_max=6, coeff_min=-3, coeff_max=3, n_max=3,
+                         boundary_bias_pct=25)
 
 
 def germ(p_src: str, q_src: str) -> SkewGerm:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,7 +21,8 @@ from skewprod.classify import (
     system_membership_case4_first,
     system_membership_case4_pair,
 )
-from conftest import germ
+from skewprod.fuzz import generate_germs
+from conftest import CRITERION_5, germ
 
 
 def test_case1(germs):
@@ -139,6 +141,13 @@ def test_exhaustive_primary_kind(germs):
         case = classify(f)
         assert case.kind in case.applicable
         assert case.applicable
+
+
+def test_primary_case_is_first_variant(germs):
+    """classify's priority is the order of case_variants' readings."""
+    campaign = itertools.islice(generate_germs(CRITERION_5), 200)
+    for f in itertools.chain(germs.values(), campaign):
+        assert classify(f) == case_variants(f)[0]
 
 
 def test_r_map_examples(germs):

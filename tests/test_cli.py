@@ -36,11 +36,17 @@ def test_golden_verify_json(name):
                           ("--n-max", "3") + VERIFY_FLAGS.get(name, ()))
 
 
-def assert_matches_golden(name, command, flags):
+def test_golden_predict_extra_l_json():
+    """predict with g4's extra samples: a claim at 1, none at 5/2."""
+    assert_matches_golden("g4", "predict", ("--n", "2") + VERIFY_FLAGS["g4"],
+                          golden="g4_predict_l.json")
+
+
+def assert_matches_golden(name, command, flags, golden=None):
     result = run_cli(command, "--germ", str(DATA / f"{name}.germ"),
                      *flags, "--format", "json")
     assert result.returncode == 0, result.stderr
-    expected = (GOLDEN / f"{name}_{command}.json").read_text()
+    expected = (GOLDEN / (golden or f"{name}_{command}.json")).read_text()
     assert result.stdout == expected
 
 

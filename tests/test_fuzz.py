@@ -3,15 +3,10 @@ import itertools
 import json
 
 from skewprod import FuzzConfig, fuzz
-from skewprod.fuzz import _projected_degree, generate_germs
+from skewprod.fuzz import _projected_degree, campaign_limits, generate_germs
 from skewprod.jsonio import verification_json
-from skewprod.poly import ResourceLimits
 from skewprod.verify import verify_germ
-
-# The acceptance campaign's configuration (test_criterion_5).
-CRITERION_5 = FuzzConfig(seed=20260809, germ_count=240, delta_max=3,
-                         support_max=6, coeff_min=-3, coeff_max=3, n_max=3,
-                         boundary_bias_pct=25)
+from conftest import CRITERION_5
 
 
 def test_determinism_bit_identical():
@@ -71,8 +66,7 @@ def test_campaign_sample_verification_digest():
     skipped, and the rest verified under the campaign's limits.
     """
     cfg = CRITERION_5
-    limits = ResourceLimits(max_terms=cfg.max_terms,
-                            max_total_degree=max(cfg.degree_cap * 10, 10**6))
+    limits = campaign_limits(cfg)
     h = hashlib.sha256()
     kinds = set()
     two_readings = 0
