@@ -47,7 +47,6 @@ from .newton import (
     a1_transform,
     a2_transform,
     newton_polygon,
-    transform_lattice,
     weight,
 )
 from .poly import (

@@ -8,6 +8,15 @@ With vertices (n_1, m_1) .. (n_s, m_s) and intercepts T_1 > ... > T_{s-1}:
   Case 4: s > 2 and T_k <= delta <= T_{k-1} for some 2 <= k <= s-1;
           (gamma, d) = (n_k, m_k).
 
+All four are one object, the vertex (gamma, d) that delta selects, and
+Case 4 (an interior vertex with both neighbours) is the general reading.
+Its weights are read off the neighbours: l1 = (gamma - n_{k-1}) /
+(m_{k-1} - d) from the previous vertex and l1 + l2 = (n_{k+1} - gamma) /
+(d - m_{k+1}) from the next one.  With no previous vertex (Cases 1 and 3)
+l1 = 0, and with no next vertex (Cases 1 and 2) l1 + l2 = INF, so the
+Case-4 formulas cover every case; a test of the kind is left only where
+the paper's statement for a case differs from them.
+
 Boundary equalities delta = T_k can make several cases applicable at
 once; the primary kind follows the fixed priority Case2, Case3, Case4,
 and `case_variants` exposes every applicable reading so downstream
@@ -121,16 +130,15 @@ class CaseData:
 
     @property
     def dominant_may_vanish(self) -> bool:
-        """The dominant term z^{gamma_n} can cancel: Case 2, d = 0 at the
-        delta = T boundary is the only such configuration."""
-        return self.kind == CASE2 and self.d == 0 and self.delta_eq_t_prev
+        """The dominant term z^{gamma_n} can cancel: d = 0 (so the last
+        vertex, Case 2) at the delta = T boundary is the only such
+        configuration."""
+        return self.d == 0 and self.delta_eq_t_prev
 
     @property
     def next_term_may_vanish(self) -> bool:
         """The starred next-vertex term is a pure power of z and can cancel."""
-        if self.next_vertex is None or not self.delta_eq_t_next:
-            return False
-        return self.kind in (CASE3, CASE4) and self.next_vertex[1] == 0
+        return self.delta_eq_t_next and self.next_vertex[1] == 0
 
     @property
     def may_vanish(self) -> bool:
@@ -164,17 +172,8 @@ def _build(f: SkewGerm, polygon: NewtonPolygon, kind: str, k: int,
     next_v = polygon.vertex(k + 1) if k <= s - 1 else None
     t_prev = polygon.intercept(k - 1) if k >= 2 else None
     t_next = polygon.intercept(k) if k <= s - 1 else None
-    if kind == CASE1:
-        l1, l2 = Fraction(0), INF
-    elif kind == CASE2:
-        l1 = Fraction(gamma - prev_v[0], prev_v[1] - d)
-        l2 = INF
-    elif kind == CASE3:
-        l1 = Fraction(0)
-        l2 = Fraction(next_v[0] - gamma, d - next_v[1])
-    else:
-        l1 = Fraction(gamma - prev_v[0], prev_v[1] - d)
-        l2 = Fraction(next_v[0] - gamma, d - next_v[1]) - l1
+    l1 = Fraction(gamma - prev_v[0], prev_v[1] - d) if prev_v else Fraction(0)
+    l2 = Fraction(next_v[0] - gamma, d - next_v[1]) - l1 if next_v else INF
     alpha = Fraction(gamma, f.delta - d) if f.delta != d else None
     return CaseData(
         kind=kind,
@@ -278,6 +277,8 @@ class WeightIntervals:
 
 
 def weight_intervals(case: CaseData) -> WeightIntervals:
+    # The paper states each case's weight set in its own shape (a
+    # Case-4 rectangle degenerates differently per missing neighbour).
     if case.kind == CASE1:
         return WeightIntervals(
             Interval(Fraction(0), INF, lower_closed=False, upper_closed=False))
@@ -313,9 +314,7 @@ def weight_intervals(case: CaseData) -> WeightIntervals:
 def equality_interval(case: CaseData) -> Interval:
     """The weights l at which w_l(Q^n) = gamma_n + l d^n is asserted."""
     iv = weight_intervals(case)
-    if case.kind == CASE4:
-        return iv.i_f_ar
-    return iv.i_f
+    return iv.i_f if iv.i_f_ar is None else iv.i_f_ar
 
 
 # -- raw inequality systems (independent of the closed forms) ------------
@@ -328,6 +327,7 @@ def system_membership(f: SkewGerm, case: CaseData, l) -> bool:
     a, b = l.numerator, l.denominator
     if a <= 0:
         return False
+    # Each case's system bounds l by delta from its own side.
     if case.kind == CASE1:
         return True
     level = b * case.gamma + a * case.d

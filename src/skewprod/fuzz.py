@@ -24,6 +24,11 @@ from .verify import verify_germ
 
 _KINDS = (CASE1, CASE2, CASE3, CASE4)
 
+# Largest exponent of a randomly drawn q term, and the term cap each
+# campaign germ is verified under.
+EXPONENT_MAX = 4
+MAX_TERMS = 200_000
+
 
 @dataclass(frozen=True)
 class FuzzConfig:
@@ -36,9 +41,7 @@ class FuzzConfig:
     n_max: int = 3
     degree_cap: int = 400
     boundary_bias_pct: int = 10
-    exponent_max: int = 4
     max_extra_draws: int = 400  # coverage-retry cap
-    max_terms: int = 200_000
 
 
 @dataclass
@@ -95,8 +98,8 @@ def _random_q_terms(rng: random.Random, cfg: FuzzConfig) -> dict:
     terms = {}
     for _ in range(rng.randint(1, cfg.support_max)):
         while True:
-            i = rng.randint(0, cfg.exponent_max)
-            j = rng.randint(0, cfg.exponent_max)
+            i = rng.randint(0, EXPONENT_MAX)
+            j = rng.randint(0, EXPONENT_MAX)
             if i + j >= 1:
                 break
         terms[(i, j)] = _coeff(rng, cfg)
@@ -143,12 +146,11 @@ def _vanishing_germ(rng: random.Random, cfg: FuzzConfig) -> SkewGerm | None:
     b_0B = -partial * b_g0**B  # b_g0^B is +-1, so this inverts exactly
     if b_0B == 0 or not (cfg.coeff_min <= b_0B <= cfg.coeff_max):
         terms = {(G, 0): b_g0}
-        b_0B = -(a**G) * b_g0 ** (1 - B) if B >= 1 else None
-        b_0B = int(b_0B)
+        b_0B = -(a**G) * b_g0 ** (B - 1)
     terms[(0, B)] = b_0B
     for _ in range(rng.randint(0, 2)):
-        i = rng.randint(0, cfg.exponent_max)
-        j = rng.randint(0, cfg.exponent_max)
+        i = rng.randint(0, EXPONENT_MAX)
+        j = rng.randint(0, EXPONENT_MAX)
         if (i, j) in terms or i + j < 1:
             continue
         if i * B + j * G > G * B:  # strictly above the critical edge
@@ -194,8 +196,8 @@ def _case3_germ(rng: random.Random, cfg: FuzzConfig) -> SkewGerm | None:
     if delta < 1:
         return None
     for _ in range(rng.randint(0, 2)):
-        i = rng.randint(gamma, cfg.exponent_max + gamma)
-        j = rng.randint(0, cfg.exponent_max)
+        i = rng.randint(gamma, EXPONENT_MAX + gamma)
+        j = rng.randint(0, EXPONENT_MAX)
         if (i, j) not in terms and i + j >= 1:
             terms[(i, j)] = _coeff(rng, cfg)
     try:
@@ -223,7 +225,7 @@ def _case4_germ(rng: random.Random, cfg: FuzzConfig) -> SkewGerm | None:
         (1 + e, 0): _coeff(rng, cfg),
     }
     if rng.random() < 0.5:
-        i = rng.randint(2, cfg.exponent_max + 2)
+        i = rng.randint(2, EXPONENT_MAX + 2)
         j = rng.randint(b2, b1 + b2)
         if (i, j) not in terms:
             terms[(i, j)] = _coeff(rng, cfg)
@@ -278,7 +280,7 @@ def generate_germs(cfg: FuzzConfig, rng: random.Random | None = None):
 
 def campaign_limits(cfg: FuzzConfig) -> ResourceLimits:
     """The resource caps each campaign germ is verified under."""
-    return ResourceLimits(max_terms=cfg.max_terms,
+    return ResourceLimits(max_terms=MAX_TERMS,
                           max_total_degree=max(cfg.degree_cap * 10, 10**6))
 
 

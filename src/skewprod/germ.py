@@ -221,8 +221,6 @@ def compose_germ(g: SkewGerm, h: SkewGerm,
 def iterate_germ(f: SkewGerm, n: int,
                  limits: ResourceLimits | None = None) -> SkewGerm:
     """f^n = (p^n, Q^n) for n >= 1 by exact composition."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
     for _, fn in iterates(f, n, limits):
         pass
     return fn
@@ -230,6 +228,8 @@ def iterate_germ(f: SkewGerm, n: int,
 
 def iterates(f: SkewGerm, n_max: int, limits: ResourceLimits | None = None):
     """Yield (n, f^n) for n = 1 .. n_max, computing incrementally."""
+    if not isinstance(n_max, int) or n_max < 1:
+        raise ValueError("n must be a positive integer")
     cur = f
     yield 1, cur
     for n in range(2, n_max + 1):

@@ -131,11 +131,3 @@ def a2_transform(point, l_inv):
     l_inv = Fraction(l_inv)
     return (as_coeff(Fraction(i)), as_coeff(l_inv * i + Fraction(j)))
 
-
-def transform_lattice(point, kind: str, **params):
-    """Dispatch by name: kind 'A1' needs l1 and delta, 'A2' needs l2_inv."""
-    if kind == "A1":
-        return a1_transform(point, params["l1"], params["delta"])
-    if kind == "A2":
-        return a2_transform(point, params["l2_inv"])
-    raise ValueError(f"unknown lattice transform {kind!r}")

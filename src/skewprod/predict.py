@@ -26,7 +26,6 @@ from .classify import (
     CASE1,
     CASE2,
     CASE3,
-    CASE4,
     CaseData,
     equality_interval,
 )
@@ -139,7 +138,7 @@ def vanishing_sum(f: SkewGerm, case: CaseData):
     sum a_delta^I b_IJ b_{gamma,0}^J over support points with
     I + l1 J = gamma is zero.
     """
-    if not (case.kind == CASE2 and case.d == 0 and case.delta_eq_t_prev):
+    if not case.dominant_may_vanish:
         raise ConfigurationError(
             "vanishing_sum applies to Case 2 with d = 0 and delta = T only")
     edge = support_on_edge(f.q, (case.gamma, 0), case.l1)
@@ -162,7 +161,6 @@ class CqnBounds:
     lower_strict: bool = False
     upper_strict: bool = False
     exact: Fraction | None = None
-    depends_on_presence: bool = False
 
     @staticmethod
     def exactly(value) -> "CqnBounds":
@@ -171,24 +169,20 @@ class CqnBounds:
 
 
 def theorem_bracket(case: CaseData, n: int) -> CqnBounds:
-    """The unrefined bracket: min/max-weighted combinations of gamma_n
-    and d^n that hold in every configuration of the case."""
+    """The unrefined bracket that holds in every configuration:
+    g_n / max(l1, 1) + min(l1 + l2, 1) d^n <= c(Q^n) <= g_n + d^n."""
     g_n = gamma_n(case.delta, case.gamma, case.d, n)
     d_n = case.d**n
-    full = Fraction(g_n + d_n)
+    one = Fraction(1)
+    # Case 1's single vertex fixes c(Q^n) exactly.
     if case.kind == CASE1:
-        return CqnBounds.exactly(full)
-    if case.kind == CASE2 and case.d > 0:
-        return CqnBounds(min(1 / case.l1, Fraction(1)) * g_n + d_n, full)
-    if case.kind == CASE2:
-        return CqnBounds(min(1 / case.l1, Fraction(1)) * g_n,
-                         max(1 / case.l1, Fraction(1)) * g_n)
-    if case.kind == CASE3:
-        return CqnBounds(g_n + min(case.l2, Fraction(1)) * d_n, full)
-    lsum = case.l1_plus_l2
-    return CqnBounds(
-        min(1 / case.l1, Fraction(1)) * g_n + min(lsum, Fraction(1)) * d_n,
-        full)
+        return CqnBounds.exactly(g_n + d_n)
+    lower = g_n / max(case.l1, one) + min(case.l1_plus_l2, one) * d_n
+    # With d = 0 (Case 2) the theorem allows z^{gamma_n} to cancel, so
+    # its upper end is the previous edge's w-intercept.
+    if case.d == 0:
+        return CqnBounds(lower, g_n / min(case.l1, one))
+    return CqnBounds(lower, Fraction(g_n + d_n))
 
 
 def predict_cqn_bounds(f: SkewGerm, case: CaseData, n: int,
@@ -206,71 +200,38 @@ def predict_cqn_bounds(f: SkewGerm, case: CaseData, n: int,
     d_n = case.d**n
     full = g_n + d_n
     one = Fraction(1)
+    l1, lsum = case.l1, case.l1_plus_l2
 
-    if case.kind == CASE1:
+    # Case 2's d = 0 upper bound: where z^{gamma_n} may cancel, c(Q^n)
+    # can rise along the previous edge up to its w-intercept g_n / l1.
+    if case.dominant_may_vanish and l1 < one:
+        if critical_present:
+            return CqnBounds(g_n, g_n / l1, exact=g_n)
+        return CqnBounds(g_n, g_n / l1, lower_strict=True)
+    if l1 <= one <= lsum:
         return CqnBounds.exactly(full)
-
-    if case.kind == CASE2 and case.d > 0:
-        if case.l1 <= one:
-            return CqnBounds.exactly(full)
-        low = g_n / case.l1 + d_n
-        n_1 = case.polygon.vertex(1)[0]
-        if n_1 > 0 or case.s > 2:
-            return CqnBounds(low, full, lower_strict=True, upper_strict=True)
-        if case.delta_eq_t_prev:
-            return CqnBounds.exactly(low)
-        if n == 1:
+    if l1 > one:
+        low = g_n / l1 + d_n
+        if case.kind != CASE2:
+            return CqnBounds(low, full, lower_strict=case.prev_vertex[0] > 0,
+                             upper_strict=True)
+        # Case 2 states its own strictness: at n = 1 and at delta = T,
+        # with d = 0, and with the previous vertex on the w-axis.
+        reached = n == 1 or case.delta_eq_t_prev
+        if case.d == 0:
+            return CqnBounds(low, full, lower_strict=not reached,
+                             upper_strict=reached)
+        if case.prev_vertex[0] == 0 and reached:
             return CqnBounds.exactly(low)
         return CqnBounds(low, full, lower_strict=True, upper_strict=True)
-
-    if case.kind == CASE2:  # d == 0
-        if not case.delta_eq_t_prev:
-            if case.l1 <= one:
-                return CqnBounds.exactly(g_n)
-            if n == 1:
-                return CqnBounds(g_n / case.l1, g_n, upper_strict=True)
-            return CqnBounds(g_n / case.l1, g_n, lower_strict=True)
-        # delta = T: the pure-z term may cancel
-        if case.l1 == one:
-            return CqnBounds.exactly(g_n)
-        if case.l1 < one:
-            if critical_present:
-                return CqnBounds(g_n, g_n / case.l1, exact=g_n,
-                                 depends_on_presence=True)
-            return CqnBounds(g_n, g_n / case.l1, lower_strict=True,
-                             depends_on_presence=True)
-        return CqnBounds(g_n / case.l1, g_n, upper_strict=True)
-
-    if case.kind == CASE3:
-        if case.l2 >= one:
-            return CqnBounds.exactly(full)
-        low = g_n + case.l2 * d_n
-        if case.next_vertex[1] > 0:
-            return CqnBounds(low, full, lower_strict=True, upper_strict=True)
-        if not case.delta_eq_t_next:
-            return CqnBounds.exactly(low)
-        if critical_present:
-            return CqnBounds(low, full, exact=low, depends_on_presence=True)
-        return CqnBounds(low, full, lower_strict=True,
-                         depends_on_presence=True)
-
-    # Case 4
-    lsum = case.l1_plus_l2
-    if case.l1 <= one <= lsum:
-        return CqnBounds.exactly(full)
-    if case.l1 > one:
-        low = g_n / case.l1 + d_n
-        return CqnBounds(low, full,
-                         lower_strict=case.prev_vertex[0] > 0,
-                         upper_strict=True)
     low = g_n + lsum * d_n
     if case.next_vertex[1] > 0:
         return CqnBounds(low, full, lower_strict=True, upper_strict=True)
     if not case.delta_eq_t_next:
         return CqnBounds.exactly(low)
     if critical_present:
-        return CqnBounds(low, full, exact=low, depends_on_presence=True)
-    return CqnBounds(low, full, lower_strict=True, depends_on_presence=True)
+        return CqnBounds(low, full, exact=low)
+    return CqnBounds(low, full, lower_strict=True)
 
 
 def predict_cfn(f: SkewGerm, case: CaseData, n: int,
@@ -323,15 +284,15 @@ def _starred(delta: int, base: tuple, n: int) -> tuple:
 def predict_adjacent_vertices(f: SkewGerm, case: CaseData, n: int):
     """(prev, next) VertexClaims where the case analysis asserts them.
 
-    Absent sides return None: Case 1 has neither, Case 2 has only a
-    previous vertex (none when d = 0), Case 3 only a next vertex, and
-    the starred next vertex is not claimed when its term can cancel.
+    A side is claimed where the dominant vertex has that neighbour
+    (the previous one only when d > 0); the starred next vertex is not
+    claimed when its term can cancel.  Absent sides return None.
     """
     delta, gamma, d = case.delta, case.gamma, case.d
     g_n = gamma_n(delta, gamma, d, n)
     prev_claim = next_claim = None
 
-    if case.kind in (CASE2, CASE4) and d > 0:
+    if case.prev_vertex is not None and d > 0:
         A = case.prev_vertex
         if case.delta_eq_t_prev:
             prev_claim = VertexClaim("prev", _starred(delta, A, n), "ABstar",
@@ -340,9 +301,9 @@ def predict_adjacent_vertices(f: SkewGerm, case: CaseData, n: int):
             prev_claim = VertexClaim("prev", _shifted(g_n, gamma, d, A, n),
                                      "AB", case.l1, "less")
 
-    if case.kind in (CASE3, CASE4):
+    if case.next_vertex is not None:
         C = case.next_vertex
-        edge_l = case.l2 if case.kind == CASE3 else case.l1_plus_l2
+        edge_l = case.l1_plus_l2
         if not case.delta_eq_t_next:
             next_claim = VertexClaim("next", _shifted(g_n, gamma, d, C, n),
                                      "CD", edge_l, "greater")
@@ -361,6 +322,7 @@ def m_n_claim(case: CaseData, n: int) -> str | None:
     1/l1 for Case 2 with d = 0 away from the boundary (n >= 2), and the
     next-edge slope is at most 1/l2 for Case 3.
     """
+    # The paper states each slope claim for its case only.
     if (case.kind == CASE2 and case.d == 0
             and not case.delta_eq_t_prev and n >= 2):
         return "greater_than_M"
@@ -394,6 +356,7 @@ def asymptotic(f: SkewGerm, case: CaseData) -> AsymptoticRate:
     gamma, d, delta = case.gamma, case.d, case.delta
     c_inf = delta if gamma > 0 else min(delta, d)
     one = Fraction(1)
+    # The paper gives the lower constants case by case.
     if case.kind == CASE1:
         if gamma == 0:
             cands = (one,)
@@ -459,6 +422,7 @@ class RatePrediction:
 
 
 def _dominant_position(case: CaseData) -> str:
+    # One position string per kind; verify reads the vertex there.
     if case.kind == CASE1:
         return "only_vertex"
     if case.kind == CASE2:
@@ -490,13 +454,11 @@ def predict(f: SkewGerm, case: CaseData, n: int, ls=None,
     cfn_lower, cfn_upper = predict_cfn(f, case, n, cqn)
     coeff, _ = dominant_term(f, case, n)
     prev_claim, next_claim = predict_adjacent_vertices(f, case, n)
-    ord_w = ord_z = None
-    if case.kind == CASE1:
-        ord_w, ord_z = d_n, g_n
-    elif case.kind == CASE2 and d > 0:
-        ord_w = d_n
-    elif case.kind == CASE3:
-        ord_z = g_n
+    # No vertex left of the dominant one fixes ord_z; none below it fixes
+    # ord_w, which the paper claims for Case 2 only when d > 0.
+    ord_z = g_n if case.prev_vertex is None else None
+    ord_w = d_n if case.next_vertex is None and (
+        d > 0 or case.prev_vertex is None) else None
     return RatePrediction(
         n=n,
         gamma_n=g_n,

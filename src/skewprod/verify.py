@@ -22,6 +22,7 @@ from .classify import (
     CASE1,
     CASE2,
     CASE3,
+    CASE4,
     CaseData,
     case_variants,
     classify,
@@ -158,8 +159,9 @@ def predictions(f: SkewGerm, case: CaseData, n_max: int, ls):
     reading may vanish (None otherwise); each prediction reads whether
     its own coefficient is nonzero.
     """
-    crit_seq = critical_coeff_sequence(f, n_max) if (
-        case.may_vanish and n_max) else None
+    if not isinstance(n_max, int) or n_max < 1:
+        raise ValueError("n must be a positive integer")
+    crit_seq = critical_coeff_sequence(f, n_max) if case.may_vanish else None
     preds = [
         predict(f, case, n, ls=ls,
                 critical_present=bool(crit_seq[n - 1]) if crit_seq else None)
@@ -179,17 +181,11 @@ def verify_germ(f: SkewGerm, n_max: int, extra_ls=(),
     return VerificationReport(
         germ=f,
         n_max=n_max,
-        reached_n=records[-1].n if records else 0,
+        reached_n=records[-1].n,
         resource_error=error,
         oracle=records,
         variants=variants,
     )
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (int, Fraction)):
-        return format_exact(x)
-    return str(x)
 
 
 def _verify_variant(f: SkewGerm, case: CaseData, records, extra_ls):
@@ -197,8 +193,7 @@ def _verify_variant(f: SkewGerm, case: CaseData, records, extra_ls):
     out = rep.checks.append
 
     ls, outside = weight_samples(case, extra_ls)
-    reached = records[-1].n if records else 0
-    rep.predictions, crit_seq = predictions(f, case, reached, ls)
+    rep.predictions, crit_seq = predictions(f, case, records[-1].n, ls)
     crit_base = case.polygon.vertex(case.s)[0] if case.may_vanish else None
 
     for rec, pred in zip(records, rep.predictions):
@@ -214,21 +209,24 @@ def _verify_variant(f: SkewGerm, case: CaseData, records, extra_ls):
         if case.dominant_may_vanish:
             out(CheckResult(
                 "dominant-presence-conditional", None, n,
-                f"coefficient of z^{dom[0]} w^{dom[1]} is {_fmt(dom_obs)}"))
+                f"coefficient of z^{dom[0]} w^{dom[1]} is "
+                f"{format_exact(dom_obs)}"))
         else:
             out(CheckResult(
                 "dominant-term-presence", bool(dom_obs), n,
-                f"coefficient of z^{dom[0]} w^{dom[1]} is {_fmt(dom_obs)}"))
+                f"coefficient of z^{dom[0]} w^{dom[1]} is "
+                f"{format_exact(dom_obs)}"))
             if dom_obs:
                 agree = dom_obs == pred.dominant_coeff
                 out(CheckResult(
                     "dominant-coefficient-closed-form", None, n,
-                    f"observed {_fmt(dom_obs)}, closed form "
-                    f"{_fmt(pred.dominant_coeff)}"))
+                    f"observed {format_exact(dom_obs)}, closed form "
+                    f"{format_exact(pred.dominant_coeff)}"))
                 if not agree:
                     rep.findings.append(
-                        f"n={n}: dominant coefficient {_fmt(dom_obs)} "
-                        f"differs from closed form {_fmt(pred.dominant_coeff)}")
+                        f"n={n}: dominant coefficient {format_exact(dom_obs)} "
+                        "differs from closed form "
+                        f"{format_exact(pred.dominant_coeff)}")
 
         # Critical pure-z coefficient: recursion must match the oracle.
         if crit_seq is not None:
@@ -236,8 +234,8 @@ def _verify_variant(f: SkewGerm, case: CaseData, records, extra_ls):
             obs = Q.coeff(crit_deg, 0)
             out(CheckResult(
                 "critical-coefficient-recursion", obs == crit_seq[n - 1], n,
-                f"z^{crit_deg}: oracle {_fmt(obs)}, "
-                f"recursion {_fmt(crit_seq[n - 1])}"))
+                f"z^{crit_deg}: oracle {format_exact(obs)}, "
+                f"recursion {format_exact(crit_seq[n - 1])}"))
             if not obs:
                 if rep.vanishing_first_n is None:
                     rep.vanishing_first_n = n
@@ -368,25 +366,25 @@ def _verify_variant(f: SkewGerm, case: CaseData, records, extra_ls):
                     f"{format_exact(1 / case.l2)}"))
 
     # Variant-level claims over all computed n.
-    if records:
-        ar = asymptotic(f, case)
-        observed = [(rec.n, rec.c_fn) for rec in records]
-        out(CheckResult(
-            "asymptotic-rate-bracket", ar.holds_for(observed), None,
-            f"c_inf = {ar.c_infinity}, candidates "
-            f"{[format_exact(x) for x in ar.d_candidates]}"))
+    ar = asymptotic(f, case)
+    observed = [(rec.n, rec.c_fn) for rec in records]
+    out(CheckResult(
+        "asymptotic-rate-bracket", ar.holds_for(observed), None,
+        f"c_inf = {ar.c_infinity}, candidates "
+        f"{[format_exact(x) for x in ar.d_candidates]}"))
 
-        if case.kind == CASE2 and case.d > 0:
-            base = weight_intervals(case).i_f
-            for rec in records:
-                if rec.n > 3:
-                    break
-                sub = classify(rec.germ)
-                same = (sub.kind == CASE2
-                        and weight_intervals(sub).i_f == base)
-                out(CheckResult(
-                    "interval-stability", same, rec.n,
-                    f"iterate classified {sub.kind}"))
+    # Only Case 2 with d > 0 claims its interval for the iterates.
+    if case.kind == CASE2 and case.d > 0:
+        base = weight_intervals(case).i_f
+        for rec in records:
+            if rec.n > 3:
+                break
+            sub = classify(rec.germ)
+            same = (sub.kind == CASE2
+                    and weight_intervals(sub).i_f == base)
+            out(CheckResult(
+                "interval-stability", same, rec.n,
+                f"iterate classified {sub.kind}"))
 
     _r_map_checks(case, ls, out)
     _slope_lemma_check(case, out)
@@ -395,6 +393,7 @@ def _verify_variant(f: SkewGerm, case: CaseData, records, extra_ls):
 
 
 def _r_map_checks(case: CaseData, ls, out, n_top: int = 10):
+    # Case 1 claims no R-map, and each other case moves l its own way.
     if case.kind == CASE1:
         return
     interval = equality_interval(case)
@@ -447,7 +446,7 @@ def _probe_values(*anchors):
     # Anchor p/q minus or plus offset r/s is (p*s -+ r*q) / (q*s).
     vals = {Fraction(1, 3), Fraction(1), Fraction(3)}
     for a in anchors:
-        if a is None or not isinstance(a, (int, Fraction)):
+        if not isinstance(a, (int, Fraction)):  # no alpha, or INF
             continue
         p, q = a.numerator, a.denominator
         for r, s in _PROBE_OFFSETS:
@@ -459,15 +458,14 @@ def _probe_values(*anchors):
 
 def _interval_system_checks(f: SkewGerm, case: CaseData, out):
     iv = weight_intervals(case)
-    if case.kind in (CASE1, CASE2, CASE3):
-        probes = _probe_values(case.l1, case.l2 if case.kind == CASE3 else None,
-                               case.alpha)
+    probes = _probe_values(case.l1, case.l1_plus_l2, case.alpha)
+    # Case 4 alone defines its weights by the staged systems.
+    if case.kind != CASE4:
         ok = all(iv.i_f.contains(l) == system_membership(f, case, l)
                  for l in probes)
         out(CheckResult("interval-system-agreement", ok, None,
                         f"{len(probes)} probes"))
         return
-    probes = _probe_values(case.l1, case.l1_plus_l2, case.alpha)
     ok_first = all(
         iv.i_f1.contains(l) == system_membership_case4_first(case, l)
         for l in probes)

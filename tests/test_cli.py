@@ -99,6 +99,16 @@ def test_exit_status_resource_cap():
     assert "resource cap" in r.stderr
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_exit_status_nonpositive_n(n):
+    """iterate, predict and verify each reject a depth below 1."""
+    for command, flag in (("iterate", "--n"), ("predict", "--n"),
+                          ("verify", "--n-max")):
+        r = run_cli(command, "--germ", str(DATA / "g2.germ"), flag, n)
+        assert r.returncode == 2, (command, r.stdout)
+        assert "n must be a positive integer" in r.stderr
+
+
 def test_verify_text_reports_pass():
     r = run_cli("verify", "--germ", str(DATA / "g5.germ"), "--n-max", "2")
     assert r.returncode == 0

@@ -11,7 +11,6 @@ from skewprod import (
     a2_transform,
     newton_polygon,
     parse_poly,
-    transform_lattice,
     weight,
 )
 from skewprod.newton import support_on_edge
@@ -72,12 +71,10 @@ def test_a1_transform():
     assert a1_transform((3, 1), 2, 2) == (1, 1)
     # first coordinate of the dominant image vanishes at l = alpha
     assert a1_transform((3, 1), 3, 2) == (0, 1)
-    assert transform_lattice((3, 1), "A1", l1=2, delta=2) == (1, 1)
 
 
 def test_a2_transform():
     assert a2_transform((1, 1), 1) == (1, 2)
-    assert transform_lattice((1, 1), "A2", l2_inv=1) == (1, 2)
     assert a2_transform((3, 0), Fraction(2, 3)) == (3, 2)
 
 
