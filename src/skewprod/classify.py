@@ -31,17 +31,21 @@ Interval membership, the raw systems and the R-map read a weight
 l = a/b as the int pair (a, b) with b > 0.  Each inequality is scaled
 by its positive denominators, so a level gamma + l*d is compared as the
 int b*gamma + a*d against b*i + a*j over the support, and a rational
-result is built once as Fraction(numerator, denominator).
+result is built once as Fraction(numerator, denominator).  Each has an
+entry point on such pairs (`Interval.contains_pair`, `r_map_pair`, the
+`*_pair` systems), which need not be in lowest terms; the Fraction
+entry points call them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exact import INF, as_fraction, is_inf
 from .germ import SkewGerm
-from .growth import gamma_n
+from .growth import GrowthTable, gamma_n
 from .newton import NewtonPolygon, newton_polygon
 
 CASE1 = "Case1"
@@ -60,10 +64,13 @@ class Interval:
     upper_closed: bool = True
 
     def contains(self, l) -> bool:
-        # l = a/b against an end p/q, all with positive denominators:
-        # l < p/q exactly when a*q < p*b.
         l = as_fraction(l)
-        a, b = l.numerator, l.denominator
+        return self.contains_pair(l.numerator, l.denominator)
+
+    def contains_pair(self, a: int, b: int) -> bool:
+        """Membership of l = a/b, for any b > 0."""
+        # Against an end p/q, all with positive denominators: l < p/q
+        # exactly when a*q < p*b.
         lo = self.lower
         lo_b = lo.numerator * b
         a_lo = a * lo.denominator
@@ -122,11 +129,27 @@ class CaseData:
     def s(self) -> int:
         return self.polygon.s
 
-    @property
+    @cached_property
     def l1_plus_l2(self):
+        # Read by every per-n bracket and claim; computed once per reading.
         if is_inf(self.l2):
             return INF
         return self.l1 + self.l2
+
+    @cached_property
+    def _weight_intervals(self):
+        return _build_weight_intervals(self)
+
+    def growth(self, n_top: int) -> GrowthTable:
+        """gamma_n, d^n and delta^n of this reading for n = 0 .. n_top at
+        least.  Built once per reading and kept on it, and built again
+        only when a deeper n is asked for."""
+        table = self.__dict__.get("_growth")
+        if table is None or table.n_top < n_top:
+            table = GrowthTable.build(self.delta, self.gamma, self.d, n_top)
+            # A derived value, like l1_plus_l2: the fields stay frozen.
+            self.__dict__["_growth"] = table
+        return table
 
     @property
     def dominant_may_vanish(self) -> bool:
@@ -277,6 +300,12 @@ class WeightIntervals:
 
 
 def weight_intervals(case: CaseData) -> WeightIntervals:
+    """The weight sets of a case reading, built once per reading: every
+    prediction and check of the reading reads them."""
+    return case._weight_intervals
+
+
+def _build_weight_intervals(case: CaseData) -> WeightIntervals:
     # The paper states each case's weight set in its own shape (a
     # Case-4 rectangle degenerates differently per missing neighbour).
     if case.kind == CASE1:
@@ -324,7 +353,12 @@ def system_membership(f: SkewGerm, case: CaseData, l) -> bool:
     """Direct evaluation of the defining inequalities of the main weight
     set over the whole support, bypassing the closed forms."""
     l = as_fraction(l)
-    a, b = l.numerator, l.denominator
+    return system_membership_pair(f, case, l.numerator, l.denominator)
+
+
+def system_membership_pair(f: SkewGerm, case: CaseData, a: int,
+                           b: int) -> bool:
+    """system_membership at l = a/b, for any b > 0."""
     if a <= 0:
         return False
     # Each case's system bounds l by delta from its own side.
@@ -344,7 +378,12 @@ def system_membership(f: SkewGerm, case: CaseData, l) -> bool:
 
 def system_membership_case4_first(case: CaseData, l) -> bool:
     l = as_fraction(l)
-    a, b = l.numerator, l.denominator
+    return system_membership_case4_first_pair(case, l.numerator,
+                                              l.denominator)
+
+
+def system_membership_case4_first_pair(case: CaseData, a: int,
+                                       b: int) -> bool:
     if a <= 0:
         return False
     k = case.k
@@ -359,16 +398,22 @@ def system_membership_case4_first(case: CaseData, l) -> bool:
 
 def system_membership_case4_second(f: SkewGerm, case: CaseData,
                                    l_first, l_second) -> bool:
+    l_first, l_second = as_fraction(l_first), as_fraction(l_second)
+    return system_membership_case4_second_pair(
+        f, case, l_first.numerator, l_first.denominator,
+        l_second.numerator, l_second.denominator)
+
+
+def system_membership_case4_second_pair(f: SkewGerm, case: CaseData,
+                                        a1: int, b1: int, a2: int,
+                                        b2: int) -> bool:
     # The first stage maps (i, j) to (i + l_(1) (j - delta), j).  Scaled
     # by B = b1*b2, with A1 = a1*b2, A2 = a2*b1 and s = A1 + A2, the
     # level (gamma + l_(1) (d - delta)) + l_(2) d is
     # B*gamma + s*d - A1*delta, and the shared -A1*delta drops out of
     # every comparison against a transformed support point.
-    l_first, l_second = as_fraction(l_first), as_fraction(l_second)
-    a2, b2 = l_second.numerator, l_second.denominator
     if a2 <= 0:
         return False
-    a1, b1 = l_first.numerator, l_first.denominator
     gamma, d, delta = case.gamma, case.d, case.delta
     big_b, a1_s, a2_s = b1 * b2, a1 * b2, a2 * b1
     s = a1_s + a2_s
@@ -380,7 +425,10 @@ def system_membership_case4_second(f: SkewGerm, case: CaseData,
 
 def system_membership_case4_ar(case: CaseData, l) -> bool:
     l = as_fraction(l)
-    a, b = l.numerator, l.denominator
+    return system_membership_case4_ar_pair(case, l.numerator, l.denominator)
+
+
+def system_membership_case4_ar_pair(case: CaseData, a: int, b: int) -> bool:
     if a <= 0:
         return False
     k = case.k
@@ -394,20 +442,32 @@ def system_membership_case4_ar(case: CaseData, l) -> bool:
 def system_membership_case4_pair(f: SkewGerm, case: CaseData,
                                  l_first, l_sum) -> bool:
     """Pair membership for the rectangle via the staged systems."""
-    if not system_membership_case4_first(case, l_first):
+    l_first = as_fraction(l_first)
+    a1, b1 = l_first.numerator, l_first.denominator
+    if not system_membership_case4_first_pair(case, a1, b1):
         return False
-    return system_membership_case4_second(
-        f, case, l_first, as_fraction(l_sum) - as_fraction(l_first))
+    l_sum = as_fraction(l_sum)
+    # l_(2) = l_sum - l_(1) = (a_s b1 - a1 b_s) / (b_s b1).
+    a_s, b_s = l_sum.numerator, l_sum.denominator
+    return system_membership_case4_second_pair(
+        f, case, a1, b1, a_s * b1 - a1 * b_s, b_s * b1)
 
 
 # -- the induced action on weights ---------------------------------------
 
 
+def r_map_pair(g_n: int, d_n: int, delta_n: int, a: int, b: int) -> tuple:
+    """R^n(a/b) = (gamma_n + (a/b) d^n) / delta^n as the pair
+    (g_n b + a d_n, b delta_n), not reduced; with (g_n, d_n, delta_n) =
+    (gamma, d, delta) it is one step R."""
+    return g_n * b + a * d_n, b * delta_n
+
+
 def r_step(case: CaseData, l) -> Fraction:
     """R(l) = (gamma + l d) / delta."""
     l = as_fraction(l)
-    a, b = l.numerator, l.denominator
-    return Fraction(case.gamma * b + a * case.d, b * case.delta)
+    return Fraction(*r_map_pair(case.gamma, case.d, case.delta,
+                                l.numerator, l.denominator))
 
 
 def r_map(case: CaseData, l, n: int) -> Fraction:
@@ -417,6 +477,6 @@ def r_map(case: CaseData, l, n: int) -> Fraction:
     l = as_fraction(l)
     if n == 0:
         return l
-    a, b = l.numerator, l.denominator
     g_n = gamma_n(case.delta, case.gamma, case.d, n)
-    return Fraction(g_n * b + a * case.d**n, b * case.delta**n)
+    return Fraction(*r_map_pair(g_n, case.d**n, case.delta**n,
+                                l.numerator, l.denominator))

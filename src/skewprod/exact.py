@@ -69,7 +69,8 @@ def format_exact(x) -> str:
         return "inf"
     if isinstance(x, int):
         return str(x)
-    if isinstance(x, Fraction):
+    # type() first: isinstance against Fraction goes through its ABC.
+    if type(x) is Fraction or isinstance(x, Fraction):
         if x.denominator == 1:
             return str(x.numerator)
         return f"{x.numerator}/{x.denominator}"

@@ -286,6 +286,8 @@ def campaign_limits(cfg: FuzzConfig) -> ResourceLimits:
 
 def fuzz(cfg: FuzzConfig) -> FuzzSummary:
     """Run the campaign; zero failures is the expected outcome."""
+    if cfg.germ_count < 0:
+        raise ValueError("germ count must be non-negative")
     rng = random.Random(cfg.seed)
     summary = FuzzSummary(config=cfg)
     limits = campaign_limits(cfg)
@@ -326,15 +328,19 @@ def fuzz(cfg: FuzzConfig) -> FuzzSummary:
     for g in generate_germs(cfg, rng):
         run_one(g)
 
-    # Coverage retries: targeted constructions from the same stream.
+    # Coverage retries: targeted constructions from the same stream.  A
+    # vanishing event first shows in Q^2, so with n_max < 2 no draw can
+    # reach it and none is made for it; coverage then stays incomplete.
+    seek_vanishing = cfg.n_max >= 2
     draws = 0
     while draws < cfg.max_extra_draws:
         missing_kinds = set(_KINDS) - kinds_seen
-        if not missing_kinds and saw_vanishing and saw_boundary:
+        if (not missing_kinds and (saw_vanishing or not seek_vanishing)
+                and saw_boundary):
             break
         draws += 1
         g = None
-        if not saw_vanishing:
+        if not saw_vanishing and seek_vanishing:
             g = _vanishing_germ(rng, cfg)
         elif CASE4 in missing_kinds:
             g = _case4_germ(rng, cfg)

@@ -6,10 +6,15 @@ gamma_{n+1} = delta^n * gamma + d * gamma_n and has the closed forms
 alpha (delta^n - d^n) for delta != d and n gamma delta^{n-1} for
 delta == d.  All three routes are exposed so they can be checked
 against each other exactly.
+
+A case reading's predictions and checks read gamma_n, d^n and delta^n
+for the same few n many times, so `GrowthTable` holds them, built once
+per reading (`CaseData.growth`) by the geometric-sum route.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -25,6 +30,34 @@ def gamma_n(delta: int, gamma: int, d: int, n: int) -> int:
     if n < 1:
         raise ValueError("n must be a positive integer")
     return gamma * geometric_sum(delta, d, n)
+
+
+@dataclass(frozen=True)
+class GrowthTable:
+    """gamma_n, d^n and delta^n of one reading for n = 0 .. n_top.
+
+    Each tuple is indexed by n; gamma[0] = 0 (the empty sum), so the
+    n = 0 entries describe the identity.
+    """
+
+    gamma: tuple
+    d_pow: tuple
+    delta_pow: tuple
+
+    @property
+    def n_top(self) -> int:
+        return len(self.gamma) - 1
+
+    @classmethod
+    def build(cls, delta: int, gamma: int, d: int,
+              n_top: int) -> "GrowthTable":
+        if n_top < 1:
+            raise ValueError("n must be a positive integer")
+        return cls(
+            (0,) + tuple(gamma_n(delta, gamma, d, n)
+                         for n in range(1, n_top + 1)),
+            tuple(d**n for n in range(n_top + 1)),
+            tuple(delta**n for n in range(n_top + 1)))
 
 
 def gamma_n_closed(delta: int, gamma: int, d: int, n: int) -> int:

@@ -89,7 +89,12 @@ class NewtonPolygon:
 
 
 def newton_polygon(poly: SparsePoly2) -> NewtonPolygon:
-    return NewtonPolygon.of_poly(poly)
+    """The Newton polygon of poly, built once per polynomial: poly is
+    immutable, so the polygon cached on it never goes stale."""
+    polygon = poly._polygon
+    if polygon is None:
+        polygon = poly._polygon = NewtonPolygon.of_poly(poly)
+    return polygon
 
 
 def weight(poly: SparsePoly2, l) -> Fraction:

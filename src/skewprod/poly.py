@@ -76,10 +76,13 @@ class SparsePoly2:
     non-negative ints, and the zero polynomial has empty support.
     """
 
-    __slots__ = ("_terms", "_columns")
+    # _columns caches column_minima() and _polygon the Newton polygon
+    # (newton.newton_polygon); both are built on first use.
+    __slots__ = ("_terms", "_columns", "_polygon")
 
     def __init__(self, terms=None):
         self._columns = None
+        self._polygon = None
         clean = {}
         if terms:
             for (i, j), c in terms.items():
@@ -106,6 +109,7 @@ class SparsePoly2:
         p = object.__new__(cls)
         p._terms = terms
         p._columns = None
+        p._polygon = None
         return p
 
     @classmethod

@@ -15,6 +15,11 @@ Boundary configurations whose critical pure-z term can cancel are
 routed through an exact coefficient recursion along the bottom edge, so
 per-n claims switch between the "term present" and "term vanished"
 variants of the refined estimates.
+
+Every per-n quantity reads gamma_n, d^n and delta^n off the reading's
+growth table (`CaseData.growth`), built once per reading; `predict`
+reads it once and passes g_n down to the brackets, the dominant term
+and the adjacent vertices.
 """
 
 from __future__ import annotations
@@ -31,8 +36,11 @@ from .classify import (
 )
 from .exact import as_coeff, as_fraction
 from .germ import SkewGerm
-from .growth import gamma_n, geometric_sum, iterate_lead_coeff
+from .growth import GrowthTable, geometric_sum, iterate_lead_coeff
 from .newton import newton_polygon, support_on_edge
+
+
+_ONE = Fraction(1)
 
 
 class PredictionRangeError(ValueError):
@@ -54,21 +62,26 @@ def dominant_term(f: SkewGerm, case: CaseData, n: int):
     may-vanish configurations it is advisory and must be confirmed
     against the oracle.
     """
-    delta, g, d = case.delta, case.gamma, case.d
-    bidegree = (gamma_n(delta, g, d, n), d**n)
-    a_exp = sum(gamma_n(delta, g, d, k) for k in range(1, n))
-    b_exp = sum(d**k for k in range(n))
-    b = f.q.coeff(g, d)
-    coeff = as_coeff(Fraction(f.a_delta) ** a_exp * Fraction(b) ** b_exp)
-    return coeff, bidegree
+    growth = case.growth(n)
+    return (_dominant_coeff(f, case, growth, n),
+            (growth.gamma[n], growth.d_pow[n]))
+
+
+def _dominant_coeff(f: SkewGerm, case: CaseData, growth: GrowthTable,
+                    n: int):
+    # gamma_0 = 0, so the exponent of a_delta is gamma_1 + ... + gamma_{n-1}.
+    a_exp = sum(growth.gamma[:n])
+    b_exp = sum(growth.d_pow[:n])
+    a, b = f.a_delta, f.q.coeff(case.gamma, case.d)
+    return as_coeff(a**a_exp * b**b_exp)
 
 
 def predict_weight(f: SkewGerm, case: CaseData, n: int, l):
     """(w_l(Q^n), exact=True) for l in the case's equality interval."""
     l = as_fraction(l)
     _check_in_range(equality_interval(case), case, l)
-    return _weight_value(gamma_n(case.delta, case.gamma, case.d, n),
-                         case.d**n, l), True
+    growth = case.growth(n)
+    return _weight_value(growth.gamma[n], growth.d_pow[n], l), True
 
 
 def _check_in_range(interval, case: CaseData, l: Fraction) -> None:
@@ -118,15 +131,12 @@ def critical_coeff_sequence(f: SkewGerm, n_max: int):
         return None
     G, edge, _ = cfg
     coeffs = {pt: f.q.coeff(*pt) for pt in edge}
-    seq = [as_coeff(Fraction(coeffs[(G, 0)]))]
+    seq = [coeffs[(G, 0)]]
     for n in range(1, n_max):
-        a_n = Fraction(iterate_lead_coeff(f.a_delta, f.delta, n))
-        c_n = Fraction(seq[-1])
-        c_next = sum(
-            (a_n**I * coeffs[(I, J)] * c_n**J for (I, J) in edge),
-            start=Fraction(0),
-        )
-        seq.append(as_coeff(c_next))
+        a_n = iterate_lead_coeff(f.a_delta, f.delta, n)
+        c_n = seq[-1]
+        seq.append(as_coeff(sum(a_n**I * coeffs[(I, J)] * c_n**J
+                                for (I, J) in edge)))
     return seq
 
 
@@ -164,16 +174,19 @@ class CqnBounds:
 
     @staticmethod
     def exactly(value) -> "CqnBounds":
-        value = Fraction(value)
+        value = as_fraction(value)
         return CqnBounds(value, value, exact=value)
 
 
 def theorem_bracket(case: CaseData, n: int) -> CqnBounds:
     """The unrefined bracket that holds in every configuration:
     g_n / max(l1, 1) + min(l1 + l2, 1) d^n <= c(Q^n) <= g_n + d^n."""
-    g_n = gamma_n(case.delta, case.gamma, case.d, n)
-    d_n = case.d**n
-    one = Fraction(1)
+    growth = case.growth(n)
+    return _theorem_bracket(case, growth.gamma[n], growth.d_pow[n])
+
+
+def _theorem_bracket(case: CaseData, g_n: int, d_n: int) -> CqnBounds:
+    one = _ONE
     # Case 1's single vertex fixes c(Q^n) exactly.
     if case.kind == CASE1:
         return CqnBounds.exactly(g_n + d_n)
@@ -196,10 +209,16 @@ def predict_cqn_bounds(f: SkewGerm, case: CaseData, n: int,
     if case.may_vanish and critical_present is None:
         seq = critical_coeff_sequence(f, n)
         critical_present = bool(seq[n - 1]) if seq else None
-    g_n = Fraction(gamma_n(case.delta, case.gamma, case.d, n))
-    d_n = case.d**n
+    growth = case.growth(n)
+    return _cqn_bounds(case, n, growth.gamma[n], growth.d_pow[n],
+                       critical_present)
+
+
+def _cqn_bounds(case: CaseData, n: int, g_n: int, d_n: int,
+                critical_present: bool | None) -> CqnBounds:
+    g_n = Fraction(g_n)
     full = g_n + d_n
-    one = Fraction(1)
+    one = _ONE
     l1, lsum = case.l1, case.l1_plus_l2
 
     # Case 2's d = 0 upper bound: where z^{gamma_n} may cancel, c(Q^n)
@@ -239,7 +258,11 @@ def predict_cfn(f: SkewGerm, case: CaseData, n: int,
     """Bracket for c(f^n) = min(delta^n, c(Q^n))."""
     if cqn is None:
         cqn = predict_cqn_bounds(f, case, n)
-    dp = Fraction(case.delta**n)
+    return _cfn_bracket(case.delta**n, cqn)
+
+
+def _cfn_bracket(delta_n: int, cqn: CqnBounds):
+    dp = Fraction(delta_n)
     return min(dp, cqn.lower), min(dp, cqn.upper)
 
 
@@ -262,13 +285,16 @@ class VertexClaim:
     intercept_rel: str
 
     def intercept_identity_holds(self, dominant: tuple, delta_pow: int) -> bool:
+        # The intercept d_n + g_n / edge_l, scaled by the numerator
+        # p > 0 of edge_l = p/q.
         g_n, d_n = dominant
-        intercept = d_n + Fraction(g_n) / self.edge_l
+        p, q = self.edge_l.numerator, self.edge_l.denominator
+        scaled, intercept = delta_pow * p, d_n * p + g_n * q
         if self.intercept_rel == "less":
-            return delta_pow < intercept
+            return scaled < intercept
         if self.intercept_rel == "equal":
-            return delta_pow == intercept
-        return delta_pow > intercept
+            return scaled == intercept
+        return scaled > intercept
 
 
 def _shifted(g_n: int, gamma: int, d: int, base: tuple, n: int) -> tuple:
@@ -288,8 +314,11 @@ def predict_adjacent_vertices(f: SkewGerm, case: CaseData, n: int):
     (the previous one only when d > 0); the starred next vertex is not
     claimed when its term can cancel.  Absent sides return None.
     """
+    return _adjacent_vertices(case, n, case.growth(n).gamma[n])
+
+
+def _adjacent_vertices(case: CaseData, n: int, g_n: int):
     delta, gamma, d = case.delta, case.gamma, case.d
-    g_n = gamma_n(delta, gamma, d, n)
     prev_claim = next_claim = None
 
     if case.prev_vertex is not None and d > 0:
@@ -355,7 +384,7 @@ def asymptotic(f: SkewGerm, case: CaseData) -> AsymptoticRate:
     D c_inf^n <= c(f^n) <= c_inf^n."""
     gamma, d, delta = case.gamma, case.d, case.delta
     c_inf = delta if gamma > 0 else min(delta, d)
-    one = Fraction(1)
+    one = _ONE
     # The paper gives the lower constants case by case.
     if case.kind == CASE1:
         if gamma == 0:
@@ -436,9 +465,8 @@ def _dominant_position(case: CaseData) -> str:
 def predict(f: SkewGerm, case: CaseData, n: int, ls=None,
             critical_present: bool | None = None) -> RatePrediction:
     """Assemble the full per-n prediction record for one case reading."""
-    delta, gamma, d = case.delta, case.gamma, case.d
-    g_n = gamma_n(delta, gamma, d, n)
-    d_n = d**n
+    growth = case.growth(n)
+    g_n, d_n = growth.gamma[n], growth.d_pow[n]
     if case.may_vanish and critical_present is None:
         seq = critical_coeff_sequence(f, n)
         critical_present = bool(seq[n - 1]) if seq else None
@@ -450,26 +478,25 @@ def predict(f: SkewGerm, case: CaseData, n: int, ls=None,
         l = as_fraction(l)
         _check_in_range(interval, case, l)
         claims.append(WeightClaim(l, _weight_value(g_n, d_n, l)))
-    cqn = predict_cqn_bounds(f, case, n, critical_present)
-    cfn_lower, cfn_upper = predict_cfn(f, case, n, cqn)
-    coeff, _ = dominant_term(f, case, n)
-    prev_claim, next_claim = predict_adjacent_vertices(f, case, n)
+    cqn = _cqn_bounds(case, n, g_n, d_n, critical_present)
+    cfn_lower, cfn_upper = _cfn_bracket(growth.delta_pow[n], cqn)
+    prev_claim, next_claim = _adjacent_vertices(case, n, g_n)
     # No vertex left of the dominant one fixes ord_z; none below it fixes
     # ord_w, which the paper claims for Case 2 only when d > 0.
     ord_z = g_n if case.prev_vertex is None else None
     ord_w = d_n if case.next_vertex is None and (
-        d > 0 or case.prev_vertex is None) else None
+        case.d > 0 or case.prev_vertex is None) else None
     return RatePrediction(
         n=n,
         gamma_n=g_n,
         d_pow_n=d_n,
-        delta_pow_n=delta**n,
-        dominant_coeff=coeff,
+        delta_pow_n=growth.delta_pow[n],
+        dominant_coeff=_dominant_coeff(f, case, growth, n),
         may_vanish=case.dominant_may_vanish,
         critical_present=critical_present,
         weight_claims=tuple(claims),
         cqn=cqn,
-        theorem_cqn=theorem_bracket(case, n),
+        theorem_cqn=_theorem_bracket(case, g_n, d_n),
         cfn_lower=cfn_lower,
         cfn_upper=cfn_upper,
         prev_vertex=prev_claim,

@@ -11,12 +11,18 @@ verified independently.
 Every comparison is exact.  A failed check names the violated claim and
 carries the oracle value; unproven statements (the dominant-coefficient
 closed form) are reported as findings instead of failures.
+
+The checks that need no iterate (the R-map, the slope lemma and the
+weight-interval systems) read gamma_n, d^n and delta^n off the
+reading's growth table and run on int pairs (num, den) with den > 0,
+compared by cross-multiplication.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .classify import (
     CASE1,
@@ -27,20 +33,22 @@ from .classify import (
     case_variants,
     classify,
     equality_interval,
-    r_map,
-    r_step,
-    system_membership,
-    system_membership_case4_ar,
-    system_membership_case4_first,
+    r_map_pair,
+    system_membership_case4_ar_pair,
+    system_membership_case4_first_pair,
     system_membership_case4_pair,
+    system_membership_pair,
     weight_intervals,
 )
 from .exact import as_fraction, format_exact
 from .germ import SkewGerm, iterates
-from .growth import gamma_n
+from .growth import GrowthTable
 from .newton import newton_polygon, weight
 from .poly import ResourceCapError, ResourceLimits
 from .predict import asymptotic, critical_coeff_sequence, predict
+
+# The deepest n the R-map checks read; the slope check reads n <= 6.
+R_MAP_N_TOP = 10
 
 
 @dataclass(frozen=True)
@@ -193,6 +201,8 @@ def _verify_variant(f: SkewGerm, case: CaseData, records, extra_ls):
     out = rep.checks.append
 
     ls, outside = weight_samples(case, extra_ls)
+    # One growth table serves every prediction and the R-map checks.
+    growth = case.growth(max(records[-1].n, R_MAP_N_TOP))
     rep.predictions, crit_seq = predictions(f, case, records[-1].n, ls)
     crit_base = case.polygon.vertex(case.s)[0] if case.may_vanish else None
 
@@ -386,74 +396,111 @@ def _verify_variant(f: SkewGerm, case: CaseData, records, extra_ls):
                 "interval-stability", same, rec.n,
                 f"iterate classified {sub.kind}"))
 
-    _r_map_checks(case, ls, out)
-    _slope_lemma_check(case, out)
+    _r_map_checks(case, ls, growth, out)
+    _slope_lemma_check(case, growth, out)
     _interval_system_checks(f, case, out)
     return rep
 
 
-def _r_map_checks(case: CaseData, ls, out, n_top: int = 10):
+def _pair_le(x: tuple, y: tuple) -> bool:
+    return x[0] * y[1] <= y[0] * x[1]
+
+
+def _pair_eq(x: tuple, y: tuple) -> bool:
+    return x[0] * y[1] == y[0] * x[1]
+
+
+def _r_map_checks(case: CaseData, ls, growth: GrowthTable, out,
+                  n_top: int = R_MAP_N_TOP):
     # Case 1 claims no R-map, and each other case moves l its own way.
     if case.kind == CASE1:
         return
     interval = equality_interval(case)
+    gamma, d, delta = case.gamma, case.d, case.delta
+    g, d_pow, delta_pow = growth.gamma, growth.d_pow, growth.delta_pow
+
+    def r_n(n, v):
+        return r_map_pair(g[n], d_pow[n], delta_pow[n], *v)
+
     alpha = case.alpha
+    alpha_pair = None if alpha is None else (alpha.numerator,
+                                             alpha.denominator)
     for l in ls[:3]:
-        seq = [l]
+        label = f"l = {format_exact(l)}"
+        start = (l.numerator, l.denominator)
+        # R iterated one step at a time against the closed form, which
+        # reads gamma_n off the table (gamma_0 = 0, so n = 0 is l).
+        seq = [start]
         for _ in range(n_top):
-            seq.append(r_step(case, seq[-1]))
-        closed_ok = all(r_map(case, l, n) == seq[n] for n in range(n_top + 1))
-        out(CheckResult("r-map-closed-form", closed_ok, None,
-                        f"l = {format_exact(l)}"))
+            seq.append(r_map_pair(gamma, d, delta, *seq[-1]))
+        closed_ok = all(_pair_eq(r_n(n, start), seq[n])
+                        for n in range(n_top + 1))
+        out(CheckResult("r-map-closed-form", closed_ok, None, label))
         out(CheckResult(
             "r-map-stays-in-interval",
-            all(interval.contains(v) for v in seq), None,
-            f"l = {format_exact(l)}"))
+            all(interval.contains_pair(*v) for v in seq), None, label))
+        steps = list(zip(seq, seq[1:]))
         if case.kind == CASE2:
-            mono = all(a <= b for a, b in zip(seq, seq[1:]))
+            mono = all(_pair_le(x, y) for x, y in steps)
         elif case.kind == CASE3:
-            mono = all(a >= b for a, b in zip(seq, seq[1:]))
+            mono = all(_pair_le(y, x) for x, y in steps)
         else:
             if alpha is None or l == alpha:
-                mono = all(v == seq[0] for v in seq)
+                mono = all(_pair_eq(v, start) for v in seq)
             elif l < alpha:
-                mono = all(a <= b <= alpha for a, b in zip(seq, seq[1:]))
+                mono = all(_pair_le(x, y) and _pair_le(y, alpha_pair)
+                           for x, y in steps)
             else:
-                mono = all(a >= b >= alpha for a, b in zip(seq, seq[1:]))
-        out(CheckResult("r-map-monotone", mono, None, f"l = {format_exact(l)}"))
-        semi = all(
-            r_map(case, l, a + b) == r_map(case, r_map(case, l, b), a)
-            for a, b in ((1, 1), (1, 2), (2, 3)))
-        out(CheckResult("r-map-semigroup", semi, None, f"l = {format_exact(l)}"))
+                mono = all(_pair_le(y, x) and _pair_le(alpha_pair, y)
+                           for x, y in steps)
+        out(CheckResult("r-map-monotone", mono, None, label))
+        semi = all(_pair_eq(r_n(a + b, start), r_n(a, r_n(b, start)))
+                   for a, b in ((1, 1), (1, 2), (2, 3)))
+        out(CheckResult("r-map-semigroup", semi, None, label))
 
 
-def _slope_lemma_check(case: CaseData, out, n_top: int = 6):
+def _slope_lemma_check(case: CaseData, growth: GrowthTable, out,
+                       n_top: int = 6):
     if case.gamma <= 0:
         return
-    slopes = set()
-    for n in range(1, n_top + 1):
-        g_n = gamma_n(case.delta, case.gamma, case.d, n)
-        slopes.add(Fraction(case.d**n - case.delta**n, g_n))
-    out(CheckResult("iterate-anchor-slope-constant", len(slopes) == 1, None,
+    # The slope (d^n - delta^n) / gamma_n of each n against n = 1.
+    g, d_pow, delta_pow = growth.gamma, growth.d_pow, growth.delta_pow
+    rise, run = d_pow[1] - delta_pow[1], g[1]
+    same = all((d_pow[n] - delta_pow[n]) * run == rise * g[n]
+               for n in range(2, n_top + 1))
+    if same:
+        slopes = {Fraction(rise, run)}
+    else:
+        slopes = {Fraction(d_pow[n] - delta_pow[n], g[n])
+                  for n in range(1, n_top + 1)}
+    out(CheckResult("iterate-anchor-slope-constant", same, None,
                     f"slopes {sorted(map(format_exact, slopes))}"))
 
 
-# The offsets 0, 1/7, 1/2 and 1 as (numerator, denominator).
+# The offsets 0, 1/7, 1/2 and 1, and the fixed probes 1/3, 1 and 3, as
+# (numerator, denominator).
 _PROBE_OFFSETS = ((0, 1), (1, 7), (1, 2), (1, 1))
+_FIXED_PROBES = ((1, 3), (1, 1), (3, 1))
 
 
 def _probe_values(*anchors):
+    """The distinct positive probes as reduced (num, den) pairs, in
+    increasing order."""
     # Anchor p/q minus or plus offset r/s is (p*s -+ r*q) / (q*s).
-    vals = {Fraction(1, 3), Fraction(1), Fraction(3)}
+    vals = set(_FIXED_PROBES)
     for a in anchors:
         if not isinstance(a, (int, Fraction)):  # no alpha, or INF
             continue
         p, q = a.numerator, a.denominator
         for r, s in _PROBE_OFFSETS:
+            den = q * s
             for num in (p * s - r * q, p * s + r * q):
                 if num > 0:
-                    vals.add(Fraction(num, q * s))
-    return sorted(vals)
+                    k = gcd(num, den)
+                    vals.add((num // k, den // k))
+    # Over a common denominator the numerators order the values exactly.
+    common = lcm(*(den for _, den in vals))
+    return sorted(vals, key=lambda v: v[0] * (common // v[1]))
 
 
 def _interval_system_checks(f: SkewGerm, case: CaseData, out):
@@ -461,27 +508,27 @@ def _interval_system_checks(f: SkewGerm, case: CaseData, out):
     probes = _probe_values(case.l1, case.l1_plus_l2, case.alpha)
     # Case 4 alone defines its weights by the staged systems.
     if case.kind != CASE4:
-        ok = all(iv.i_f.contains(l) == system_membership(f, case, l)
-                 for l in probes)
+        ok = all(iv.i_f.contains_pair(a, b)
+                 == system_membership_pair(f, case, a, b)
+                 for a, b in probes)
         out(CheckResult("interval-system-agreement", ok, None,
                         f"{len(probes)} probes"))
         return
     ok_first = all(
-        iv.i_f1.contains(l) == system_membership_case4_first(case, l)
-        for l in probes)
+        iv.i_f1.contains_pair(a, b)
+        == system_membership_case4_first_pair(case, a, b)
+        for a, b in probes)
     out(CheckResult("interval-system-agreement-first", ok_first, None,
                     f"{len(probes)} probes"))
     ok_ar = all(
-        iv.i_f_ar.contains(l) == system_membership_case4_ar(case, l)
-        for l in probes)
+        iv.i_f_ar.contains_pair(a, b)
+        == system_membership_case4_ar_pair(case, a, b)
+        for a, b in probes)
     out(CheckResult("interval-system-agreement-ar", ok_ar, None,
                     f"{len(probes)} probes"))
-    pair_ok = True
-    for x in probes[:6]:
-        for y in probes[:6]:
-            closed = iv.i_f.contains(x, y)
-            raw = system_membership_case4_pair(f, case, x, y)
-            if closed != raw:
-                pair_ok = False
+    pair_probes = [Fraction(a, b) for a, b in probes[:6]]
+    pair_ok = all(
+        iv.i_f.contains(x, y) == system_membership_case4_pair(f, case, x, y)
+        for x in pair_probes for y in pair_probes)
     out(CheckResult("interval-system-agreement-pairs", pair_ok, None,
                     "rectangle probes"))

@@ -109,6 +109,13 @@ def test_exit_status_nonpositive_n(n):
         assert "n must be a positive integer" in r.stderr
 
 
+def test_exit_status_negative_fuzz_count():
+    """A negative --count is a usage error; --count 0 runs no germ."""
+    r = run_cli("fuzz", "--seed", "1", "--count", "-3", "--n-max", "1")
+    assert r.returncode == 2, r.stdout
+    assert "germ count must be non-negative" in r.stderr
+
+
 def test_verify_text_reports_pass():
     r = run_cli("verify", "--germ", str(DATA / "g5.germ"), "--n-max", "2")
     assert r.returncode == 0

@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from skewprod import FuzzConfig, fuzz
 from skewprod.fuzz import _projected_degree, campaign_limits, generate_germs
 from skewprod.jsonio import verification_json
@@ -29,6 +31,22 @@ def test_empty_campaign():
     d = summary.as_dict()
     assert d["germs_run"] == 0 and d["failures"] == 0
     assert not d["coverage_ok"]
+
+
+def test_one_iterate_draws_no_vanishing_retries():
+    """A vanishing event first shows in Q^2, so with n_max = 1 the
+    retries stop once the case kinds and a boundary germ are seen."""
+    cfg = FuzzConfig(seed=1, germ_count=20, n_max=1)
+    summary = fuzz(cfg)
+    assert summary.extra_draws < cfg.max_extra_draws // 10
+    assert summary.germs_run == 20 + summary.extra_draws
+    assert summary.vanishing_events == 0
+    assert not summary.coverage_ok
+
+
+def test_negative_germ_count_rejected():
+    with pytest.raises(ValueError, match="germ count must be non-negative"):
+        fuzz(FuzzConfig(seed=1, germ_count=-3))
 
 
 def test_small_campaign_zero_failures():

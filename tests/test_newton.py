@@ -261,3 +261,19 @@ def test_staircase_is_cached():
     assert first == {1: 2, 3: 1}
     assert p.column_minima() is first
     assert (p * p).column_minima() == {2: 4, 4: 3, 6: 2}
+
+
+@given(st.one_of(polys, dense_polys))
+@settings(max_examples=150, deadline=None)
+def test_polygon_is_cached(p):
+    """newton_polygon builds once per polynomial, and the cached polygon
+    equals a fresh build; products and sums start with no polygon."""
+    if p.is_zero:
+        with pytest.raises(ValueError):
+            newton_polygon(p)
+        return
+    first = newton_polygon(p)
+    assert newton_polygon(p) is first
+    assert repr(first) == repr(NewtonPolygon.of_poly(p))
+    square = p * p
+    assert repr(newton_polygon(square)) == repr(NewtonPolygon.of_poly(square))

@@ -1,10 +1,10 @@
 """The integer-scaled case checks against their Fraction definitions.
 
-Interval membership, the R-map, the raw inequality systems and
-predict's weight claims read l = a/b as the int pair (a, b).  Each test
-writes out the plain Fraction expression as a reference and compares
-results by repr, so an int where a Fraction belongs (2 against
-Fraction(2)) is a difference.
+Interval membership, the R-map, the raw inequality systems, verify's
+R-map, slope and probe checks and predict's weight claims read l = a/b
+as the int pair (a, b).  Each test writes out the plain Fraction
+expression as a reference and compares results by repr, so an int where
+a Fraction belongs (2 against Fraction(2)) is a difference.
 """
 
 from dataclasses import replace
@@ -28,10 +28,19 @@ from skewprod.classify import (
     system_membership_case4_pair,
     system_membership_case4_second,
 )
-from skewprod.exact import is_inf
-from skewprod.growth import gamma_n
+from skewprod.exact import format_exact, is_inf
+from skewprod.fuzz import generate_germs
+from skewprod.growth import GrowthTable, gamma_n
 from skewprod.predict import PredictionRangeError, predict, predict_weight
-from conftest import FIXTURES, germ
+from skewprod.verify import (
+    CheckResult,
+    _probe_values,
+    _r_map_checks,
+    _slope_lemma_check,
+    predictions,
+    weight_samples,
+)
+from conftest import CRITERION_5, FIXTURES, germ
 
 BIG = 10**12
 # Rationals of either sign with numerators and denominators up to 10**12,
@@ -274,3 +283,151 @@ def test_predict_weight_claims(f, n, extra):
             with pytest.raises(PredictionRangeError) as err:
                 predict(f, case, n, ls=[l])
             assert f"PredictionRangeError: {err.value}" == expected
+
+
+# -- verify's R-map, slope and probe checks ----------------------------------
+
+
+def ref_r_map_checks(case, ls, n_top):
+    """The R-map checks written out on Fractions."""
+    out = []
+    if case.kind == CASE1:
+        return out
+    interval = equality_interval(case)
+    alpha = case.alpha
+    for l in ls[:3]:
+        label = f"l = {format_exact(l)}"
+        seq = [l]
+        for _ in range(n_top):
+            seq.append(ref_r_step(case, seq[-1]))
+        out.append(CheckResult(
+            "r-map-closed-form",
+            all(ref_r_map(case, l, n) == seq[n] for n in range(n_top + 1)),
+            None, label))
+        out.append(CheckResult("r-map-stays-in-interval",
+                               all(ref_contains(interval, v) for v in seq),
+                               None, label))
+        steps = list(zip(seq, seq[1:]))
+        if case.kind == CASE2:
+            mono = all(x <= y for x, y in steps)
+        elif case.kind == CASE3:
+            mono = all(x >= y for x, y in steps)
+        elif alpha is None or l == alpha:
+            mono = all(v == l for v in seq)
+        elif l < alpha:
+            mono = all(x <= y <= alpha for x, y in steps)
+        else:
+            mono = all(x >= y >= alpha for x, y in steps)
+        out.append(CheckResult("r-map-monotone", mono, None, label))
+        out.append(CheckResult("r-map-semigroup", all(
+            ref_r_map(case, l, a + b) == ref_r_map(case, ref_r_map(case, l, b), a)
+            for a, b in ((1, 1), (1, 2), (2, 3))), None, label))
+    return out
+
+
+def ref_slope_check(case, n_top):
+    if case.gamma <= 0:
+        return []
+    slopes = {Fraction(case.d**n - case.delta**n,
+                       gamma_n(case.delta, case.gamma, case.d, n))
+              for n in range(1, n_top + 1)}
+    return [CheckResult("iterate-anchor-slope-constant", len(slopes) == 1,
+                        None, f"slopes {sorted(map(format_exact, slopes))}")]
+
+
+def ref_probes(*anchors):
+    vals = {Fraction(1, 3), Fraction(1), Fraction(3)}
+    for a in anchors:
+        if not isinstance(a, (int, Fraction)):
+            continue
+        for offset in (Fraction(0), Fraction(1, 7), Fraction(1, 2),
+                       Fraction(1)):
+            for v in (Fraction(a) - offset, Fraction(a) + offset):
+                if v > 0:
+                    vals.add(v)
+    return sorted(vals)
+
+
+def checks_of(fn, *args, **kwargs):
+    out = []
+    fn(*args, out.append, **kwargs)
+    return repr(out)
+
+
+@given(fixture_or_random, st.lists(rationals | small_rationals, min_size=1,
+                                   max_size=3),
+       st.integers(1, 12))
+@settings(max_examples=300, deadline=None)
+def test_r_map_checks(f, ls, n_top):
+    """Weights up to 10**12, inside the interval or not, and n up to 12,
+    for every kind's monotonicity rule."""
+    for case in case_variants(f):
+        growth = GrowthTable.build(case.delta, case.gamma, case.d,
+                                   max(n_top, 5))
+        assert (checks_of(_r_map_checks, case, ls, growth, n_top=n_top)
+                == repr(ref_r_map_checks(case, ls, n_top)))
+
+
+def test_r_map_checks_on_fixtures():
+    """The checks verify runs, on each reading's own sampled weights."""
+    for f in FIXTURE_GERMS:
+        for case in case_variants(f):
+            ls, _ = weight_samples(case)
+            growth = GrowthTable.build(case.delta, case.gamma, case.d, 10)
+            assert (checks_of(_r_map_checks, case, ls, growth)
+                    == repr(ref_r_map_checks(case, ls, 10)))
+            assert (checks_of(_slope_lemma_check, case, growth)
+                    == repr(ref_slope_check(case, 6)))
+
+
+@given(st.integers(0, BIG), st.integers(0, 6), st.integers(1, 6),
+       st.integers(1, 12))
+@settings(max_examples=300, deadline=None)
+def test_slope_check(gamma, d, delta, n_top):
+    """A constant slope, and one that is not (delta = d, gamma > 0)."""
+    case = replace(case_variants(FIXTURE_GERMS[1])[0], gamma=gamma, d=d,
+                   delta=delta)
+    growth = GrowthTable.build(delta, gamma, d, n_top)
+    assert (checks_of(_slope_lemma_check, case, growth, n_top=n_top)
+            == repr(ref_slope_check(case, n_top)))
+
+
+anchors = st.one_of(rationals, small_rationals, st.integers(-5, 5),
+                    st.just(INF), st.none())
+
+
+@given(st.lists(anchors, max_size=3))
+@settings(max_examples=400, deadline=None)
+def test_probe_values(xs):
+    want = ref_probes(*xs)
+    got = _probe_values(*xs)
+    assert repr(got) == repr([(v.numerator, v.denominator) for v in want])
+
+
+# -- predictions against predict ---------------------------------------------
+
+
+def assert_predictions_match(f, n_max):
+    for case in case_variants(f):
+        ls, _ = weight_samples(case)
+        preds, _ = predictions(f, case, n_max, ls)
+        # Each reference reads a fresh copy of the reading, so it builds
+        # its own growth table up to its n.
+        want = [predict(f, replace(case), n, ls=ls)
+                for n in range(1, n_max + 1)]
+        assert preds == want
+        assert repr(preds) == repr(want)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_predictions_equal_predict_fixtures(name):
+    assert_predictions_match(germ(*FIXTURES[name]), 4)
+
+
+def test_predictions_equal_predict_campaign():
+    """The first 200 germs of the criterion-5 campaign: Case 3, Case 4,
+    boundary and vanishing readings the fixtures lack."""
+    for i, f in enumerate(generate_germs(CRITERION_5)):
+        if i == 200:
+            break
+        assert_predictions_match(f, CRITERION_5.n_max)
