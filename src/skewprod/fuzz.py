@@ -306,7 +306,10 @@ def fuzz(cfg: FuzzConfig) -> FuzzSummary:
         if germ.delta in case.polygon.intercepts:
             summary.boundary_count += 1
             saw_boundary = True
-        report = verify_germ(germ, cfg.n_max, limits=limits)
+        # The counts read only what the checks read, so the deepest
+        # iterate may be truncated (verify_germ).
+        report = verify_germ(germ, cfg.n_max, limits=limits,
+                             full_iterates=False)
         summary.germs_run += 1
         if report.resource_error is not None:
             summary.truncated += 1

@@ -26,15 +26,37 @@ layers and of W, with no product), and when a table product, or the
 table's result, passes the term cap, Horner runs instead.  One case is
 left: a Horner product may pass the term cap where every table product
 and the result stay under it, and then the table returns the result.
+
+truncated_step computes the last iterate only where the checks can see
+it, for fuzz (verify_germ(..., full_iterates=False)).  Ostrowski's
+theorem predicts N(Q^n) from N(Q^(n-1)), the order of p^(n-1) and the
+support of q (newton.composed_polygon).  The lattice points inside the
+prediction's interior form a monomial ideal I, and reduction modulo I
+is a ring map, so substitute with the region R outside the interior
+restricts W = Q^(n-1) to R once, keeps only the terms in R of every
+product, and returns Q^n on R.  The result is accepted only with a
+certificate: every vertex of the prediction lies in the polygon of the
+result, so the dropped terms lie inside it and the polygon is N(Q^n),
+and every point whose coefficient a check reads lies in R.  Otherwise
+the full step runs; it also runs where the caps could trip, which the
+bound of _horner_degree_bound decides without a product, so a capped
+run stops where the full one would, with its message.
 """
 
 from __future__ import annotations
 
+from .newton import (
+    composed_polygon,
+    hull_vertices,
+    newton_polygon,
+    outside_interior,
+)
 from .poly import (
     DEFAULT_LIMITS,
     ResourceCapError,
     ResourceLimits,
     SparsePoly2,
+    Staircase,
     check_term_count,
     format_poly,
     parse_poly,
@@ -109,22 +131,32 @@ def _eval_univariate_at(coeffs_by_i: dict, P: SparsePoly2,
 
 
 def substitute(poly: SparsePoly2, P: SparsePoly2, W: SparsePoly2,
-               limits: ResourceLimits | None = None) -> SparsePoly2:
+               limits: ResourceLimits | None = None,
+               region: Staircase | None = None) -> SparsePoly2:
     """Exact value of poly(P, W); the module docstring gives the two
-    schedules."""
+    schedules.
+
+    With a region, W is restricted to it once and every product keeps
+    only its terms in it.  Where P and poly's layers lie in the region,
+    the result is poly(P, W) restricted to it.  The schedule is chosen
+    from the full W.
+    """
     if poly.is_zero:
         return SparsePoly2.zero()
     by_j = _layers(poly)
     max_degree = (limits or DEFAULT_LIMITS).max_total_degree
-    if (len(P) == 1 and not P.coeff(0, 0) and _all_int(poly, P, W)
-            and _horner_degree_bound(by_j, P, W) <= max_degree):
+    table = (len(P) == 1 and not P.coeff(0, 0) and _all_int(poly, P, W)
+             and _horner_degree_bound(by_j, P, W) <= max_degree)
+    if region is not None:
+        W = W.restrict(region)
+    if table:
         try:
-            out = _substitute_power_table(by_j, P, W, limits)
+            out = _substitute_power_table(by_j, P, W, limits, region)
             check_term_count(out, limits)
             return out
         except ResourceCapError:
             pass  # Horner, the reference, decides where the cap trips
-    return _substitute_horner(by_j, P, W, limits)
+    return _substitute_horner(by_j, P, W, limits, region)
 
 
 def _layers(poly: SparsePoly2) -> dict:
@@ -136,7 +168,8 @@ def _layers(poly: SparsePoly2) -> dict:
 
 
 def _substitute_horner(by_j: dict, P: SparsePoly2, W: SparsePoly2,
-                       limits: ResourceLimits | None) -> SparsePoly2:
+                       limits: ResourceLimits | None,
+                       region: Staircase | None = None) -> SparsePoly2:
     acc = SparsePoly2.zero()
     prev_j = None
     for j in sorted(by_j, reverse=True):
@@ -144,10 +177,12 @@ def _substitute_horner(by_j: dict, P: SparsePoly2, W: SparsePoly2,
         if prev_j is None:
             acc = layer
         else:
-            acc = poly_mul(acc, poly_pow(W, prev_j - j, limits), limits) + layer
+            acc = poly_mul(acc, poly_pow(W, prev_j - j, limits, region),
+                           limits, region) + layer
         prev_j = j
     if prev_j:
-        acc = poly_mul(acc, poly_pow(W, prev_j, limits), limits)
+        acc = poly_mul(acc, poly_pow(W, prev_j, limits, region),
+                       limits, region)
     return acc
 
 
@@ -176,7 +211,8 @@ def _all_int(*polys: SparsePoly2) -> bool:
 
 
 def _substitute_power_table(by_j: dict, P: SparsePoly2, W: SparsePoly2,
-                            limits: ResourceLimits | None) -> SparsePoly2:
+                            limits: ResourceLimits | None,
+                            region: Staircase | None = None) -> SparsePoly2:
     # P = a z^m w^k with (m, k) != (0, 0), so distinct i give distinct
     # exponents in a layer and no coefficient c * a**i is zero.
     ((m, k), a), = P.items()
@@ -192,16 +228,17 @@ def _substitute_power_table(by_j: dict, P: SparsePoly2, W: SparsePoly2,
     powers = {1: W}
     for j in sorted(needed):
         if j & 1:
-            powers[j] = poly_mul(powers[j - 1], W, limits)
+            powers[j] = poly_mul(powers[j - 1], W, limits, region)
         else:
             half = powers[j >> 1]
-            powers[j] = poly_mul(half, half, limits)
+            powers[j] = poly_mul(half, half, limits, region)
 
     parts = []
     for j, coeffs in by_j.items():
         layer = SparsePoly2({(i * m, i * k): c * a**i
                              for i, c in coeffs.items()})
-        parts.append(poly_mul(layer, powers[j], limits) if j else layer)
+        parts.append(poly_mul(layer, powers[j], limits, region)
+                     if j else layer)
     if not parts:
         return SparsePoly2.zero()
     # poly_sum copies its first operand once, so the largest part goes
@@ -211,11 +248,50 @@ def _substitute_power_table(by_j: dict, P: SparsePoly2, W: SparsePoly2,
 
 
 def compose_germ(g: SkewGerm, h: SkewGerm,
-                 limits: ResourceLimits | None = None) -> SkewGerm:
-    """The composite germ g(h(z, w))."""
+                 limits: ResourceLimits | None = None,
+                 region: Staircase | None = None) -> SkewGerm:
+    """The composite germ g(h(z, w)); with a region, its q is computed
+    restricted to the region (substitute)."""
     p_new = substitute(g.p, h.p, SparsePoly2.zero(), limits)
-    q_new = substitute(g.q, h.p, h.q, limits)
+    q_new = substitute(g.q, h.p, h.q, limits, region)
     return SkewGerm(p_new, q_new)
+
+
+def truncated_step(f: SkewGerm, fn: SkewGerm, reads,
+                   limits: ResourceLimits | None = None) -> SkewGerm:
+    """f^(n+1) = f(fn), its Q^(n+1) computed outside the interior of
+    its predicted Newton polygon where that is certified to change no
+    point in `reads` and no vertex; the full compose_germ otherwise.
+
+    The prediction N is newton.composed_polygon of q at fn, and R is the
+    set of lattice points outside N's interior.  Every product keeps
+    only its terms in R, so Q' equals Q^(n+1) on R.  Q' is accepted when
+    every vertex of N lies in N(Q'), so that the dropped terms lie
+    inside N(Q') and N(Q^(n+1)) = N(Q'), and when every point in
+    `reads` lies in R.  The step is truncated only where the full step
+    fits under the caps by a bound that needs no terms: every product
+    has degree at most D = _horner_degree_bound, so at most
+    (D + 1)(D + 2)/2 terms, and the caps trip, if at all, where the full
+    step trips them.
+    """
+    W, P = fn.q, fn.p
+    predicted = composed_polygon(f.q, min(P.column_minima()),
+                                 newton_polygon(W))
+    region = outside_interior(predicted)
+    lim = limits or DEFAULT_LIMITS
+    bound = _horner_degree_bound(_layers(f.q), P, W)
+    if (bound <= lim.max_total_degree
+            and (bound + 1) * (bound + 2) // 2 <= lim.max_terms
+            and all(point in region for point in reads)):
+        try:
+            out = compose_germ(f, fn, limits, region)
+        except InvalidGermError:  # every term of Q' cancelled
+            pass
+        else:
+            got = newton_polygon(out.q).vertices
+            if hull_vertices(got + predicted.vertices) == got:
+                return out
+    return compose_germ(f, fn, limits)
 
 
 def iterate_germ(f: SkewGerm, n: int,
@@ -226,14 +302,22 @@ def iterate_germ(f: SkewGerm, n: int,
     return fn
 
 
-def iterates(f: SkewGerm, n_max: int, limits: ResourceLimits | None = None):
-    """Yield (n, f^n) for n = 1 .. n_max, computing incrementally."""
+def iterates(f: SkewGerm, n_max: int, limits: ResourceLimits | None = None,
+             last_step=None):
+    """Yield (n, f^n) for n = 1 .. n_max, computing incrementally.
+
+    last_step, when given, computes f^n_max from f^(n_max - 1) in place
+    of compose_germ (n_max >= 2).
+    """
     if not isinstance(n_max, int) or n_max < 1:
         raise ValueError("n must be a positive integer")
     cur = f
     yield 1, cur
     for n in range(2, n_max + 1):
-        cur = compose_germ(f, cur, limits)
+        if n == n_max and last_step is not None:
+            cur = last_step(cur)
+        else:
+            cur = compose_germ(f, cur, limits)
         yield n, cur
 
 

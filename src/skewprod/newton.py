@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import as_coeff, as_fraction
-from .poly import SparsePoly2
+from .poly import SparsePoly2, Staircase
 
 
 def _cross(o, a, b):
@@ -95,6 +95,42 @@ def newton_polygon(poly: SparsePoly2) -> NewtonPolygon:
     if polygon is None:
         polygon = poly._polygon = NewtonPolygon.of_poly(poly)
     return polygon
+
+
+def composed_polygon(q: SparsePoly2, c_p: int,
+                     polygon: NewtonPolygon) -> NewtonPolygon:
+    """The polygon q(P, W) can have when P depends on z only and has
+    z-order c_p, and W has the given polygon.
+
+    By Ostrowski's theorem N(P^i W^j) = (i*c_p, 0) + j*N(W), and the
+    polygon of a sum lies in the hull of its parts' polygons, so
+    N(q(P, W)) lies in the hull of these over the support of q.  It is
+    smaller only where terms on the hull's boundary cancel.  A larger j
+    in the same column gives a polygon inside the smaller j's, so the
+    staircase of q is enough.
+    """
+    return NewtonPolygon.from_points(
+        (i * c_p + j * x, j * y)
+        for i, j in q.column_minima().items()
+        for x, y in polygon.vertices)
+
+
+def outside_interior(polygon: NewtonPolygon) -> Staircase:
+    """The lattice points outside the interior of an integer polygon.
+
+    A point is interior when it lies strictly above the lowest vertex,
+    strictly right of the first one and strictly above every edge.  So
+    each row above the lowest vertex keeps the columns up to the left
+    boundary at its height (the floor of the edge's x there), and every
+    row at or below it is whole.
+    """
+    verts = polygon.vertices
+    caps = []
+    # The edges from the bottom one up; each gives rows y2 + 1 .. y1.
+    for (x1, y1), (x2, y2) in zip(verts[-2::-1], verts[:0:-1]):
+        caps.extend(x1 + (y1 - j) * (x2 - x1) // (y1 - y2)
+                    for j in range(y2 + 1, y1 + 1))
+    return Staircase(verts[-1][1], tuple(caps) or (verts[0][0],))
 
 
 def weight(poly: SparsePoly2, l) -> Fraction:

@@ -69,6 +69,37 @@ def _precheck_mul(a: dict, b: dict, limits: ResourceLimits | None) -> None:
             f"product degree {deg} exceeds cap {lim.max_total_degree}")
 
 
+@dataclass(frozen=True)
+class Staircase:
+    """A set of exponents closed downward in i and in j.
+
+    Every row j <= low is whole; row j > low holds the columns
+    i <= caps[j - low - 1], and the last cap stands for every row past
+    the list, so caps is non-increasing and not empty.  The exponents
+    outside a staircase form a monomial ideal I, and dropping them
+    (SparsePoly2.restrict, or the region argument of poly_mul) is
+    reduction modulo I, a ring map: a product of reduced operands,
+    reduced, equals the reduced product.
+    """
+
+    low: int
+    caps: tuple
+
+    def __contains__(self, point) -> bool:
+        i, j = point
+        return (j <= self.low
+                or i <= self.caps[min(j - self.low, len(self.caps)) - 1])
+
+    def keep(self, terms: dict) -> dict:
+        """The terms of a term dict whose exponents lie in the staircase."""
+        low, caps = self.low, self.caps
+        top, last = low + len(caps), caps[-1]
+        return {key: c for key, c in terms.items()
+                if key[1] <= low
+                or key[0] <= (caps[key[1] - low - 1] if key[1] <= top
+                              else last)}
+
+
 class SparsePoly2:
     """Immutable exact polynomial in two variables.
 
@@ -191,10 +222,10 @@ class SparsePoly2:
     def depends_only_on_z(self) -> bool:
         return all(j == 0 for _, j in self._terms)
 
-    def eval_exact(self, z, w):
-        """Exact value at rational (z, w)."""
-        return sum((c * z**i * w**j for (i, j), c in self._terms.items()),
-                   start=Fraction(0))
+    def restrict(self, region: "Staircase") -> "SparsePoly2":
+        """The terms whose exponents lie in region: this polynomial
+        modulo the monomial ideal of the exponents outside it."""
+        return SparsePoly2._raw(region.keep(self._terms))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -241,9 +272,14 @@ class SparsePoly2:
 
 
 def poly_mul(a: SparsePoly2, b: SparsePoly2,
-             limits: ResourceLimits | None = None) -> SparsePoly2:
+             limits: ResourceLimits | None = None,
+             region: Staircase | None = None) -> SparsePoly2:
+    """a * b; with a region, only the product's terms in the region are
+    kept (and counted against the term cap)."""
     _precheck_mul(a._terms, b._terms, limits)
     out = kernels.mul_terms(a._terms, b._terms)
+    if region is not None:
+        out = region.keep(out)
     # The precheck bounded the degree; only the term count is new.
     check_term_count(out, limits)
     return SparsePoly2._raw(out)
@@ -261,8 +297,10 @@ def poly_sum(polys) -> SparsePoly2:
 
 
 def poly_pow(a: SparsePoly2, k: int,
-             limits: ResourceLimits | None = None) -> SparsePoly2:
-    """a**k by repeated squaring; k >= 0."""
+             limits: ResourceLimits | None = None,
+             region: Staircase | None = None) -> SparsePoly2:
+    """a**k by repeated squaring; k >= 0.  With a region, every product
+    keeps only its terms in the region."""
     if not isinstance(k, int) or k < 0:
         raise ValueError("exponent must be a non-negative integer")
     # Starting from the first factor, not from 1, saves a product that
@@ -271,10 +309,11 @@ def poly_pow(a: SparsePoly2, k: int,
     base = a
     while k:
         if k & 1:
-            result = base if result is None else poly_mul(result, base, limits)
+            result = (base if result is None
+                      else poly_mul(result, base, limits, region))
         k >>= 1
         if k:
-            base = poly_mul(base, base, limits)
+            base = poly_mul(base, base, limits, region)
     return SparsePoly2.constant(1) if result is None else result
 
 

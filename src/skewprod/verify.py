@@ -16,6 +16,16 @@ The checks that need no iterate (the R-map, the slope lemma and the
 weight-interval systems) read gamma_n, d^n and delta^n off the
 reading's growth table and run on int pairs (num, den) with den > 0,
 compared by cross-multiplication.
+
+The checks read an iterate only through its Newton polygon (which fixes
+the orders and the weights) and the coefficients of each reading's
+dominant bidegree and critical pure-z term.  So verify_germ(...,
+full_iterates=False), which fuzz uses, computes the deepest Q^n with
+germ.truncated_step: modulo the ideal I of the lattice points inside
+its predicted polygon, and only where a certificate shows the polygon
+and every point read are those of the full Q^n, with the full step as
+the fallback.  Its oracle[-1].germ.q is then Q^n mod I, and the report
+is the one the default gives.  Every earlier iterate is full.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ from .classify import (
     weight_intervals,
 )
 from .exact import as_fraction, format_exact
-from .germ import SkewGerm, iterates
+from .germ import SkewGerm, iterates, truncated_step
 from .growth import GrowthTable
 from .newton import newton_polygon, weight
 from .poly import ResourceCapError, ResourceLimits
@@ -128,16 +138,45 @@ def oracle_record(f: SkewGerm, n: int, fn: SkewGerm) -> OracleRecord:
 
 
 def oracle_records(f: SkewGerm, n_max: int,
-                   limits: ResourceLimits | None = None):
-    """Iterate the germ, keeping every n that fits in the resource caps."""
+                   limits: ResourceLimits | None = None, cases=None):
+    """Iterate the germ, keeping every n that fits in the resource caps.
+
+    With cases, the readings whose checks will read the records, the
+    last step is germ.truncated_step: Q^n_max may be computed only
+    outside the interior of its predicted Newton polygon.
+    """
+    last_step = None
+    if cases is not None:
+        def last_step(fn):
+            return truncated_step(f, fn, _read_points(cases, n_max), limits)
     records = []
     error = None
     try:
-        for n, fn in iterates(f, n_max, limits):
+        for n, fn in iterates(f, n_max, limits, last_step):
             records.append(oracle_record(f, n, fn))
     except ResourceCapError as exc:
         error = str(exc)
     return records, error
+
+
+def _critical_degree(case: CaseData, n: int) -> int:
+    """The z-exponent of the critical pure-z term of Q^n of a reading
+    that may vanish."""
+    return case.polygon.vertex(case.s)[0] * case.delta ** (n - 1)
+
+
+def _read_points(cases, n: int) -> list:
+    """The exponents whose coefficients the checks read off Q^n: each
+    reading's predicted dominant bidegree and, where it may vanish, its
+    critical pure-z term.  None of them needs the iterate."""
+    points = []
+    for case in cases:
+        # The table _verify_variant reads, built here once.
+        growth = case.growth(max(n, R_MAP_N_TOP))
+        points.append((growth.gamma[n], growth.d_pow[n]))
+        if case.may_vanish:
+            points.append((_critical_degree(case, n), 0))
+    return points
 
 
 def weight_samples(case: CaseData, extra_ls=()):
@@ -179,12 +218,20 @@ def predictions(f: SkewGerm, case: CaseData, n_max: int, ls):
 
 
 def verify_germ(f: SkewGerm, n_max: int, extra_ls=(),
-                limits: ResourceLimits | None = None) -> VerificationReport:
-    """Full exact verification of every applicable case reading."""
-    records, error = oracle_records(f, n_max, limits)
+                limits: ResourceLimits | None = None,
+                full_iterates: bool = True) -> VerificationReport:
+    """Full exact verification of every applicable case reading.
+
+    With full_iterates=False the deepest iterate comes from
+    germ.truncated_step, so oracle[-1].germ.q may be Q^n modulo the
+    interior of its Newton polygon; every check reads the same values.
+    """
+    cases = case_variants(f)
+    records, error = oracle_records(f, n_max, limits,
+                                    None if full_iterates else cases)
     variants = [
         _verify_variant(f, case, records, tuple(map(as_fraction, extra_ls)))
-        for case in case_variants(f)
+        for case in cases
     ]
     return VerificationReport(
         germ=f,
@@ -204,7 +251,6 @@ def _verify_variant(f: SkewGerm, case: CaseData, records, extra_ls):
     # One growth table serves every prediction and the R-map checks.
     growth = case.growth(max(records[-1].n, R_MAP_N_TOP))
     rep.predictions, crit_seq = predictions(f, case, records[-1].n, ls)
-    crit_base = case.polygon.vertex(case.s)[0] if case.may_vanish else None
 
     for rec, pred in zip(records, rep.predictions):
         n = rec.n
@@ -240,7 +286,7 @@ def _verify_variant(f: SkewGerm, case: CaseData, records, extra_ls):
 
         # Critical pure-z coefficient: recursion must match the oracle.
         if crit_seq is not None:
-            crit_deg = crit_base * case.delta ** (n - 1)
+            crit_deg = _critical_degree(case, n)
             obs = Q.coeff(crit_deg, 0)
             out(CheckResult(
                 "critical-coefficient-recursion", obs == crit_seq[n - 1], n,

@@ -12,6 +12,7 @@ from skewprod import (
     parse_germ_file,
     parse_poly,
 )
+from skewprod.germ import truncated_step
 from conftest import germ
 
 
@@ -93,3 +94,42 @@ def test_germ_file_errors():
         parse_germ_file("p = w\nq = w")  # w not allowed in p
     with pytest.raises(GermFileError):
         parse_germ_file("r = z\nq = w")
+
+
+def _outcome(step, *args):
+    """(germ, None) of a step that returns, (None, message) of one that
+    trips a cap."""
+    try:
+        return step(*args), None
+    except ResourceCapError as exc:
+        return None, str(exc)
+
+
+@pytest.mark.parametrize("limits", (
+    [ResourceLimits(max_total_degree=d) for d in range(1, 15)]
+    + [ResourceLimits(max_terms=t) for t in range(1, 8)]))
+def test_truncated_step_trips_caps_where_the_full_step_does(limits):
+    # W's term z*w^5 lies inside the predicted polygon of q(P, W), so
+    # the truncated products are smaller and of lower degree than the
+    # full ones; the caps must trip, or not, as in the full step.
+    f = germ("z^2", "w^2 + z")
+    fn = germ("z^4", "w + z*w^5")
+    full, full_error = _outcome(compose_germ, f, fn, limits)
+    cut, cut_error = _outcome(truncated_step, f, fn, (), limits)
+    assert cut_error == full_error
+    if full is not None:
+        assert cut.p == full.p
+        assert set(cut.q.exponents()) <= set(full.q.exponents())
+
+
+def test_truncated_step_drops_only_interior_terms():
+    f = germ("z^2", "w^2 + z")
+    fn = germ("z^4", "w + z*w^5")
+    full = compose_germ(f, fn)
+    cut = truncated_step(f, fn, ())
+    # Q = w^2 + 2 z w^6 + z^2 w^10 + z^4, whose polygon is the edge
+    # from (0, 2) to (4, 0); only z w^6 and z^2 w^10 lie inside it.
+    assert full.q == parse_poly("w^2 + 2*z*w^6 + z^2*w^10 + z^4")
+    assert cut.q == parse_poly("w^2 + z^4")
+    # A read point inside the polygon sends the step to the full one.
+    assert truncated_step(f, fn, [(1, 6)]).q == full.q

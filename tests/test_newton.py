@@ -11,9 +11,15 @@ from skewprod import (
     a2_transform,
     newton_polygon,
     parse_poly,
+    substitute,
     weight,
 )
-from skewprod.newton import support_on_edge
+from skewprod.newton import (
+    composed_polygon,
+    hull_vertices,
+    outside_interior,
+    support_on_edge,
+)
 
 
 def P(src):
@@ -277,3 +283,52 @@ def test_polygon_is_cached(p):
     assert repr(first) == repr(NewtonPolygon.of_poly(p))
     square = p * p
     assert repr(newton_polygon(square)) == repr(NewtonPolygon.of_poly(square))
+
+
+def _interior_reference(polygon, point):
+    """Strictly right of the first vertex, strictly above the last and
+    strictly above every edge line (by a cross product)."""
+    x, y = point
+    verts = polygon.vertices
+    if x <= verts[0][0] or y <= verts[-1][1]:
+        return False
+    return all((y - m1) * (n2 - n1) > (m2 - m1) * (x - n1)
+               for (n1, m1), (n2, m2) in zip(verts, verts[1:]))
+
+
+@given(polys)
+@settings(max_examples=150, deadline=None)
+def test_outside_interior_is_the_complement_of_the_interior(p):
+    polygon = newton_polygon(p)
+    region = outside_interior(polygon)
+    box = [(i, j) for i in range(14) for j in range(14)]
+    assert all((pt in region) != _interior_reference(polygon, pt)
+               for pt in box)
+    terms = {pt: 1 for pt in box}
+    assert set(region.keep(terms)) == {pt for pt in box if pt in region}
+
+
+z_only = st.dictionaries(st.integers(1, 3), st.integers(-3, 3).filter(bool),
+                         min_size=1, max_size=2).map(
+    lambda t: SparsePoly2({(i, 0): c for i, c in t.items()}))
+small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.integers(-3, 3).filter(bool), min_size=1, max_size=4,
+).map(SparsePoly2)
+
+
+@given(small_polys, z_only, small_polys)
+@settings(max_examples=100, deadline=None)
+def test_composed_polygon_holds_the_composite(q, P, W):
+    """N(q(P, W)) lies in the predicted polygon, and the composite
+    computed restricted to the points outside its interior is the full
+    one restricted there."""
+    predicted = composed_polygon(q, min(P.column_minima()), newton_polygon(W))
+    full = substitute(q, P, W)
+    region = outside_interior(predicted)
+    cut = substitute(q, P, W, region=region)
+    assert repr(sorted(cut.items())) == repr(sorted(
+        (key, c) for key, c in full.items() if key in region))
+    if full:
+        got = newton_polygon(full).vertices
+        assert hull_vertices(got + predicted.vertices) == predicted.vertices

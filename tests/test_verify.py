@@ -1,9 +1,16 @@
+import importlib
+import json
 from fractions import Fraction
 
 import pytest
 
-from skewprod import ResourceLimits, verify_germ
+from skewprod import ResourceLimits, iterate_germ, verify_germ
+from skewprod.growth import GrowthTable
+from skewprod.jsonio import verification_json
+from skewprod.newton import composed_polygon, newton_polygon, outside_interior
 from conftest import germ
+
+germ_module = importlib.import_module("skewprod.germ")
 
 
 @pytest.mark.parametrize("name", ["g1", "g2", "g3", "g4", "g5"])
@@ -100,3 +107,117 @@ def test_case1_checks_polygon_is_quadrant(germs):
     v = report.variants[0]
     only = [c for c in v.checks if c.claim == "dominant-only-vertex"]
     assert len(only) == 3 and all(c.passed for c in only)
+
+
+# -- the truncated last step (full_iterates=False) ------------------------
+
+# (fixture, n) pairs where the predicted polygon of Q^n is larger than
+# the true one, so the certificate sends the last step to the full one.
+FALLBACKS = {("g5", 2), ("g5", 4)}
+TRUNCATION_CASES = ([(name, n) for name in ("g1", "g2", "g3", "g4", "g5", "g6")
+                     for n in (2, 3, 4)]
+                    + [("g7", 2), ("g7", 3), ("g8", 3)])
+
+
+def _json(report) -> str:
+    return json.dumps(verification_json(report), sort_keys=True)
+
+
+def _exact(terms) -> str:
+    """Terms with their coefficient types: 2 and Fraction(2) differ."""
+    return repr(sorted(terms))
+
+
+@pytest.fixture
+def step_log(monkeypatch):
+    """One entry per compose_germ call: True when it ran restricted to a
+    region."""
+    log = []
+    inner = germ_module.compose_germ
+
+    def logged(g, h, limits=None, region=None):
+        log.append(region is not None)
+        return inner(g, h, limits, region)
+
+    monkeypatch.setattr(germ_module, "compose_germ", logged)
+    return log
+
+
+@pytest.mark.parametrize("name,n", TRUNCATION_CASES)
+def test_truncated_last_step_matches_full(name, n, germs):
+    f = germs[name]
+    full = verify_germ(f, n)
+    cut = verify_germ(f, n, full_iterates=False)
+    assert _json(cut) == _json(full)
+    assert all(a.germ == b.germ for a, b in zip(cut.oracle[:-1], full.oracle))
+    # Q^n mod I: the full Q^n on the points outside the interior of the
+    # polygon predicted from Q^(n-1), and nothing else.
+    prev, deepest = full.oracle[-2].germ, full.oracle[-1].germ
+    region = outside_interior(composed_polygon(
+        f.q, min(prev.p.column_minima()), newton_polygon(prev.q)))
+    if (name, n) in FALLBACKS:
+        want = deepest.q.items()
+    else:
+        want = [(key, c) for key, c in deepest.q.items() if key in region]
+    assert _exact(cut.oracle[-1].germ.q.items()) == _exact(want)
+    assert cut.oracle[-1].germ.p == deepest.p
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_g5_certificate_falls_back(n, germs, step_log):
+    verify_germ(germs["g5"], n, full_iterates=False)
+    # Every step but the last is full; the last is tried truncated, and
+    # at n = 2 and 4 a boundary term of Q^n cancels, so N(Q^n) is smaller
+    # than predicted and the full step follows.
+    tail = [True, False] if ("g5", n) in FALLBACKS else [True]
+    assert step_log == [False] * (n - 2) + tail
+
+
+def test_default_and_iterate_keep_full_iterates(germs, step_log):
+    verify_germ(germs["g2"], 3)
+    iterate_germ(germs["g2"], 3)
+    assert step_log == [False] * 4
+
+
+def test_dominant_read_in_interior_takes_full_step(germs, step_log,
+                                                   monkeypatch):
+    """A dominant bidegree inside the predicted polygon is a point the
+    truncated step would get wrong, so the full step runs."""
+    f, n = germs["g2"], 3
+    build = GrowthTable.build.__func__
+
+    def moved(cls, delta, gamma, d, n_top):
+        # (gamma_n + 1, d^n + 1) lies inside a polygon with a vertex at
+        # (gamma_n, d^n).
+        table = build(cls, delta, gamma, d, n_top)
+        g, d_pow = list(table.gamma), list(table.d_pow)
+        g[n] += 1
+        d_pow[n] += 1
+        return cls(tuple(g), tuple(d_pow), table.delta_pow)
+
+    monkeypatch.setattr(GrowthTable, "build", classmethod(moved))
+    full = verify_germ(f, n)
+    step_log.clear()
+    cut = verify_germ(f, n, full_iterates=False)
+    assert step_log == [False, False]
+    assert _json(cut) == _json(full)
+    assert cut.oracle[-1].germ == full.oracle[-1].germ
+
+
+def _cap_cases():
+    # test_resource_cap_keeps_earlier_results's degree cap, and term
+    # caps one below and at the term count of the deepest Q^n.
+    yield "g4", 6, ResourceLimits(max_terms=10**6, max_total_degree=100)
+    yield "g4", 5, ResourceLimits(max_terms=10**6, max_total_degree=100)
+    for name, n, terms in (("g2", 4, 83), ("g7", 3, 641), ("g8", 3, 103_573)):
+        for cap in (terms - 1, terms):
+            yield name, n, ResourceLimits(max_terms=cap)
+
+
+@pytest.mark.parametrize("name,n,limits", list(_cap_cases()))
+def test_truncated_last_step_trips_caps_as_full(name, n, limits, germs):
+    full = verify_germ(germs[name], n, limits=limits)
+    cut = verify_germ(germs[name], n, limits=limits, full_iterates=False)
+    assert (cut.reached_n, cut.resource_error) == (full.reached_n,
+                                                   full.resource_error)
+    assert _json(cut) == _json(full)

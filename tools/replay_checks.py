@@ -14,8 +14,12 @@ passes.
 
 The digest covers every report's verification_json, hashed in order as
 tests/test_fuzz.py's test_campaign_sample_verification_digest does, so
-at the default seed and count it reads that test's digest.  Copy the
-script into another checkout to pair its check side against this one.
+at the default seed and count it reads that test's digest.  fuzz
+verifies with full_iterates=False, so the deepest Q^n of each recorded
+result is the truncated one (germ.truncated_step); the checks read the
+same values off it as off the full Q^n, and the digest is the same.
+Copy the script into another checkout to pair its check side against
+this one.
 The last line is one JSON object.
 """
 
