@@ -8,13 +8,6 @@ arithmetic is over arbitrary-precision rationals; nothing is floating
 point.
 """
 
-from .blowup import (
-    BlowupError,
-    BlowupReport,
-    case4_lattice_checks,
-    conjugate_pi1,
-    conjugate_pi2,
-)
 from .classify import (
     CASE1,
     CASE2,
@@ -41,14 +34,8 @@ from .germ import (
     parse_germ_file,
     substitute,
 )
-from .growth import gamma_n, gamma_n_closed, gamma_n_recurrence, geometric_sum
-from .newton import (
-    NewtonPolygon,
-    a1_transform,
-    a2_transform,
-    newton_polygon,
-    weight,
-)
+from .growth import gamma_n, geometric_sum
+from .newton import NewtonPolygon, newton_polygon, weight
 from .poly import (
     KERNEL_BACKEND,
     PolyParseError,

@@ -33,8 +33,9 @@ by its positive denominators, so a level gamma + l*d is compared as the
 int b*gamma + a*d against b*i + a*j over the support, and a rational
 result is built once as Fraction(numerator, denominator).  Each has an
 entry point on such pairs (`Interval.contains_pair`, `r_map_pair`, the
-`*_pair` systems), which need not be in lowest terms; the Fraction
-entry points call them.
+`*_pair` systems), which need not be in lowest terms; `Interval.contains`,
+`r_step`, `r_map` and `system_membership_case4_pair` take Fractions and
+call them.
 """
 
 from __future__ import annotations
@@ -349,16 +350,11 @@ def equality_interval(case: CaseData) -> Interval:
 # -- raw inequality systems (independent of the closed forms) ------------
 
 
-def system_membership(f: SkewGerm, case: CaseData, l) -> bool:
-    """Direct evaluation of the defining inequalities of the main weight
-    set over the whole support, bypassing the closed forms."""
-    l = as_fraction(l)
-    return system_membership_pair(f, case, l.numerator, l.denominator)
-
-
 def system_membership_pair(f: SkewGerm, case: CaseData, a: int,
                            b: int) -> bool:
-    """system_membership at l = a/b, for any b > 0."""
+    """Direct evaluation at l = a/b, for any b > 0, of the defining
+    inequalities of the main weight set over the whole support,
+    bypassing the closed forms."""
     if a <= 0:
         return False
     # Each case's system bounds l by delta from its own side.
@@ -376,12 +372,6 @@ def system_membership_pair(f: SkewGerm, case: CaseData, a: int,
     return all(level <= b * i + a * j for i, j in f.q.exponents())
 
 
-def system_membership_case4_first(case: CaseData, l) -> bool:
-    l = as_fraction(l)
-    return system_membership_case4_first_pair(case, l.numerator,
-                                              l.denominator)
-
-
 def system_membership_case4_first_pair(case: CaseData, a: int,
                                        b: int) -> bool:
     if a <= 0:
@@ -394,14 +384,6 @@ def system_membership_case4_first_pair(case: CaseData, a: int,
         if idx >= k + 1 and level >= b * n + a * m:
             return False
     return a * case.delta <= level
-
-
-def system_membership_case4_second(f: SkewGerm, case: CaseData,
-                                   l_first, l_second) -> bool:
-    l_first, l_second = as_fraction(l_first), as_fraction(l_second)
-    return system_membership_case4_second_pair(
-        f, case, l_first.numerator, l_first.denominator,
-        l_second.numerator, l_second.denominator)
 
 
 def system_membership_case4_second_pair(f: SkewGerm, case: CaseData,
@@ -421,11 +403,6 @@ def system_membership_case4_second_pair(f: SkewGerm, case: CaseData,
         return False
     level = big_b * gamma + s * d
     return all(level <= big_b * i + s * j for i, j in f.q.exponents())
-
-
-def system_membership_case4_ar(case: CaseData, l) -> bool:
-    l = as_fraction(l)
-    return system_membership_case4_ar_pair(case, l.numerator, l.denominator)
 
 
 def system_membership_case4_ar_pair(case: CaseData, a: int, b: int) -> bool:

@@ -19,13 +19,15 @@ same polynomial (Horner 1819; Paterson & Stockmeyer, SIAM J. Comput. 2,
   whole accumulator.
 
 Both schedules make every product through poly_mul, so the resource
-caps see each one.  The caps trip where Horner's products would trip
-them, with Horner's message: the table runs only when no product of
-Horner's could pass the degree cap (a bound read off the degrees of the
-layers and of W, with no product), and when a table product, or the
-table's result, passes the term cap, Horner runs instead.  One case is
-left: a Horner product may pass the term cap where every table product
-and the result stay under it, and then the table returns the result.
+caps see each one, and both check the term cap on their result, so no
+substitute returns more terms than the cap allows.  The caps trip where
+Horner would trip them, with Horner's message: the table runs only when
+no product of Horner's could pass the degree cap (a bound read off the
+degrees of the layers and of W, with no product), and when a table
+product, or the table's result, passes the term cap, Horner runs
+instead.  One case is left: a Horner product may pass the term cap where
+every table product and the result stay under it, and then the table
+returns the result.
 
 truncated_step computes the last iterate only where the checks can see
 it, for fuzz (verify_germ(..., full_iterates=False)).  Ostrowski's
@@ -183,6 +185,7 @@ def _substitute_horner(by_j: dict, P: SparsePoly2, W: SparsePoly2,
     if prev_j:
         acc = poly_mul(acc, poly_pow(W, prev_j, limits, region),
                        limits, region)
+    check_term_count(acc, limits)
     return acc
 
 

@@ -1,11 +1,11 @@
 """Exact growth sequences attached to a dominant bidegree (gamma, d).
 
 gamma_n = gamma * (delta^{n-1} + delta^{n-2} d + ... + d^{n-1}) is the
-z-exponent of the dominant term of the n-th iterate; it satisfies
-gamma_{n+1} = delta^n * gamma + d * gamma_n and has the closed forms
-alpha (delta^n - d^n) for delta != d and n gamma delta^{n-1} for
-delta == d.  All three routes are exposed so they can be checked
-against each other exactly.
+z-exponent of the dominant term of the n-th iterate, computed here by
+that geometric sum.  It also satisfies gamma_{n+1} = delta^n * gamma +
+d * gamma_n and has the closed forms alpha (delta^n - d^n) for
+delta != d and n gamma delta^{n-1} for delta == d; the tests check the
+sum against both routes exactly.
 
 A case reading's predictions and checks read gamma_n, d^n and delta^n
 for the same few n many times, so `GrowthTable` holds them, built once
@@ -15,7 +15,6 @@ per reading (`CaseData.growth`) by the geometric-sum route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 def geometric_sum(a: int, b: int, n: int) -> int:
@@ -58,25 +57,6 @@ class GrowthTable:
                          for n in range(1, n_top + 1)),
             tuple(d**n for n in range(n_top + 1)),
             tuple(delta**n for n in range(n_top + 1)))
-
-
-def gamma_n_closed(delta: int, gamma: int, d: int, n: int) -> int:
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if delta == d:
-        return n * gamma * delta ** (n - 1)
-    value = Fraction(gamma, delta - d) * (delta**n - d**n)
-    assert value.denominator == 1
-    return int(value)
-
-
-def gamma_n_recurrence(delta: int, gamma: int, d: int, n: int) -> int:
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    value = gamma
-    for k in range(1, n):
-        value = delta**k * gamma + d * value
-    return value
 
 
 def iterate_lead_coeff(a_delta, delta: int, n: int):

@@ -1,4 +1,4 @@
-"""Newton polygons, weights, and exponent-lattice transforms.
+"""Newton polygons and weights.
 
 The Newton polygon of q = sum b_ij z^i w^j is the convex hull of the
 union of upper-right quadrants D(i, j) = {x >= i, y >= j} over the
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import as_coeff, as_fraction
+from .exact import as_fraction
 from .poly import SparsePoly2, Staircase
 
 
@@ -78,14 +78,6 @@ class NewtonPolygon:
     def intercept(self, k: int) -> Fraction:
         """T_k, the y-intercept of the edge L_k through vertices k, k+1."""
         return self.intercepts[k - 1]
-
-    def edge_slope(self, k: int) -> Fraction:
-        (n1, m1), (n2, m2) = self.vertices[k - 1], self.vertices[k]
-        return Fraction(m2 - m1, n2 - n1)
-
-    def min_weight(self, l) -> Fraction:
-        """min(n + l*m) over the vertices; equals the support minimum."""
-        return min(n + Fraction(l) * m for n, m in self.vertices)
 
 
 def newton_polygon(poly: SparsePoly2) -> NewtonPolygon:
@@ -157,18 +149,4 @@ def support_on_edge(poly: SparsePoly2, vertex, l) -> list:
     a, b = l.numerator, l.denominator
     level = b * vertex[0] + a * vertex[1]
     return sorted(p for p in poly.exponents() if b * p[0] + a * p[1] == level)
-
-
-def a1_transform(point, l, delta):
-    """(i, j) -> (i + l*j - l*delta, j): straightens a slope -1/l edge."""
-    i, j = point
-    l = Fraction(l)
-    return (as_coeff(Fraction(i) + l * j - l * delta), as_coeff(Fraction(j)))
-
-
-def a2_transform(point, l_inv):
-    """(i, j) -> (i, l_inv*i + j): shears a slope -l_inv edge flat."""
-    i, j = point
-    l_inv = Fraction(l_inv)
-    return (as_coeff(Fraction(i)), as_coeff(l_inv * i + Fraction(j)))
 

@@ -1,0 +1,78 @@
+"""Reference forms the tests compare the library against.
+
+Nothing in the package calls these.  The polygon reads and the gamma_n
+routes are independent of the library's own; the raw systems are the
+Fraction entry points to classify's `*_pair` systems.
+"""
+
+from fractions import Fraction
+
+from skewprod.classify import (
+    system_membership_case4_ar_pair,
+    system_membership_case4_first_pair,
+    system_membership_case4_second_pair,
+    system_membership_pair,
+)
+from skewprod.exact import as_fraction
+
+
+# -- Newton polygon reads ---------------------------------------------------
+
+
+def edge_slope(polygon, k: int) -> Fraction:
+    """Slope of the edge L_k through vertices k and k+1 (1-based)."""
+    (n1, m1), (n2, m2) = polygon.vertices[k - 1], polygon.vertices[k]
+    return Fraction(m2 - m1, n2 - n1)
+
+
+def min_weight(polygon, l) -> Fraction:
+    """min(n + l*m) over the vertices; equals the support minimum."""
+    return min(n + Fraction(l) * m for n, m in polygon.vertices)
+
+
+# -- gamma_n by its closed form and its recurrence --------------------------
+
+
+def gamma_n_closed(delta: int, gamma: int, d: int, n: int) -> int:
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    if delta == d:
+        return n * gamma * delta ** (n - 1)
+    value = Fraction(gamma, delta - d) * (delta**n - d**n)
+    assert value.denominator == 1
+    return int(value)
+
+
+def gamma_n_recurrence(delta: int, gamma: int, d: int, n: int) -> int:
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    value = gamma
+    for k in range(1, n):
+        value = delta**k * gamma + d * value
+    return value
+
+
+# -- the raw inequality systems on Fractions --------------------------------
+
+
+def system_membership(f, case, l) -> bool:
+    l = as_fraction(l)
+    return system_membership_pair(f, case, l.numerator, l.denominator)
+
+
+def system_membership_case4_first(case, l) -> bool:
+    l = as_fraction(l)
+    return system_membership_case4_first_pair(case, l.numerator,
+                                              l.denominator)
+
+
+def system_membership_case4_second(f, case, l_first, l_second) -> bool:
+    l_first, l_second = as_fraction(l_first), as_fraction(l_second)
+    return system_membership_case4_second_pair(
+        f, case, l_first.numerator, l_first.denominator,
+        l_second.numerator, l_second.denominator)
+
+
+def system_membership_case4_ar(case, l) -> bool:
+    l = as_fraction(l)
+    return system_membership_case4_ar_pair(case, l.numerator, l.denominator)

@@ -15,14 +15,14 @@ from skewprod import (
     r_step,
     weight_intervals,
 )
-from skewprod.classify import (
+from skewprod.classify import system_membership_case4_pair
+from skewprod.fuzz import generate_germs
+from conftest import CRITERION_5, germ
+from reference import (
     system_membership,
     system_membership_case4_ar,
     system_membership_case4_first,
-    system_membership_case4_pair,
 )
-from skewprod.fuzz import generate_germs
-from conftest import CRITERION_5, germ
 
 
 def test_case1(germs):

@@ -76,6 +76,17 @@ def test_iterate_respects_limits():
         iterate_germ(f, 25, ResourceLimits(max_total_degree=10**6))
 
 
+def test_term_cap_bounds_horners_sum():
+    # Every product has at most 3 terms; only the final sum W^2 + P,
+    # with W = w + z*w^5 and P = z^4, has 4.
+    f = germ("z^2", "w^2 + z")
+    fn = germ("z^4", "w + z*w^5")
+    with pytest.raises(ResourceCapError, match="term count 4 exceeds cap 3"):
+        compose_germ(f, fn, ResourceLimits(max_terms=3))
+    got = compose_germ(f, fn, ResourceLimits(max_terms=4))
+    assert got.q == parse_poly("w^2 + z^4 + 2*z*w^6 + z^2*w^10")
+
+
 def test_germ_file_round_trip():
     text = "# comment\nq = z^3*w + z*w^2\np = z^2\n"
     f = parse_germ_file(text)

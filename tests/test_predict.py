@@ -11,8 +11,6 @@ from skewprod import (
     critical_coeff_sequence,
     dominant_term,
     gamma_n,
-    gamma_n_closed,
-    gamma_n_recurrence,
     iterate_germ,
     predict,
     predict_adjacent_vertices,
@@ -24,6 +22,7 @@ from skewprod import (
 )
 from skewprod.predict import ConfigurationError, PredictionRangeError
 from conftest import germ
+from reference import gamma_n_closed, gamma_n_recurrence
 
 
 def test_gamma_n_examples():

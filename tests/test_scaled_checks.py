@@ -22,11 +22,7 @@ from skewprod.classify import (
     equality_interval,
     r_map,
     r_step,
-    system_membership,
-    system_membership_case4_ar,
-    system_membership_case4_first,
     system_membership_case4_pair,
-    system_membership_case4_second,
 )
 from skewprod.exact import format_exact, is_inf
 from skewprod.fuzz import generate_germs
@@ -41,6 +37,12 @@ from skewprod.verify import (
     weight_samples,
 )
 from conftest import CRITERION_5, FIXTURES, germ
+from reference import (
+    system_membership,
+    system_membership_case4_ar,
+    system_membership_case4_first,
+    system_membership_case4_second,
+)
 
 BIG = 10**12
 # Rationals of either sign with numerators and denominators up to 10**12,
