@@ -19,6 +19,13 @@ than sys.get_int_max_str_digits() allows goes to the dict loop.
 mul_terms picks the path from the operands alone; both give the same
 dict, coefficient types included.  Every step is exact integer or
 exact decimal arithmetic.
+
+A product with a region (a downward-closed staircase, poly.Staircase)
+is truncated in the kernel itself, as in the truncated multiplication
+of power series (Brent and Kung, J. ACM 25, 1978): mul_staircase walks
+only the pairs of terms whose product lands in the region, and never
+goes to Kronecker.  Its terms and their types are those of the dict
+loop's full product filtered to the region.
 """
 
 import sys
@@ -87,16 +94,19 @@ def scale_terms(a, c):
     return {key: v * c for key, v in a.items()}
 
 
-def mul_terms(a, b):
+def mul_terms(a, b, region=None):
     """Product of two term dicts; cancellations are dropped.
 
-    Products whose smaller operand has at least KRONECKER_MIN_TERMS
-    terms and whose multiply-adds reach KRONECKER_MIN_WORK_PER_CELL per
-    cell of their bounding box (with an all-Fraction operand: whose
-    cells are at most KRONECKER_FRACTION_CELLS_PER_WORK per multiply-add)
-    go through mul_kronecker when it takes them, all others through
-    mul_dict.
+    With a region (a poly.Staircase), only the product's terms in the
+    region are computed, by mul_staircase.  Without one, products whose
+    smaller operand has at least KRONECKER_MIN_TERMS terms and whose
+    multiply-adds reach KRONECKER_MIN_WORK_PER_CELL per cell of their
+    bounding box (with an all-Fraction operand: whose cells are at most
+    KRONECKER_FRACTION_CELLS_PER_WORK per multiply-add) go through
+    mul_kronecker when it takes them, all others through mul_dict.
     """
+    if region is not None:
+        return mul_staircase(a, b, region.low, region.caps)
     if min(len(a), len(b)) >= KRONECKER_MIN_TERMS:
         box_a, box_b = _box(a), _box(b)
         rows, width = _product_shape(box_a, box_b)
@@ -132,6 +142,69 @@ def mul_dict(a, b):
                     out[key] = v
                 else:
                     del out[key]
+    return out
+
+
+def mul_staircase(a, b, low, caps):
+    """The terms of mul_dict(a, b) in the staircase (low, caps), and no
+    other product: row j <= low keeps every column, and row j > low the
+    columns i <= caps[min(j - low, len(caps)) - 1].
+
+    The larger operand is grouped by row, rows ascending and each sorted
+    by i.  A term (i1, j1) of the smaller one walks row j2 only up to
+    column cap(j1 + j2) - i1, and stops at the first row where that is
+    below the least i of this row and every later one: the caps do not
+    increase, so no later row has a term in reach.  The outer loop runs
+    over the smaller operand in dict order, as mul_dict's does, and an
+    outer term meets at most one term of the other per key, so each
+    kept coefficient sums the same products in the same order: its
+    value and type are mul_dict's.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
+        return {}
+    rows = {}
+    for (i, j), c in b.items():
+        row = rows.get(j)
+        if row is None:
+            rows[j] = [(i, c)]
+        else:
+            row.append((i, c))
+    # (j, row j sorted by i, least i in rows j and up), rows ascending.
+    table = []
+    least = None
+    for j in sorted(rows, reverse=True):
+        row = sorted(rows[j])
+        least = row[0][0] if least is None else min(least, row[0][0])
+        table.append((j, row, least))
+    table.reverse()
+    whole = max(i for i, _ in b)  # walks every row to its end
+    n_caps = len(caps)
+    out = {}
+    get = out.get
+    for (i1, j1), c1 in a.items():
+        for j2, row, rest in table:
+            j = j1 + j2
+            if j <= low:
+                cap = whole
+            else:
+                cap = caps[min(j - low, n_caps) - 1] - i1
+                if cap < rest:
+                    break
+            for i2, c2 in row:
+                if i2 > cap:
+                    break
+                key = (i1 + i2, j)
+                v = get(key)
+                if v is None:
+                    out[key] = c1 * c2
+                else:
+                    v = v + c1 * c2
+                    if v:
+                        out[key] = v
+                    else:
+                        del out[key]
     return out
 
 

@@ -226,7 +226,9 @@ def _cmd_verify(args) -> int:
                 for rec, p in zip(report.oracle,
                                   report.variants[0].predictions)]
         _write_csv(args.csv, rows)
-    return EXIT_CHECK_FAILURES if report.failures else EXIT_OK
+    if report.failures:
+        return EXIT_CHECK_FAILURES
+    return EXIT_RESOURCE if report.resource_error else EXIT_OK
 
 
 def _cmd_fuzz(args) -> int:

@@ -6,7 +6,8 @@ ints, so iterates whose degrees overflow machine words stay exact.
 
 The inner loops live in the _kernels module, reached through the
 `kernels` name so that a caller can wrap them.  Its product kernel picks
-between a dict loop and Kronecker substitution from the operands.
+between a dict loop and Kronecker substitution from the operands, and
+takes the region of a truncated product (a Staircase) itself.
 """
 
 from __future__ import annotations
@@ -275,11 +276,10 @@ def poly_mul(a: SparsePoly2, b: SparsePoly2,
              limits: ResourceLimits | None = None,
              region: Staircase | None = None) -> SparsePoly2:
     """a * b; with a region, only the product's terms in the region are
-    kept (and counted against the term cap)."""
+    computed (the kernel's mul_staircase) and counted against the term
+    cap."""
     _precheck_mul(a._terms, b._terms, limits)
-    out = kernels.mul_terms(a._terms, b._terms)
-    if region is not None:
-        out = region.keep(out)
+    out = kernels.mul_terms(a._terms, b._terms, region)
     # The precheck bounded the degree; only the term count is new.
     check_term_count(out, limits)
     return SparsePoly2._raw(out)

@@ -204,23 +204,41 @@ def predictions(f: SkewGerm, case: CaseData, n_max: int, ls):
 
     The critical pure-z coefficients come from their recursion when the
     reading may vanish (None otherwise); each prediction reads whether
-    its own coefficient is nonzero.
+    its own coefficient is nonzero.  Raises ResourceCapError where
+    predict's digit guard trips.
     """
+    preds, crit_seq, error = _fitting_predictions(f, case, n_max, ls)
+    if error is not None:
+        raise error
+    return preds, crit_seq
+
+
+def _fitting_predictions(f: SkewGerm, case: CaseData, n_max: int, ls):
+    """(preds, crit_seq, error): predictions' two results, but where
+    predict's digit guard trips at some n, preds stops before it and
+    error is the ResourceCapError (None otherwise)."""
     if not isinstance(n_max, int) or n_max < 1:
         raise ValueError("n must be a positive integer")
     crit_seq = critical_coeff_sequence(f, n_max) if case.may_vanish else None
-    preds = [
-        predict(f, case, n, ls=ls,
-                critical_present=bool(crit_seq[n - 1]) if crit_seq else None)
-        for n in range(1, n_max + 1)
-    ]
-    return preds, crit_seq
+    preds = []
+    try:
+        for n in range(1, n_max + 1):
+            preds.append(predict(
+                f, case, n, ls=ls,
+                critical_present=bool(crit_seq[n - 1]) if crit_seq else None))
+    except ResourceCapError as exc:
+        return preds, crit_seq, exc
+    return preds, crit_seq, None
 
 
 def verify_germ(f: SkewGerm, n_max: int, extra_ls=(),
                 limits: ResourceLimits | None = None,
                 full_iterates: bool = True) -> VerificationReport:
     """Full exact verification of every applicable case reading.
+
+    Where a resource cap trips, in the oracle or in predict's digit
+    guard, the report keeps every n up to the deepest one whose iterate
+    and predictions fit, and resource_error says which cap tripped.
 
     With full_iterates=False the deepest iterate comes from
     germ.truncated_step, so oracle[-1].germ.q may be Q^n modulo the
@@ -229,10 +247,23 @@ def verify_germ(f: SkewGerm, n_max: int, extra_ls=(),
     cases = case_variants(f)
     records, error = oracle_records(f, n_max, limits,
                                     None if full_iterates else cases)
-    variants = [
-        _verify_variant(f, case, records, tuple(map(as_fraction, extra_ls)))
-        for case in cases
-    ]
+    extra_ls = tuple(map(as_fraction, extra_ls))
+    readings = []
+    for case in cases:
+        ls, outside = weight_samples(case, extra_ls)
+        # One growth table serves every prediction and the R-map checks.
+        case.growth(max(records[-1].n, R_MAP_N_TOP))
+        preds, crit_seq, cap = _fitting_predictions(f, case, records[-1].n,
+                                                    ls)
+        if cap is not None:
+            # Every reading reads the same records: keep the n whose
+            # predictions fit in each.
+            if not preds:
+                raise cap
+            records, error = records[:len(preds)], str(cap)
+        readings.append((ls, outside, preds, crit_seq))
+    variants = [_verify_variant(f, case, records, extra_ls, reading)
+                for case, reading in zip(cases, readings)]
     return VerificationReport(
         germ=f,
         n_max=n_max,
@@ -243,14 +274,23 @@ def verify_germ(f: SkewGerm, n_max: int, extra_ls=(),
     )
 
 
-def _verify_variant(f: SkewGerm, case: CaseData, records, extra_ls):
-    rep = VariantReport(case=case)
-    out = rep.checks.append
+def _verify_variant(f: SkewGerm, case: CaseData, records, extra_ls,
+                    reading=None):
+    """The checks of one case reading against the oracle records.
 
-    ls, outside = weight_samples(case, extra_ls)
+    reading is (ls, outside, preds, crit_seq): the reading's weight
+    samples and its predictions for n = 1 .. records[-1].n at least, as
+    verify_germ computes them before it runs any checks.  Without it,
+    they are computed here.
+    """
     # One growth table serves every prediction and the R-map checks.
     growth = case.growth(max(records[-1].n, R_MAP_N_TOP))
-    rep.predictions, crit_seq = predictions(f, case, records[-1].n, ls)
+    if reading is None:
+        ls, outside = weight_samples(case, extra_ls)
+        reading = (ls, outside, *predictions(f, case, records[-1].n, ls))
+    ls, outside, preds, crit_seq = reading
+    rep = VariantReport(case=case, predictions=preds[:len(records)])
+    out = rep.checks.append
 
     for rec, pred in zip(records, rep.predictions):
         n = rec.n

@@ -152,6 +152,30 @@ def test_predict_coefficient_past_the_digit_limit(tmp_path, n, code):
         assert "4300 digits" in r.stderr
 
 
+def test_verify_keeps_the_n_whose_predictions_fit(tmp_path):
+    """Under a 640-digit limit the dominant coefficient of Q^11 does not
+    print: verify keeps n <= 10, reports the cap and exits 3."""
+    path = tmp_path / "big.germ"
+    path.write_text("p = 2*z^2\nq = 3*z^3 + w^2\n")
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="640")
+    fits = run_cli("verify", "--germ", str(path), "--n-max", "10",
+                   "--format", "json", env=env)
+    assert fits.returncode == 0, fits.stderr
+    r = run_cli("verify", "--germ", str(path), "--n-max", "11",
+                "--format", "json", env=env)
+    assert r.returncode == 3, r.stderr
+    payload = json.loads(r.stdout)
+    assert payload["reached_n"] == 10
+    assert payload["failures"] == 0
+    assert "Q^11 has more than 640 digits" in payload["resource_error"]
+    assert [rec["n"] for rec in payload["oracle"]] == list(range(1, 11))
+    # Apart from n_max and the cap, the report is the n-max 10 one.
+    expected = json.loads(fits.stdout)
+    for key in ("n_max", "resource_error"):
+        payload.pop(key), expected.pop(key)
+    assert payload == expected
+
+
 def test_verify_text_reports_pass():
     r = run_cli("verify", "--germ", str(DATA / "g5.germ"), "--n-max", "2")
     assert r.returncode == 0

@@ -1,10 +1,11 @@
 import importlib
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from skewprod import ResourceLimits, iterate_germ, verify_germ
+from skewprod import ResourceLimits, iterate_germ, parse_germ_file, verify_germ
 from skewprod.growth import GrowthTable
 from skewprod.jsonio import verification_json
 from skewprod.newton import composed_polygon, newton_polygon, outside_interior
@@ -47,6 +48,27 @@ def test_resource_cap_keeps_earlier_results(germs):
     assert report.reached_n == 4
     assert report.resource_error is not None
     assert report.failures == 0
+
+
+def test_prediction_digit_guard_keeps_earlier_results():
+    """predict's digit guard trips at n = 11 under a 640-digit limit, and
+    every reading keeps the same n <= 10."""
+    f = parse_germ_file("p = 2*z^2\nq = 3*z^3 + w^2\n")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        report = verify_germ(f, 11)
+        fits = verify_germ(f, 10)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert report.reached_n == 10
+    assert "Q^11" in report.resource_error
+    assert fits.resource_error is None
+    assert [rec.n for rec in report.oracle] == list(range(1, 11))
+    assert report.failures == 0
+    for v, w in zip(report.variants, fits.variants):
+        assert [p.n for p in v.predictions] == list(range(1, 11))
+        assert v.checks == w.checks
 
 
 def test_extra_weight_samples(germs):

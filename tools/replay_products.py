@@ -4,21 +4,25 @@
 
 Run from the root of a source checkout; skewprod is imported from src/.
 The script runs one operation with skewprod._kernels.mul_terms wrapped
-and keeps the operands of every call; the operation is one operation
-of a perfbench workload (perfbench/workloads.py).  It then times each
-recorded product best-of-K through mul_terms as dispatched, through
-mul_dict, and through mul_kronecker where that path takes the product,
-and checks that the outputs agree by repr(sorted(...)), coefficient
-types included.
+and keeps the operands and the region of every call; the operation is
+one operation of a perfbench workload (perfbench/workloads.py).  It
+then times each recorded product best-of-K and checks that the outputs
+agree by repr(sorted(...)), coefficient types included.  A product
+without a region runs through mul_terms as dispatched, through
+mul_dict, and through mul_kronecker where that path takes it.  A
+product with a region runs through mul_terms as dispatched (the pruned
+loop, mul_staircase) and as the full product filtered afterwards,
+region.keep(mul_terms(a, b)).
 
 Products fall in three classes: "int" (both operands all-int),
 "fraction" (an all-Fraction operand) and "mixed" (all others, which
 only the dict loop takes).  For each ratio R (an int or a/b) it prints
-the total each class would take if products whose smaller operand has
-at least KRONECKER_MIN_TERMS terms and whose multiply-adds reach R per
-cell of the bounding box went to Kronecker and all others to the dict
-loop.  That is how the kernel's dispatch bounds are chosen.  The last
-line is one JSON object; the exit code is 1 when two paths disagree.
+the total each class of products without a region would take if those
+whose smaller operand has at least KRONECKER_MIN_TERMS terms and whose
+multiply-adds reach R per cell of the bounding box went to Kronecker
+and all others to the dict loop.  That is how the kernel's dispatch
+bounds are chosen.  The last line is one JSON object; the exit code is
+1 when two paths disagree.
 """
 
 from __future__ import annotations
@@ -45,13 +49,14 @@ def exact(terms) -> str:
 
 
 def record(operation) -> list:
-    """The (a, b) of every mul_terms call operation() makes, in order."""
+    """The (a, b, region) of every mul_terms call operation() makes, in
+    order; region is None for a full product."""
     calls = []
     inner = _kernels.mul_terms
 
-    def recording(a, b):
-        calls.append((a, b))
-        return inner(a, b)
+    def recording(a, b, region=None):
+        calls.append((a, b, region))
+        return inner(a, b, region)
 
     _kernels.mul_terms = recording
     try:
@@ -94,12 +99,22 @@ def replay(calls, repeat: int) -> list:
     """One row per product: its shape, class, the seconds of each path
     (None where the path did not run), and whether the paths agree."""
     rows = []
-    for a, b in calls:
+    for a, b, region in calls:
         row = {"kind": kind(a, b), "work": len(a) * len(b),
-               "min_terms": min(len(a), len(b)), "cells": 0}
+               "min_terms": min(len(a), len(b)), "cells": 0,
+               "region": region is not None}
         if a and b:
             shape = _kernels._product_shape(_kernels._box(a), _kernels._box(b))
             row["cells"] = shape[0] * shape[1]
+        if region is not None:
+            row["pruned"], out = best_of(
+                lambda a, b: _kernels.mul_terms(a, b, region), a, b, repeat)
+            row["full"], expected = best_of(
+                lambda a, b: region.keep(_kernels.mul_terms(a, b)), a, b,
+                repeat)
+            row["agree"] = exact(out) == exact(expected)
+            rows.append(row)
+            continue
         row["dispatch"], out = best_of(_kernels.mul_terms, a, b, repeat)
         row["dict"], expected = best_of(_kernels.mul_dict, a, b, repeat)
         outputs = [exact(out), exact(expected)]
@@ -118,7 +133,7 @@ def total_at(rows, ratio: Fraction, which: str) -> float:
     multiply-adds per cell went to Kronecker."""
     total = 0.0
     for row in rows:
-        if row["kind"] != which:
+        if row["kind"] != which or row["region"]:
             continue
         dense = (row["min_terms"] >= _kernels.KRONECKER_MIN_TERMS
                  and row["cells"] * ratio <= row["work"])
@@ -128,15 +143,19 @@ def total_at(rows, ratio: Fraction, which: str) -> float:
 
 
 def summarize(rows, ratios) -> dict:
-    kinds = sorted({row["kind"] for row in rows})
-    paths = {path: sum(row[path] or 0.0 for row in rows)
-             for path in ("dispatch", "dict", "kronecker")}
+    full = [row for row in rows if not row["region"]]
+    kinds = sorted({row["kind"] for row in full})
     return {
         "products": len(rows),
+        "regions": len(rows) - len(full),
         "mismatches": sum(1 for row in rows if not row["agree"]),
         "by_kind": {k: sum(1 for row in rows if row["kind"] == k)
-                    for k in kinds},
-        "seconds": paths,
+                    for k in sorted({row["kind"] for row in rows})},
+        "seconds": {path: sum(row[path] or 0.0 for row in full)
+                    for path in ("dispatch", "dict", "kronecker")},
+        "seconds_region": {path: sum(row[path] for row in rows
+                                     if row["region"])
+                           for path in ("pruned", "full")},
         "seconds_by_ratio": {
             k: {str(r): total_at(rows, r, k) for r in ratios}
             for k in kinds if k != "mixed"},
@@ -154,9 +173,12 @@ def main(argv=None) -> int:
     rows = replay(record(workload_operation(args.workload)), args.repeat)
     summary = summarize(rows, ratios)
     print(f"{summary['products']} products {summary['by_kind']}, "
+          f"{summary['regions']} with a region, "
           f"{summary['mismatches']} mismatches")
     for path, seconds in summary["seconds"].items():
         print(f"{path:>24} {seconds:10.4f} s")
+    for path, seconds in summary["seconds_region"].items():
+        print(f"{'region ' + path:>24} {seconds:10.4f} s")
     for k, totals in summary["seconds_by_ratio"].items():
         for r, seconds in totals.items():
             print(f"{k:>12} at {r:>9} per cell {seconds:10.4f} s")
