@@ -20,12 +20,13 @@ mul_terms picks the path from the operands alone; both give the same
 dict, coefficient types included.  Every step is exact integer or
 exact decimal arithmetic.
 
-A product with a region (a downward-closed staircase, poly.Staircase)
-is truncated in the kernel itself, as in the truncated multiplication
-of power series (Brent and Kung, J. ACM 25, 1978): mul_staircase walks
-only the pairs of terms whose product lands in the region, and never
-goes to Kronecker.  Its terms and their types are those of the dict
-loop's full product filtered to the region.
+A product with a region (poly.Staircase: a non-increasing cap on the
+columns of each row up to its last, and nothing past it) is truncated in
+the kernel itself, as in the truncated multiplication of power series
+(Brent and Kung, J. ACM 25, 1978): mul_staircase walks only the pairs
+of terms whose product lands in the region, and never goes to
+Kronecker.  Its terms and their types are those of the dict loop's full
+product filtered to the region.
 """
 
 import sys
@@ -106,7 +107,7 @@ def mul_terms(a, b, region=None):
     mul_kronecker when it takes them, all others through mul_dict.
     """
     if region is not None:
-        return mul_staircase(a, b, region.low, region.caps)
+        return mul_staircase(a, b, region.caps)
     if min(len(a), len(b)) >= KRONECKER_MIN_TERMS:
         box_a, box_b = _box(a), _box(b)
         rows, width = _product_shape(box_a, box_b)
@@ -145,20 +146,20 @@ def mul_dict(a, b):
     return out
 
 
-def mul_staircase(a, b, low, caps):
-    """The terms of mul_dict(a, b) in the staircase (low, caps), and no
-    other product: row j <= low keeps every column, and row j > low the
-    columns i <= caps[min(j - low, len(caps)) - 1].
+def mul_staircase(a, b, caps):
+    """The terms of mul_dict(a, b) in the staircase of the row caps
+    `caps`, and no other product: row j < len(caps) keeps the columns
+    i <= caps[j], and no later row keeps any.
 
     The larger operand is grouped by row, rows ascending and each sorted
     by i.  A term (i1, j1) of the smaller one walks row j2 only up to
-    column cap(j1 + j2) - i1, and stops at the first row where that is
-    below the least i of this row and every later one: the caps do not
-    increase, so no later row has a term in reach.  The outer loop runs
-    over the smaller operand in dict order, as mul_dict's does, and an
-    outer term meets at most one term of the other per key, so each
-    kept coefficient sums the same products in the same order: its
-    value and type are mul_dict's.
+    column caps[j1 + j2] - i1, and stops at the first row past the caps
+    or where that column is below the least i of this row and every
+    later one: the caps do not increase, so no later row has a term in
+    reach.  The outer loop runs over the smaller operand in dict order,
+    as mul_dict's does, and an outer term meets at most one term of the
+    other per key, so each kept coefficient sums the same products in
+    the same order: its value and type are mul_dict's.
     """
     if len(a) > len(b):
         a, b = b, a
@@ -179,19 +180,17 @@ def mul_staircase(a, b, low, caps):
         least = row[0][0] if least is None else min(least, row[0][0])
         table.append((j, row, least))
     table.reverse()
-    whole = max(i for i, _ in b)  # walks every row to its end
-    n_caps = len(caps)
+    top = len(caps)
     out = {}
     get = out.get
     for (i1, j1), c1 in a.items():
         for j2, row, rest in table:
             j = j1 + j2
-            if j <= low:
-                cap = whole
-            else:
-                cap = caps[min(j - low, n_caps) - 1] - i1
-                if cap < rest:
-                    break
+            if j >= top:
+                break
+            cap = caps[j] - i1
+            if cap < rest:
+                break
             for i2, c2 in row:
                 if i2 > cap:
                     break

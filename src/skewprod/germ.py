@@ -31,28 +31,25 @@ returns the result.
 
 truncated_step computes the last iterate only where the checks can see
 it, for fuzz (verify_germ(..., full_iterates=False)).  Ostrowski's
-theorem predicts N(Q^n) from N(Q^(n-1)), the order of p^(n-1) and the
-support of q (newton.composed_polygon).  The lattice points inside the
-prediction's interior form a monomial ideal I, and reduction modulo I
-is a ring map, so substitute with the region R outside the interior
-restricts W = Q^(n-1) to R once, keeps only the terms in R of every
-product, and returns Q^n on R.  The result is accepted only with a
-certificate: every vertex of the prediction lies in the polygon of the
-result, so the dropped terms lie inside it and the polygon is N(Q^n),
-and every point whose coefficient a check reads lies in R.  Otherwise
-the full step runs; it also runs where the caps could trip, which the
-bound of _horner_degree_bound decides without a product, so a capped
-run stops where the full one would, with its message.
+theorem bounds N(Q^n) by a polygon predicted from N(Q^(n-1)), the order
+of p^(n-1) and the support of q (newton.composed_polygon).  The lattice
+points at or below one of the prediction's vertices form a region R
+closed downward (newton.under_vertices), the points outside it a
+monomial ideal I, and reduction modulo I is a ring map, so substitute
+with the region R restricts W = Q^(n-1) to R once, keeps only the terms
+in R of every product, and returns Q^n on R.  R meets the prediction
+only in its vertices, so that is Q^n's terms at the predicted vertices.
+The result is accepted only with a certificate: every predicted vertex
+has a nonzero coefficient, so the polygon is N(Q^n), and every point
+whose coefficient a check reads lies in R.  Otherwise the full step
+runs; it also runs where the caps could trip, which the bound of
+_horner_degree_bound decides without a product, so a capped run stops
+where the full one would, with its message.
 """
 
 from __future__ import annotations
 
-from .newton import (
-    composed_polygon,
-    hull_vertices,
-    newton_polygon,
-    outside_interior,
-)
+from .newton import composed_polygon, newton_polygon, under_vertices
 from .poly import (
     DEFAULT_LIMITS,
     ResourceCapError,
@@ -138,10 +135,10 @@ def substitute(poly: SparsePoly2, P: SparsePoly2, W: SparsePoly2,
     """Exact value of poly(P, W); the module docstring gives the two
     schedules.
 
-    With a region, W is restricted to it once and every product keeps
-    only its terms in it.  Where P and poly's layers lie in the region,
-    the result is poly(P, W) restricted to it.  The schedule is chosen
-    from the full W.
+    With a region, W is restricted to it once, every product keeps
+    only its terms in it, and so does the result, which is
+    poly(P, W).restrict(region).  The schedule is chosen from the full
+    W.
     """
     if poly.is_zero:
         return SparsePoly2.zero()
@@ -155,10 +152,12 @@ def substitute(poly: SparsePoly2, P: SparsePoly2, W: SparsePoly2,
         try:
             out = _substitute_power_table(by_j, P, W, limits, region)
             check_term_count(out, limits)
-            return out
         except ResourceCapError:
-            pass  # Horner, the reference, decides where the cap trips
-    return _substitute_horner(by_j, P, W, limits, region)
+            table = False  # Horner, the reference, decides where it trips
+    if not table:
+        out = _substitute_horner(by_j, P, W, limits, region)
+    # The layer q(P, 0) is added unrestricted.
+    return out if region is None else out.restrict(region)
 
 
 def _layers(poly: SparsePoly2) -> dict:
@@ -262,25 +261,25 @@ def compose_germ(g: SkewGerm, h: SkewGerm,
 
 def truncated_step(f: SkewGerm, fn: SkewGerm, reads,
                    limits: ResourceLimits | None = None) -> SkewGerm:
-    """f^(n+1) = f(fn), its Q^(n+1) computed outside the interior of
-    its predicted Newton polygon where that is certified to change no
-    point in `reads` and no vertex; the full compose_germ otherwise.
+    """f^(n+1) = f(fn), its Q^(n+1) computed only at the vertices of its
+    predicted Newton polygon where that is certified to change no point
+    in `reads` and no vertex; the full compose_germ otherwise.
 
-    The prediction N is newton.composed_polygon of q at fn, and R is the
-    set of lattice points outside N's interior.  Every product keeps
-    only its terms in R, so Q' equals Q^(n+1) on R.  Q' is accepted when
-    every vertex of N lies in N(Q'), so that the dropped terms lie
-    inside N(Q') and N(Q^(n+1)) = N(Q'), and when every point in
-    `reads` lies in R.  The step is truncated only where the full step
-    fits under the caps by a bound that needs no terms: every product
-    has degree at most D = _horner_degree_bound, so at most
-    (D + 1)(D + 2)/2 terms, and the caps trip, if at all, where the full
-    step trips them.
+    The prediction N is newton.composed_polygon of q at fn, and R is
+    newton.under_vertices(N), which meets N only in its vertices.  Every
+    product keeps only its terms in R, so Q' equals Q^(n+1) on R, which
+    is its terms at N's vertices.  Q' is accepted when every vertex of N
+    has a nonzero coefficient in it, so that N(Q^(n+1)) = N = N(Q'), and
+    when every point in `reads` lies in R.  The step is truncated only
+    where the full step fits under the caps by a bound that needs no
+    terms: every product has degree at most D = _horner_degree_bound, so
+    at most (D + 1)(D + 2)/2 terms, and the caps trip, if at all, where
+    the full step trips them.
     """
     W, P = fn.q, fn.p
     predicted = composed_polygon(f.q, min(P.column_minima()),
                                  newton_polygon(W))
-    region = outside_interior(predicted)
+    region = under_vertices(predicted)
     lim = limits or DEFAULT_LIMITS
     bound = _horner_degree_bound(_layers(f.q), P, W)
     if (bound <= lim.max_total_degree
@@ -291,8 +290,7 @@ def truncated_step(f: SkewGerm, fn: SkewGerm, reads,
         except InvalidGermError:  # every term of Q' cancelled
             pass
         else:
-            got = newton_polygon(out.q).vertices
-            if hull_vertices(got + predicted.vertices) == got:
+            if all(out.q.coeff(*v) for v in predicted.vertices):
                 return out
     return compose_germ(f, fn, limits)
 

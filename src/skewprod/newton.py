@@ -107,22 +107,23 @@ def composed_polygon(q: SparsePoly2, c_p: int,
         for x, y in polygon.vertices)
 
 
-def outside_interior(polygon: NewtonPolygon) -> Staircase:
-    """The lattice points outside the interior of an integer polygon.
+def under_vertices(polygon: NewtonPolygon) -> Staircase:
+    """The lattice points at or below some vertex of an integer polygon
+    in both coordinates.
 
-    A point is interior when it lies strictly above the lowest vertex,
-    strictly right of the first one and strictly above every edge.  So
-    each row above the lowest vertex keeps the columns up to the left
-    boundary at its height (the floor of the edge's x there), and every
-    row at or below it is whole.
+    Row j keeps the columns up to the largest x of a vertex at height j
+    or above, and rows above the first vertex keep nothing.  A point of
+    the polygon at or below a vertex v is v itself, or v would lie
+    between it and a further point of the polygon and not be extreme.
+    So the region meets the polygon only in its vertices, and a
+    polynomial whose polygon lies in this one, restricted to the region,
+    is its terms at these vertices.
     """
-    verts = polygon.vertices
     caps = []
-    # The edges from the bottom one up; each gives rows y2 + 1 .. y1.
-    for (x1, y1), (x2, y2) in zip(verts[-2::-1], verts[:0:-1]):
-        caps.extend(x1 + (y1 - j) * (x2 - x1) // (y1 - y2)
-                    for j in range(y2 + 1, y1 + 1))
-    return Staircase(verts[-1][1], tuple(caps) or (verts[0][0],))
+    # The vertices from the lowest up; each caps the rows up to its own.
+    for x, y in reversed(polygon.vertices):
+        caps.extend([x] * (y + 1 - len(caps)))
+    return Staircase(tuple(caps))
 
 
 def weight(poly: SparsePoly2, l) -> Fraction:

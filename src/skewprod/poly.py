@@ -72,33 +72,28 @@ def _precheck_mul(a: dict, b: dict, limits: ResourceLimits | None) -> None:
 
 @dataclass(frozen=True)
 class Staircase:
-    """A set of exponents closed downward in i and in j.
+    """A finite set of exponents closed downward in i and in j.
 
-    Every row j <= low is whole; row j > low holds the columns
-    i <= caps[j - low - 1], and the last cap stands for every row past
-    the list, so caps is non-increasing and not empty.  The exponents
+    Row j < len(caps) holds the columns i <= caps[j], and no row past
+    the list holds any, so caps is non-increasing.  The exponents
     outside a staircase form a monomial ideal I, and dropping them
     (SparsePoly2.restrict, or the region argument of poly_mul) is
     reduction modulo I, a ring map: a product of reduced operands,
     reduced, equals the reduced product.
     """
 
-    low: int
     caps: tuple
 
     def __contains__(self, point) -> bool:
         i, j = point
-        return (j <= self.low
-                or i <= self.caps[min(j - self.low, len(self.caps)) - 1])
+        return j < len(self.caps) and i <= self.caps[j]
 
     def keep(self, terms: dict) -> dict:
         """The terms of a term dict whose exponents lie in the staircase."""
-        low, caps = self.low, self.caps
-        top, last = low + len(caps), caps[-1]
+        caps = self.caps
+        top = len(caps)
         return {key: c for key, c in terms.items()
-                if key[1] <= low
-                or key[0] <= (caps[key[1] - low - 1] if key[1] <= top
-                              else last)}
+                if key[1] < top and key[0] <= caps[key[1]]}
 
 
 class SparsePoly2:

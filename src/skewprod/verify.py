@@ -21,11 +21,12 @@ The checks read an iterate only through its Newton polygon (which fixes
 the orders and the weights) and the coefficients of each reading's
 dominant bidegree and critical pure-z term.  So verify_germ(...,
 full_iterates=False), which fuzz uses, computes the deepest Q^n with
-germ.truncated_step: modulo the ideal I of the lattice points inside
-its predicted polygon, and only where a certificate shows the polygon
-and every point read are those of the full Q^n, with the full step as
-the fallback.  Its oracle[-1].germ.q is then Q^n mod I, and the report
-is the one the default gives.  Every earlier iterate is full.
+germ.truncated_step: only at the vertices of its predicted polygon
+(modulo the ideal I of the lattice points at or below no vertex), and
+only where a certificate shows the polygon and every point read are
+those of the full Q^n, with the full step as the fallback.  Its
+oracle[-1].germ.q is then Q^n mod I, the vertex terms of Q^n, and the
+report is the one the default gives.  Every earlier iterate is full.
 """
 
 from __future__ import annotations
@@ -142,8 +143,8 @@ def oracle_records(f: SkewGerm, n_max: int,
     """Iterate the germ, keeping every n that fits in the resource caps.
 
     With cases, the readings whose checks will read the records, the
-    last step is germ.truncated_step: Q^n_max may be computed only
-    outside the interior of its predicted Newton polygon.
+    last step is germ.truncated_step: Q^n_max may be computed only at
+    the vertices of its predicted Newton polygon.
     """
     last_step = None
     if cases is not None:
@@ -241,8 +242,9 @@ def verify_germ(f: SkewGerm, n_max: int, extra_ls=(),
     and predictions fit, and resource_error says which cap tripped.
 
     With full_iterates=False the deepest iterate comes from
-    germ.truncated_step, so oracle[-1].germ.q may be Q^n modulo the
-    interior of its Newton polygon; every check reads the same values.
+    germ.truncated_step, so oracle[-1].germ.q may be only the terms of
+    Q^n at the vertices of its Newton polygon; every check reads the
+    same values.
     """
     cases = case_variants(f)
     records, error = oracle_records(f, n_max, limits,

@@ -1,3 +1,4 @@
+import importlib
 import pathlib
 
 import pytest
@@ -35,3 +36,19 @@ FIXTURES = {
 @pytest.fixture(scope="session")
 def germs():
     return {name: germ(p, q) for name, (p, q) in FIXTURES.items()}
+
+
+@pytest.fixture
+def step_log(monkeypatch):
+    """One entry per compose_germ call: True when it ran restricted to a
+    region."""
+    log = []
+    germ_module = importlib.import_module("skewprod.germ")
+    inner = germ_module.compose_germ
+
+    def logged(g, h, limits=None, region=None):
+        log.append(region is not None)
+        return inner(g, h, limits, region)
+
+    monkeypatch.setattr(germ_module, "compose_germ", logged)
+    return log

@@ -8,6 +8,7 @@ import pytest
 from skewprod import FuzzConfig, fuzz
 from skewprod.fuzz import _projected_degree, campaign_limits, generate_germs
 from skewprod.jsonio import verification_json
+from skewprod.newton import composed_polygon, newton_polygon
 from skewprod.verify import verify_germ
 from conftest import CRITERION_5
 
@@ -128,6 +129,29 @@ def test_truncated_oracle_gives_the_full_reports(seed):
         assert _report_json(g, cfg, limits, full_iterates=False) == full
         h.update(full.encode())
     assert h.hexdigest()[:16] == STREAM_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(STREAM_DIGESTS))
+def test_truncated_last_step_keeps_the_predicted_vertices(seed, step_log):
+    """On the campaign streams every last step runs truncated and is
+    accepted, and the deepest Q^n it keeps is exactly its terms at the
+    vertices of the polygon predicted from Q^(n-1)."""
+    cfg = replace(CRITERION_5, seed=seed)
+    limits = campaign_limits(cfg)
+    for g in generate_germs(cfg):
+        if _projected_degree(g, cfg.n_max) > cfg.degree_cap:
+            continue
+        step_log.clear()
+        report = verify_germ(g, cfg.n_max, limits=limits,
+                             full_iterates=False)
+        assert report.reached_n == cfg.n_max
+        # One full step to Q^2, then the truncated last step, accepted.
+        assert step_log == [False] * (cfg.n_max - 2) + [True]
+        prev = report.oracle[-2].germ
+        predicted = composed_polygon(g.q, min(prev.p.column_minima()),
+                                     newton_polygon(prev.q))
+        assert (sorted(report.oracle[-1].germ.q.exponents())
+                == list(predicted.vertices))
 
 
 def test_fuzz_verifies_with_truncated_last_step(monkeypatch):

@@ -1,4 +1,8 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewprod import (
     GermFileError,
@@ -11,8 +15,10 @@ from skewprod import (
     iterate_germ,
     parse_germ_file,
     parse_poly,
+    substitute,
 )
 from skewprod.germ import truncated_step
+from skewprod.poly import SparsePoly2, Staircase
 from conftest import germ
 
 
@@ -144,3 +150,36 @@ def test_truncated_step_drops_only_interior_terms():
     assert cut.q == parse_poly("w^2 + z^4")
     # A read point inside the polygon sends the step to the full one.
     assert truncated_step(f, fn, [(1, 6)]).q == full.q
+
+
+small_coeffs = st.sampled_from((1, -1, 2, -3, Fraction(1, 2)))
+small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), small_coeffs,
+    min_size=1, max_size=5).map(SparsePoly2)
+# One term takes the power table (where every coefficient is an int),
+# more than one Horner.
+z_polys = st.dictionaries(st.integers(1, 3), small_coeffs,
+                          min_size=1, max_size=2).map(
+    lambda t: SparsePoly2({(i, 0): c for i, c in t.items()}))
+staircases = st.lists(st.integers(-1, 14), max_size=14).map(
+    lambda caps: Staircase(tuple(sorted(caps, reverse=True))))
+
+
+@given(small_polys, z_polys, small_polys | st.just(SparsePoly2.zero()),
+       staircases)
+@settings(max_examples=200, deadline=None)
+def test_substitute_in_a_region_is_the_restricted_substitute(q, P, W, region):
+    cut = substitute(q, P, W, region=region)
+    want = substitute(q, P, W).restrict(region)
+    assert repr(sorted(cut.items())) == repr(sorted(want.items()))
+
+
+@pytest.mark.parametrize("P", ["z^2", "z^2 + z^3"])
+def test_substitute_restricts_the_layer_without_w(P):
+    # q(P, 0) = P^3 has degree 6 or more on row 0, past row 0's cap 5.
+    q = parse_poly("w^3 + z*w + z^3")
+    P, W = parse_poly(P), parse_poly("w + z")
+    region = Staircase((5, 3, 1, 0))
+    cut = substitute(q, P, W, region=region)
+    assert all(key in region for key in cut.exponents())
+    assert cut == substitute(q, P, W).restrict(region)

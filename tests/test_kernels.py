@@ -483,12 +483,10 @@ small_coeffs = st.sampled_from((1, -1, 2, -2, Fraction(1), Fraction(-1),
                                 Fraction(1, 2), Fraction(-1, 2)))
 region_keys = st.tuples(st.integers(0, 12), st.integers(0, 12))
 small_terms = st.dictionaries(region_keys, small_coeffs, max_size=30)
-# low = -1 has no whole row; caps of length one are a single cap; keys
-# reach rows past the last cap.
-pruning_staircases = st.tuples(
-    st.integers(-1, 8),
-    st.lists(st.integers(0, 12), min_size=1, max_size=6),
-).map(lambda t: Staircase(t[0], tuple(sorted(t[1], reverse=True))))
+# Keys reach rows past the last cap and columns past the first; a
+# negative cap empties its row.
+pruning_staircases = st.lists(st.integers(-1, 12), max_size=16).map(
+    lambda caps: Staircase(tuple(sorted(caps, reverse=True))))
 
 
 @given(st.one_of(int_terms, fraction_terms, mixed_terms, small_terms),
@@ -510,7 +508,7 @@ def test_pruned_product_keeps_the_dict_loops_summation_order():
     # an int.  Added in another order it would be Fraction(1).
     a = {(0, 0): Fraction(1), (1, 0): -1, (2, 0): 1}
     b = {(2, 0): 1, (1, 0): 1, (0, 0): 1, (0, 3): 5, (0, 4): 7}
-    region = Staircase(0, (2,))
+    region = Staircase((4, 2, 2, 2, 2))
     assert mul_dict(a, b)[(2, 0)] == 1
     assert type(mul_dict(a, b)[(2, 0)]) is int
     for x, y in ((a, b), (b, a)):
@@ -522,19 +520,23 @@ def test_pruned_product_keeps_the_dict_loops_summation_order():
 def test_pruned_product_shapes():
     a = {(0, 0): 2, (3, 1): -1, (1, 2): 3, (7, 0): 5}
     b = {(i, j): i - j + 1 for i in range(6) for j in range(4) if i != j + 1}
-    for region in (Staircase(3, (0,)),  # whole rows, then row 4 on: i <= 0
-                   Staircase(-1, (9,)),  # a single cap on every row
-                   Staircase(0, (8, 5, 2)),  # rows 4 and up use the cap 2
-                   Staircase(10, (0,))):  # every product row is whole
+    # The product's terms lie in columns 0..12 and rows 0..5.
+    for region in (Staircase((12,) * 4 + (0, 0)),  # whole rows, then i <= 0
+                   Staircase((9,) * 6),  # a single cap on every row
+                   Staircase((12, 8, 5, 2, 2, 2)),
+                   Staircase((12,) * 6),  # every product row is whole
+                   Staircase((12, 8, 5)),  # rows 3 to 5 keep nothing
+                   Staircase(())):  # nothing is kept
         assert_pruned_agrees(a, b, region)
     # Every term of the operands lies outside the region: nothing is left.
     far = {(5, 5): 1, (6, 5): 2}
-    assert mul_terms(far, b, Staircase(0, (3,))) == {}
-    assert mul_terms({}, b, Staircase(0, (3,))) == {}
-    assert mul_terms(a, {}, Staircase(0, (3,))) == {}
+    region = Staircase((12,) + (3,) * 8)
+    assert mul_terms(far, b, region) == {}
+    assert mul_terms({}, b, region) == {}
+    assert mul_terms(a, {}, region) == {}
     # (z + w)(z - w) = z^2 - w^2: its zw terms cancel, and the region
     # keeps no other (rows 0 and 1 hold i <= 1, rows from 2 on nothing).
-    region = Staircase(-1, (1, 1, -1))
+    region = Staircase((1, 1))
     assert mul_terms({(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1},
                      region) == {}
 
@@ -542,7 +544,7 @@ def test_pruned_product_shapes():
 def test_region_products_never_reach_kronecker(monkeypatch):
     a = {(i, j): i - 3 * j - 100 for i in range(8) for j in range(8)}
     b = {(i, j): Fraction(i + 1, j + 2) for i in range(8) for j in range(8)}
-    region = Staircase(2, (9, 6, 3))
+    region = Staircase((14,) * 3 + (9, 6) + (3,) * 10)
     expected = [exact(region.keep(mul_dict(x, y)))
                 for x, y in ((a, a), (a, b))]
 

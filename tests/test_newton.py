@@ -15,7 +15,7 @@ from skewprod import (
 from skewprod.newton import (
     composed_polygon,
     hull_vertices,
-    outside_interior,
+    under_vertices,
     support_on_edge,
 )
 from reference import edge_slope, min_weight
@@ -268,27 +268,38 @@ def test_polygon_is_cached(p):
     assert repr(newton_polygon(square)) == repr(NewtonPolygon.of_poly(square))
 
 
-def _interior_reference(polygon, point):
-    """Strictly right of the first vertex, strictly above the last and
-    strictly above every edge line (by a cross product)."""
+def _polygon_reference(polygon, point):
+    """Right of the first vertex or on its column, above the last or on
+    its row, and on or above every edge line (by a cross product)."""
     x, y = point
     verts = polygon.vertices
-    if x <= verts[0][0] or y <= verts[-1][1]:
+    if x < verts[0][0] or y < verts[-1][1]:
         return False
-    return all((y - m1) * (n2 - n1) > (m2 - m1) * (x - n1)
+    return all((y - m1) * (n2 - n1) >= (m2 - m1) * (x - n1)
                for (n1, m1), (n2, m2) in zip(verts, verts[1:]))
 
 
 @given(polys)
 @settings(max_examples=150, deadline=None)
-def test_outside_interior_is_the_complement_of_the_interior(p):
+def test_under_vertices_is_the_points_below_a_vertex(p):
+    """Checked on a box that holds the whole region: the region is the
+    union of the boxes under the vertices, closed downward, holds every
+    vertex and meets the polygon only in its vertices."""
     polygon = newton_polygon(p)
-    region = outside_interior(polygon)
-    box = [(i, j) for i in range(14) for j in range(14)]
-    assert all((pt in region) != _interior_reference(polygon, pt)
-               for pt in box)
-    terms = {pt: 1 for pt in box}
-    assert set(region.keep(terms)) == {pt for pt in box if pt in region}
+    region = under_vertices(polygon)
+    verts = polygon.vertices
+    box = [(i, j) for i in range(10) for j in range(10)]
+    below = {(i, j) for i, j in box
+             if any(i <= x and j <= y for x, y in verts)}
+    assert {pt for pt in box if pt in region} == below
+    assert set(region.keep({pt: 1 for pt in box})) == below
+    # Nothing of the region lies outside the box.
+    assert len(region.caps) == verts[0][1] + 1
+    assert max(region.caps) == verts[-1][0]
+    assert all((not i or (i - 1, j) in region)
+               and (not j or (i, j - 1) in region) for i, j in below)
+    assert all(v in region for v in verts)
+    assert {pt for pt in below if _polygon_reference(polygon, pt)} == set(verts)
 
 
 z_only = st.dictionaries(st.integers(1, 3), st.integers(-3, 3).filter(bool),
@@ -304,14 +315,15 @@ small_polys = st.dictionaries(
 @settings(max_examples=100, deadline=None)
 def test_composed_polygon_holds_the_composite(q, P, W):
     """N(q(P, W)) lies in the predicted polygon, and the composite
-    computed restricted to the points outside its interior is the full
-    one restricted there."""
+    computed restricted to the points under its vertices is the full one
+    restricted there: its terms at the predicted vertices."""
     predicted = composed_polygon(q, min(P.column_minima()), newton_polygon(W))
     full = substitute(q, P, W)
-    region = outside_interior(predicted)
+    region = under_vertices(predicted)
     cut = substitute(q, P, W, region=region)
     assert repr(sorted(cut.items())) == repr(sorted(
         (key, c) for key, c in full.items() if key in region))
+    assert set(cut.exponents()) <= set(predicted.vertices)
     if full:
         got = newton_polygon(full).vertices
         assert hull_vertices(got + predicted.vertices) == predicted.vertices

@@ -20,7 +20,7 @@ def test_replay_oracle_rational():
     # The traced benchmark counts the same 30 products.
     assert summary["products"] == 30
     assert summary["mismatches"] == 0
-    assert summary["regions"] == 0
+    assert summary["regions"] == summary["region_slower"] == 0
     assert summary["by_kind"] == {"fraction": 18, "mixed": 12}
     assert set(summary["seconds_by_ratio"]) == {"fraction"}
     assert set(summary["seconds_by_ratio"]["fraction"]) == {"1/2", "5"}
@@ -40,5 +40,6 @@ def test_replay_fuzz_campaign_regions():
     assert summary["products"] == 2382
     assert summary["regions"] == 785
     assert summary["mismatches"] == 0
+    assert 0 <= summary["region_slower"] <= summary["regions"]
     assert all(summary["seconds_region"][path] > 0
                for path in ("pruned", "full"))

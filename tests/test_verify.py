@@ -1,4 +1,3 @@
-import importlib
 import json
 import sys
 from fractions import Fraction
@@ -8,9 +7,7 @@ import pytest
 from skewprod import ResourceLimits, iterate_germ, parse_germ_file, verify_germ
 from skewprod.growth import GrowthTable
 from skewprod.jsonio import verification_json
-from skewprod.newton import composed_polygon, newton_polygon, outside_interior
-
-germ_module = importlib.import_module("skewprod.germ")
+from skewprod.newton import composed_polygon, newton_polygon, under_vertices
 
 
 @pytest.mark.parametrize("name", ["g1", "g2", "g3", "g4", "g5"])
@@ -149,21 +146,6 @@ def _exact(terms) -> str:
     return repr(sorted(terms))
 
 
-@pytest.fixture
-def step_log(monkeypatch):
-    """One entry per compose_germ call: True when it ran restricted to a
-    region."""
-    log = []
-    inner = germ_module.compose_germ
-
-    def logged(g, h, limits=None, region=None):
-        log.append(region is not None)
-        return inner(g, h, limits, region)
-
-    monkeypatch.setattr(germ_module, "compose_germ", logged)
-    return log
-
-
 @pytest.mark.parametrize("name,n", TRUNCATION_CASES)
 def test_truncated_last_step_matches_full(name, n, germs):
     f = germs[name]
@@ -171,15 +153,17 @@ def test_truncated_last_step_matches_full(name, n, germs):
     cut = verify_germ(f, n, full_iterates=False)
     assert _json(cut) == _json(full)
     assert all(a.germ == b.germ for a, b in zip(cut.oracle[:-1], full.oracle))
-    # Q^n mod I: the full Q^n on the points outside the interior of the
-    # polygon predicted from Q^(n-1), and nothing else.
+    # Q^n mod I: the full Q^n on the points under a vertex of the
+    # polygon predicted from Q^(n-1), which are its vertex terms.
     prev, deepest = full.oracle[-2].germ, full.oracle[-1].germ
-    region = outside_interior(composed_polygon(
-        f.q, min(prev.p.column_minima()), newton_polygon(prev.q)))
+    predicted = composed_polygon(
+        f.q, min(prev.p.column_minima()), newton_polygon(prev.q))
+    region = under_vertices(predicted)
     if (name, n) in FALLBACKS:
         want = deepest.q.items()
     else:
         want = [(key, c) for key, c in deepest.q.items() if key in region]
+        assert {key for key, _ in want} == set(predicted.vertices)
     assert _exact(cut.oracle[-1].germ.q.items()) == _exact(want)
     assert cut.oracle[-1].germ.p == deepest.p
 

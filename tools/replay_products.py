@@ -10,9 +10,11 @@ then times each recorded product best-of-K and checks that the outputs
 agree by repr(sorted(...)), coefficient types included.  A product
 without a region runs through mul_terms as dispatched, through
 mul_dict, and through mul_kronecker where that path takes it.  A
-product with a region runs through mul_terms as dispatched (the pruned
-loop, mul_staircase) and as the full product filtered afterwards,
-region.keep(mul_terms(a, b)).
+product with a region (a poly.Staircase of row caps) runs through
+mul_terms as dispatched (the pruned loop, mul_staircase) and as the
+full product filtered afterwards, region.keep(mul_terms(a, b)), and
+the summary counts the region products the pruned loop took longer
+on.
 
 Products fall in three classes: "int" (both operands all-int),
 "fraction" (an all-Fraction operand) and "mixed" (all others, which
@@ -156,6 +158,8 @@ def summarize(rows, ratios) -> dict:
         "seconds_region": {path: sum(row[path] for row in rows
                                      if row["region"])
                            for path in ("pruned", "full")},
+        "region_slower": sum(1 for row in rows
+                             if row["region"] and row["pruned"] > row["full"]),
         "seconds_by_ratio": {
             k: {str(r): total_at(rows, r, k) for r in ratios}
             for k in kinds if k != "mixed"},
@@ -179,6 +183,7 @@ def main(argv=None) -> int:
         print(f"{path:>24} {seconds:10.4f} s")
     for path, seconds in summary["seconds_region"].items():
         print(f"{'region ' + path:>24} {seconds:10.4f} s")
+    print(f"{'region pruned slower':>24} {summary['region_slower']:10d}")
     for k, totals in summary["seconds_by_ratio"].items():
         for r, seconds in totals.items():
             print(f"{k:>12} at {r:>9} per cell {seconds:10.4f} s")
