@@ -19,14 +19,6 @@ than sys.get_int_max_str_digits() allows goes to the dict loop.
 mul_terms picks the path from the operands alone; both give the same
 dict, coefficient types included.  Every step is exact integer or
 exact decimal arithmetic.
-
-A product with a region (poly.Staircase: a non-increasing cap on the
-columns of each row up to its last, and nothing past it) is truncated in
-the kernel itself, as in the truncated multiplication of power series
-(Brent and Kung, J. ACM 25, 1978): mul_staircase walks only the pairs
-of terms whose product lands in the region, and never goes to
-Kronecker.  Its terms and their types are those of the dict loop's full
-product filtered to the region.
 """
 
 import sys
@@ -95,19 +87,16 @@ def scale_terms(a, c):
     return {key: v * c for key, v in a.items()}
 
 
-def mul_terms(a, b, region=None):
+def mul_terms(a, b):
     """Product of two term dicts; cancellations are dropped.
 
-    With a region (a poly.Staircase), only the product's terms in the
-    region are computed, by mul_staircase.  Without one, products whose
-    smaller operand has at least KRONECKER_MIN_TERMS terms and whose
-    multiply-adds reach KRONECKER_MIN_WORK_PER_CELL per cell of their
-    bounding box (with an all-Fraction operand: whose cells are at most
-    KRONECKER_FRACTION_CELLS_PER_WORK per multiply-add) go through
-    mul_kronecker when it takes them, all others through mul_dict.
+    Products whose smaller operand has at least KRONECKER_MIN_TERMS
+    terms and whose multiply-adds reach KRONECKER_MIN_WORK_PER_CELL per
+    cell of their bounding box (with an all-Fraction operand: whose
+    cells are at most KRONECKER_FRACTION_CELLS_PER_WORK per multiply-add)
+    go through mul_kronecker when it takes them, all others through
+    mul_dict.
     """
-    if region is not None:
-        return mul_staircase(a, b, region.caps)
     if min(len(a), len(b)) >= KRONECKER_MIN_TERMS:
         box_a, box_b = _box(a), _box(b)
         rows, width = _product_shape(box_a, box_b)
@@ -143,67 +132,6 @@ def mul_dict(a, b):
                     out[key] = v
                 else:
                     del out[key]
-    return out
-
-
-def mul_staircase(a, b, caps):
-    """The terms of mul_dict(a, b) in the staircase of the row caps
-    `caps`, and no other product: row j < len(caps) keeps the columns
-    i <= caps[j], and no later row keeps any.
-
-    The larger operand is grouped by row, rows ascending and each sorted
-    by i.  A term (i1, j1) of the smaller one walks row j2 only up to
-    column caps[j1 + j2] - i1, and stops at the first row past the caps
-    or where that column is below the least i of this row and every
-    later one: the caps do not increase, so no later row has a term in
-    reach.  The outer loop runs over the smaller operand in dict order,
-    as mul_dict's does, and an outer term meets at most one term of the
-    other per key, so each kept coefficient sums the same products in
-    the same order: its value and type are mul_dict's.
-    """
-    if len(a) > len(b):
-        a, b = b, a
-    if not a:
-        return {}
-    rows = {}
-    for (i, j), c in b.items():
-        row = rows.get(j)
-        if row is None:
-            rows[j] = [(i, c)]
-        else:
-            row.append((i, c))
-    # (j, row j sorted by i, least i in rows j and up), rows ascending.
-    table = []
-    least = None
-    for j in sorted(rows, reverse=True):
-        row = sorted(rows[j])
-        least = row[0][0] if least is None else min(least, row[0][0])
-        table.append((j, row, least))
-    table.reverse()
-    top = len(caps)
-    out = {}
-    get = out.get
-    for (i1, j1), c1 in a.items():
-        for j2, row, rest in table:
-            j = j1 + j2
-            if j >= top:
-                break
-            cap = caps[j] - i1
-            if cap < rest:
-                break
-            for i2, c2 in row:
-                if i2 > cap:
-                    break
-                key = (i1 + i2, j)
-                v = get(key)
-                if v is None:
-                    out[key] = c1 * c2
-                else:
-                    v = v + c1 * c2
-                    if v:
-                        out[key] = v
-                    else:
-                        del out[key]
     return out
 
 

@@ -311,8 +311,8 @@ def fuzz(cfg: FuzzConfig) -> FuzzSummary:
         if germ.delta in case.polygon.intercepts:
             summary.boundary_count += 1
             saw_boundary = True
-        # The counts read only what the checks read, so the deepest
-        # iterate may be truncated (verify_germ).
+        # The counts read only what the checks read, so the iterates
+        # may hold only their vertex terms (verify_germ).
         report = verify_germ(germ, cfg.n_max, limits=limits,
                              full_iterates=False)
         summary.germs_run += 1

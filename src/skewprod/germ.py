@@ -29,33 +29,28 @@ instead.  One case is left: a Horner product may pass the term cap where
 every table product and the result stay under it, and then the table
 returns the result.
 
-truncated_step computes the last iterate only where the checks can see
-it, for fuzz (verify_germ(..., full_iterates=False)).  Ostrowski's
-theorem bounds N(Q^n) by a polygon predicted from N(Q^(n-1)), the order
-of p^(n-1) and the support of q (newton.composed_polygon).  The lattice
-points at or below one of the prediction's vertices form a region R
-closed downward (newton.under_vertices), the points outside it a
-monomial ideal I, and reduction modulo I is a ring map, so substitute
-with the region R restricts W = Q^(n-1) to R once, keeps only the terms
-in R of every product, and returns Q^n on R.  R meets the prediction
-only in its vertices, so that is Q^n's terms at the predicted vertices.
-The result is accepted only with a certificate: every predicted vertex
-has a nonzero coefficient, so the polygon is N(Q^n), and every point
-whose coefficient a check reads lies in R.  Otherwise the full step
-runs; it also runs where the caps could trip, which the bound of
-_horner_degree_bound decides without a product, so a capped run stops
-where the full one would, with its message.
+vertex_step computes an iterate only where the checks can see it, for
+fuzz (verify_germ(..., full_iterates=False)).  By Ostrowski's theorem,
+N(P^i W^j) = (i*c_p, 0) + j*N(W) for P = p^n of z-order c_p, so
+N(Q^(n+1)) lies in the hull of these over the terms of q
+(newton.composed_polygon).  A vertex V of the hull splits one way only,
+as V = (i*c_p, 0) + j*w with w a vertex of N(Q^n), so its coefficient
+is the sum of c_ij * a_P^i * c_w^j over the terms of q that give V, and
+reads only the vertex terms of Q^n.  If no such sum is 0, the hull is
+N(Q^(n+1)), and a read point at or below a vertex is that vertex or
+has coefficient 0.  Otherwise, and wherever _horner_degree_bound does
+not show that the full step fits the caps, iterates runs the full
+step, so a capped run stops where the full one would, with its message.
 """
 
 from __future__ import annotations
 
-from .newton import composed_polygon, newton_polygon, under_vertices
+from .newton import composed_polygon, newton_polygon
 from .poly import (
     DEFAULT_LIMITS,
     ResourceCapError,
     ResourceLimits,
     SparsePoly2,
-    Staircase,
     check_term_count,
     format_poly,
     parse_poly,
@@ -130,34 +125,26 @@ def _eval_univariate_at(coeffs_by_i: dict, P: SparsePoly2,
 
 
 def substitute(poly: SparsePoly2, P: SparsePoly2, W: SparsePoly2,
-               limits: ResourceLimits | None = None,
-               region: Staircase | None = None) -> SparsePoly2:
+               limits: ResourceLimits | None = None) -> SparsePoly2:
     """Exact value of poly(P, W); the module docstring gives the two
-    schedules.
-
-    With a region, W is restricted to it once, every product keeps
-    only its terms in it, and so does the result, which is
-    poly(P, W).restrict(region).  The schedule is chosen from the full
-    W.
-    """
+    schedules."""
     if poly.is_zero:
         return SparsePoly2.zero()
     by_j = _layers(poly)
     max_degree = (limits or DEFAULT_LIMITS).max_total_degree
     table = (len(P) == 1 and not P.coeff(0, 0) and _all_int(poly, P, W)
-             and _horner_degree_bound(by_j, P, W) <= max_degree)
-    if region is not None:
-        W = W.restrict(region)
+             and _horner_degree_bound(
+                 by_j, P.total_degree(),
+                 None if W.is_zero else W.total_degree()) <= max_degree)
     if table:
         try:
-            out = _substitute_power_table(by_j, P, W, limits, region)
+            out = _substitute_power_table(by_j, P, W, limits)
             check_term_count(out, limits)
         except ResourceCapError:
             table = False  # Horner, the reference, decides where it trips
     if not table:
-        out = _substitute_horner(by_j, P, W, limits, region)
-    # The layer q(P, 0) is added unrestricted.
-    return out if region is None else out.restrict(region)
+        out = _substitute_horner(by_j, P, W, limits)
+    return out
 
 
 def _layers(poly: SparsePoly2) -> dict:
@@ -169,8 +156,7 @@ def _layers(poly: SparsePoly2) -> dict:
 
 
 def _substitute_horner(by_j: dict, P: SparsePoly2, W: SparsePoly2,
-                       limits: ResourceLimits | None,
-                       region: Staircase | None = None) -> SparsePoly2:
+                       limits: ResourceLimits | None) -> SparsePoly2:
     acc = SparsePoly2.zero()
     prev_j = None
     for j in sorted(by_j, reverse=True):
@@ -178,31 +164,30 @@ def _substitute_horner(by_j: dict, P: SparsePoly2, W: SparsePoly2,
         if prev_j is None:
             acc = layer
         else:
-            acc = poly_mul(acc, poly_pow(W, prev_j - j, limits, region),
-                           limits, region) + layer
+            acc = poly_mul(acc, poly_pow(W, prev_j - j, limits),
+                           limits) + layer
         prev_j = j
     if prev_j:
-        acc = poly_mul(acc, poly_pow(W, prev_j, limits, region),
-                       limits, region)
+        acc = poly_mul(acc, poly_pow(W, prev_j, limits), limits)
     check_term_count(acc, limits)
     return acc
 
 
-def _horner_degree_bound(by_j: dict, P: SparsePoly2, W: SparsePoly2) -> int:
+def _horner_degree_bound(by_j: dict, deg_p: int, deg_w: int | None) -> int:
     """The largest degree _substitute_horner could check before a
-    product, which also bounds every product of the power table.
+    product, which also bounds every product of the power table and the
+    result; deg_p and deg_w are the degrees of P and W (None if W is 0).
 
     The degree of a product is the sum of its operands' degrees, and a
     sum may only lose its top terms, so this is an upper bound.  Layer j
     has degree top_j * deg P, which its Horner in P reaches in its last
     product.  Every product by a power of W has degree at most
     top_j + j * deg W for some layer j > 0, and poly_mul checks nothing
-    when W is zero.
+    when W is zero.  With an upper bound for deg_w, it is still one.
     """
-    tops = {j: max(coeffs) * P.total_degree() for j, coeffs in by_j.items()}
+    tops = {j: max(coeffs) * deg_p for j, coeffs in by_j.items()}
     bound = max(tops.values())
-    if not W.is_zero:
-        deg_w = W.total_degree()
+    if deg_w is not None:
         bound = max([bound] + [top + j * deg_w
                                for j, top in tops.items() if j])
     return bound
@@ -213,8 +198,7 @@ def _all_int(*polys: SparsePoly2) -> bool:
 
 
 def _substitute_power_table(by_j: dict, P: SparsePoly2, W: SparsePoly2,
-                            limits: ResourceLimits | None,
-                            region: Staircase | None = None) -> SparsePoly2:
+                            limits: ResourceLimits | None) -> SparsePoly2:
     # P = a z^m w^k with (m, k) != (0, 0), so distinct i give distinct
     # exponents in a layer and no coefficient c * a**i is zero.
     ((m, k), a), = P.items()
@@ -230,17 +214,16 @@ def _substitute_power_table(by_j: dict, P: SparsePoly2, W: SparsePoly2,
     powers = {1: W}
     for j in sorted(needed):
         if j & 1:
-            powers[j] = poly_mul(powers[j - 1], W, limits, region)
+            powers[j] = poly_mul(powers[j - 1], W, limits)
         else:
             half = powers[j >> 1]
-            powers[j] = poly_mul(half, half, limits, region)
+            powers[j] = poly_mul(half, half, limits)
 
     parts = []
     for j, coeffs in by_j.items():
         layer = SparsePoly2({(i * m, i * k): c * a**i
                              for i, c in coeffs.items()})
-        parts.append(poly_mul(layer, powers[j], limits, region)
-                     if j else layer)
+        parts.append(poly_mul(layer, powers[j], limits) if j else layer)
     if not parts:
         return SparsePoly2.zero()
     # poly_sum copies its first operand once, so the largest part goes
@@ -250,49 +233,49 @@ def _substitute_power_table(by_j: dict, P: SparsePoly2, W: SparsePoly2,
 
 
 def compose_germ(g: SkewGerm, h: SkewGerm,
-                 limits: ResourceLimits | None = None,
-                 region: Staircase | None = None) -> SkewGerm:
-    """The composite germ g(h(z, w)); with a region, its q is computed
-    restricted to the region (substitute)."""
+                 limits: ResourceLimits | None = None) -> SkewGerm:
+    """The composite germ g(h(z, w))."""
     p_new = substitute(g.p, h.p, SparsePoly2.zero(), limits)
-    q_new = substitute(g.q, h.p, h.q, limits, region)
+    q_new = substitute(g.q, h.p, h.q, limits)
     return SkewGerm(p_new, q_new)
 
 
-def truncated_step(f: SkewGerm, fn: SkewGerm, reads,
-                   limits: ResourceLimits | None = None) -> SkewGerm:
-    """f^(n+1) = f(fn), its Q^(n+1) computed only at the vertices of its
-    predicted Newton polygon where that is certified to change no point
-    in `reads` and no vertex; the full compose_germ otherwise.
+def vertex_step(f: SkewGerm, fn: SkewGerm, reads,
+                limits: ResourceLimits | None = None) -> SkewGerm | None:
+    """f(fn) with its p in full and its q as only its vertex terms (the
+    module docstring gives the sums), or None where that is not
+    certified.  fn.q need hold only its vertex terms.
 
-    The prediction N is newton.composed_polygon of q at fn, and R is
-    newton.under_vertices(N), which meets N only in its vertices.  Every
-    product keeps only its terms in R, so Q' equals Q^(n+1) on R, which
-    is its terms at N's vertices.  Q' is accepted when every vertex of N
-    has a nonzero coefficient in it, so that N(Q^(n+1)) = N = N(Q'), and
-    when every point in `reads` lies in R.  The step is truncated only
-    where the full step fits under the caps by a bound that needs no
-    terms: every product has degree at most D = _horner_degree_bound, so
-    at most (D + 1)(D + 2)/2 terms, and the caps trip, if at all, where
-    the full step trips them.
+    None when a vertex sum is 0 or a point in `reads` is not at or below
+    a vertex, and when a vertex sums int and Fraction terms: the full
+    step may drop a partial sum that cancels there, which fixes the type
+    of its coefficient.
     """
-    W, P = fn.q, fn.p
-    predicted = composed_polygon(f.q, min(P.column_minima()),
-                                 newton_polygon(W))
-    region = under_vertices(predicted)
-    lim = limits or DEFAULT_LIMITS
-    bound = _horner_degree_bound(_layers(f.q), P, W)
-    if (bound <= lim.max_total_degree
-            and (bound + 1) * (bound + 2) // 2 <= lim.max_terms
-            and all(point in region for point in reads)):
-        try:
-            out = compose_germ(f, fn, limits, region)
-        except InvalidGermError:  # every term of Q' cancelled
-            pass
-        else:
-            if all(out.q.coeff(*v) for v in predicted.vertices):
-                return out
-    return compose_germ(f, fn, limits)
+    P, W = fn.p, fn.q
+    c_p = min(P.column_minima())
+    a_p = P.coeff(c_p, 0)
+    w_polygon = newton_polygon(W)
+    vertices = composed_polygon(f.q, c_p, w_polygon).vertices
+    if not all(any(i <= x and j <= y for x, y in vertices)
+               for i, j in reads):
+        return None
+    w_terms = [(x, y, W.coeff(x, y)) for x, y in w_polygon.vertices]
+    parts = {v: [] for v in vertices}
+    for (i, j), c in f.q.items():
+        if i:
+            c = c * a_p**i
+        for x, y, c_w in w_terms if j else ((0, 0, 1),):
+            part = parts.get((i * c_p + j * x, j * y))
+            if part is not None:
+                part.append(c * c_w**j)
+    terms = {}
+    for v, part in parts.items():
+        total = sum(part)
+        if not total or len(set(map(type, part))) > 1:
+            return None
+        terms[v] = total
+    return SkewGerm(substitute(f.p, P, SparsePoly2.zero(), limits),
+                    SparsePoly2._raw(terms))
 
 
 def iterate_germ(f: SkewGerm, n: int,
@@ -304,21 +287,41 @@ def iterate_germ(f: SkewGerm, n: int,
 
 
 def iterates(f: SkewGerm, n_max: int, limits: ResourceLimits | None = None,
-             last_step=None):
+             reads=None):
     """Yield (n, f^n) for n = 1 .. n_max, computing incrementally.
 
-    last_step, when given, computes f^n_max from f^(n_max - 1) in place
-    of compose_germ (n_max >= 2).
+    reads, when given, is a function of n >= 2 that gives the points
+    whose coefficients a caller reads off Q^n.  Then f^n is
+    vertex_step's, whose Q^n holds only its vertex terms, wherever the
+    full step fits the caps by _horner_degree_bound, with deg Q^(n-1)
+    bounded by the bound of the step before.  It is compose_germ's
+    otherwise, on f^(n-1) iterated afresh if that holds vertex terms
+    only.
     """
     if not isinstance(n_max, int) or n_max < 1:
         raise ValueError("n must be a positive integer")
     cur = f
     yield 1, cur
+    lim = limits or DEFAULT_LIMITS
+    by_j = _layers(f.q)
+    deg_q = None  # a bound on deg Q^(n-1) when cur holds vertex terms only
     for n in range(2, n_max + 1):
-        if n == n_max and last_step is not None:
-            cur = last_step(cur)
+        step = None
+        if reads is not None:
+            bound = _horner_degree_bound(
+                by_j, cur.p.total_degree(),
+                cur.q.total_degree() if deg_q is None else deg_q)
+            # No product of the full step has a degree past the bound,
+            # so none has more than (bound + 1)(bound + 2)/2 terms.
+            if (bound <= lim.max_total_degree
+                    and (bound + 1) * (bound + 2) // 2 <= lim.max_terms):
+                step = vertex_step(f, cur, reads(n), limits)
+        if step is None:
+            if deg_q is not None:
+                cur = iterate_germ(f, n - 1, limits)
+            cur, deg_q = compose_germ(f, cur, limits), None
         else:
-            cur = compose_germ(f, cur, limits)
+            cur, deg_q = step, bound
         yield n, cur
 
 

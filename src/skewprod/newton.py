@@ -6,6 +6,10 @@ support.  Its vertex chain (n_1, m_1) .. (n_s, m_s) has n strictly
 increasing, m strictly decreasing, and strictly increasing negative
 edge slopes; T_k is the y-intercept of the edge through vertices k and
 k+1.  Everything is exact: coordinates are ints or Fractions.
+
+composed_polygon predicts the polygon of a composite q(P, W) from the
+polygon of W alone; germ.vertex_step sums the composite's coefficients
+at its vertices.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import as_fraction
-from .poly import SparsePoly2, Staircase
+from .poly import SparsePoly2
 
 
 def _cross(o, a, b):
@@ -105,25 +109,6 @@ def composed_polygon(q: SparsePoly2, c_p: int,
         (i * c_p + j * x, j * y)
         for i, j in q.column_minima().items()
         for x, y in polygon.vertices)
-
-
-def under_vertices(polygon: NewtonPolygon) -> Staircase:
-    """The lattice points at or below some vertex of an integer polygon
-    in both coordinates.
-
-    Row j keeps the columns up to the largest x of a vertex at height j
-    or above, and rows above the first vertex keep nothing.  A point of
-    the polygon at or below a vertex v is v itself, or v would lie
-    between it and a further point of the polygon and not be extreme.
-    So the region meets the polygon only in its vertices, and a
-    polynomial whose polygon lies in this one, restricted to the region,
-    is its terms at these vertices.
-    """
-    caps = []
-    # The vertices from the lowest up; each caps the rows up to its own.
-    for x, y in reversed(polygon.vertices):
-        caps.extend([x] * (y + 1 - len(caps)))
-    return Staircase(tuple(caps))
 
 
 def weight(poly: SparsePoly2, l) -> Fraction:

@@ -6,8 +6,7 @@ ints, so iterates whose degrees overflow machine words stay exact.
 
 The inner loops live in the _kernels module, reached through the
 `kernels` name so that a caller can wrap them.  Its product kernel picks
-between a dict loop and Kronecker substitution from the operands, and
-takes the region of a truncated product (a Staircase) itself.
+between a dict loop and Kronecker substitution from the operands.
 """
 
 from __future__ import annotations
@@ -68,32 +67,6 @@ def _precheck_mul(a: dict, b: dict, limits: ResourceLimits | None) -> None:
     if deg > lim.max_total_degree:
         raise ResourceCapError(
             f"product degree {deg} exceeds cap {lim.max_total_degree}")
-
-
-@dataclass(frozen=True)
-class Staircase:
-    """A finite set of exponents closed downward in i and in j.
-
-    Row j < len(caps) holds the columns i <= caps[j], and no row past
-    the list holds any, so caps is non-increasing.  The exponents
-    outside a staircase form a monomial ideal I, and dropping them
-    (SparsePoly2.restrict, or the region argument of poly_mul) is
-    reduction modulo I, a ring map: a product of reduced operands,
-    reduced, equals the reduced product.
-    """
-
-    caps: tuple
-
-    def __contains__(self, point) -> bool:
-        i, j = point
-        return j < len(self.caps) and i <= self.caps[j]
-
-    def keep(self, terms: dict) -> dict:
-        """The terms of a term dict whose exponents lie in the staircase."""
-        caps = self.caps
-        top = len(caps)
-        return {key: c for key, c in terms.items()
-                if key[1] < top and key[0] <= caps[key[1]]}
 
 
 class SparsePoly2:
@@ -218,11 +191,6 @@ class SparsePoly2:
     def depends_only_on_z(self) -> bool:
         return all(j == 0 for _, j in self._terms)
 
-    def restrict(self, region: "Staircase") -> "SparsePoly2":
-        """The terms whose exponents lie in region: this polynomial
-        modulo the monomial ideal of the exponents outside it."""
-        return SparsePoly2._raw(region.keep(self._terms))
-
     # -- arithmetic ----------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -268,13 +236,10 @@ class SparsePoly2:
 
 
 def poly_mul(a: SparsePoly2, b: SparsePoly2,
-             limits: ResourceLimits | None = None,
-             region: Staircase | None = None) -> SparsePoly2:
-    """a * b; with a region, only the product's terms in the region are
-    computed (the kernel's mul_staircase) and counted against the term
-    cap."""
+             limits: ResourceLimits | None = None) -> SparsePoly2:
+    """a * b, under the resource caps."""
     _precheck_mul(a._terms, b._terms, limits)
-    out = kernels.mul_terms(a._terms, b._terms, region)
+    out = kernels.mul_terms(a._terms, b._terms)
     # The precheck bounded the degree; only the term count is new.
     check_term_count(out, limits)
     return SparsePoly2._raw(out)
@@ -292,10 +257,8 @@ def poly_sum(polys) -> SparsePoly2:
 
 
 def poly_pow(a: SparsePoly2, k: int,
-             limits: ResourceLimits | None = None,
-             region: Staircase | None = None) -> SparsePoly2:
-    """a**k by repeated squaring; k >= 0.  With a region, every product
-    keeps only its terms in the region."""
+             limits: ResourceLimits | None = None) -> SparsePoly2:
+    """a**k by repeated squaring; k >= 0."""
     if not isinstance(k, int) or k < 0:
         raise ValueError("exponent must be a non-negative integer")
     # Starting from the first factor, not from 1, saves a product that
@@ -305,10 +268,10 @@ def poly_pow(a: SparsePoly2, k: int,
     while k:
         if k & 1:
             result = (base if result is None
-                      else poly_mul(result, base, limits, region))
+                      else poly_mul(result, base, limits))
         k >>= 1
         if k:
-            base = poly_mul(base, base, limits, region)
+            base = poly_mul(base, base, limits)
     return SparsePoly2.constant(1) if result is None else result
 
 

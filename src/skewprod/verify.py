@@ -20,19 +20,19 @@ compared by cross-multiplication.
 The checks read an iterate only through its Newton polygon (which fixes
 the orders and the weights) and the coefficients of each reading's
 dominant bidegree and critical pure-z term.  So verify_germ(...,
-full_iterates=False), which fuzz uses, computes the deepest Q^n with
-germ.truncated_step: only at the vertices of its predicted polygon
-(modulo the ideal I of the lattice points at or below no vertex), and
-only where a certificate shows the polygon and every point read are
-those of the full Q^n, with the full step as the fallback.  Its
-oracle[-1].germ.q is then Q^n mod I, the vertex terms of Q^n, and the
-report is the one the default gives.  Every earlier iterate is full.
+full_iterates=False), which fuzz uses, computes each Q^n from n = 2 on
+with germ.vertex_step: only its terms at the vertices of its polygon,
+summed from the vertex terms of Q^(n-1), and only where a certificate
+shows the polygon and every point read are those of the full Q^n, with
+the full step as the fallback.  Its oracle records may then hold only
+the vertex terms of Q^n, and the report is the one the default gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 
 from .classify import (
@@ -52,7 +52,7 @@ from .classify import (
     weight_intervals,
 )
 from .exact import as_fraction, format_exact
-from .germ import SkewGerm, iterates, truncated_step
+from .germ import SkewGerm, iterates
 from .growth import GrowthTable
 from .newton import newton_polygon, weight
 from .poly import ResourceCapError, ResourceLimits
@@ -142,18 +142,15 @@ def oracle_records(f: SkewGerm, n_max: int,
                    limits: ResourceLimits | None = None, cases=None):
     """Iterate the germ, keeping every n that fits in the resource caps.
 
-    With cases, the readings whose checks will read the records, the
-    last step is germ.truncated_step: Q^n_max may be computed only at
-    the vertices of its predicted Newton polygon.
+    With cases, the readings whose checks will read the records, each
+    Q^n from n = 2 on may be germ.vertex_step's: only its terms at the
+    vertices of its Newton polygon.
     """
-    last_step = None
-    if cases is not None:
-        def last_step(fn):
-            return truncated_step(f, fn, _read_points(cases, n_max), limits)
+    reads = None if cases is None else partial(_read_points, cases)
     records = []
     error = None
     try:
-        for n, fn in iterates(f, n_max, limits, last_step):
+        for n, fn in iterates(f, n_max, limits, reads):
             records.append(oracle_record(f, n, fn))
     except ResourceCapError as exc:
         error = str(exc)
@@ -241,9 +238,9 @@ def verify_germ(f: SkewGerm, n_max: int, extra_ls=(),
     guard, the report keeps every n up to the deepest one whose iterate
     and predictions fit, and resource_error says which cap tripped.
 
-    With full_iterates=False the deepest iterate comes from
-    germ.truncated_step, so oracle[-1].germ.q may be only the terms of
-    Q^n at the vertices of its Newton polygon; every check reads the
+    With full_iterates=False the iterates come from germ.vertex_step
+    where it is certified, so each record's germ.q may be only the terms
+    of Q^n at the vertices of its Newton polygon; every check reads the
     same values.
     """
     cases = case_variants(f)

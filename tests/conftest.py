@@ -40,15 +40,15 @@ def germs():
 
 @pytest.fixture
 def step_log(monkeypatch):
-    """One entry per compose_germ call: True when it ran restricted to a
-    region."""
+    """One entry per compose_germ call, that is, per full step: the
+    iterate it composed with."""
     log = []
     germ_module = importlib.import_module("skewprod.germ")
     inner = germ_module.compose_germ
 
-    def logged(g, h, limits=None, region=None):
-        log.append(region is not None)
-        return inner(g, h, limits, region)
+    def logged(g, h, limits=None):
+        log.append(h)
+        return inner(g, h, limits)
 
     monkeypatch.setattr(germ_module, "compose_germ", logged)
     return log

@@ -8,7 +8,7 @@ import pytest
 from skewprod import FuzzConfig, fuzz
 from skewprod.fuzz import _projected_degree, campaign_limits, generate_germs
 from skewprod.jsonio import verification_json
-from skewprod.newton import composed_polygon, newton_polygon
+from skewprod.newton import composed_polygon
 from skewprod.verify import verify_germ
 from conftest import CRITERION_5
 
@@ -131,13 +131,19 @@ def test_truncated_oracle_gives_the_full_reports(seed):
     assert h.hexdigest()[:16] == STREAM_DIGESTS[seed]
 
 
+# The full steps each campaign stream makes: one per germ with a
+# vanishing event, whose Q^2 loses a predicted vertex.
+FULL_STEPS = {20260809: 26, 7: 32, 11: 31}
+
+
 @pytest.mark.parametrize("seed", sorted(STREAM_DIGESTS))
 def test_truncated_last_step_keeps_the_predicted_vertices(seed, step_log):
-    """On the campaign streams every last step runs truncated and is
-    accepted, and the deepest Q^n it keeps is exactly its terms at the
-    vertices of the polygon predicted from Q^(n-1)."""
+    """On the campaign streams every record from n = 2 on holds exactly
+    the vertices of the polygon predicted from the record before, except
+    where a predicted vertex cancels and the full step runs."""
     cfg = replace(CRITERION_5, seed=seed)
     limits = campaign_limits(cfg)
+    full_steps = fallbacks = 0
     for g in generate_germs(cfg):
         if _projected_degree(g, cfg.n_max) > cfg.degree_cap:
             continue
@@ -145,13 +151,15 @@ def test_truncated_last_step_keeps_the_predicted_vertices(seed, step_log):
         report = verify_germ(g, cfg.n_max, limits=limits,
                              full_iterates=False)
         assert report.reached_n == cfg.n_max
-        # One full step to Q^2, then the truncated last step, accepted.
-        assert step_log == [False] * (cfg.n_max - 2) + [True]
-        prev = report.oracle[-2].germ
-        predicted = composed_polygon(g.q, min(prev.p.column_minima()),
-                                     newton_polygon(prev.q))
-        assert (sorted(report.oracle[-1].germ.q.exponents())
-                == list(predicted.vertices))
+        full_steps += len(step_log)
+        for prev, rec in zip(report.oracle, report.oracle[1:]):
+            predicted = composed_polygon(g.q, min(prev.germ.p.column_minima()),
+                                         prev.polygon)
+            support = sorted(rec.germ.q.exponents())
+            if support != list(predicted.vertices):
+                assert not set(predicted.vertices) <= set(support)
+                fallbacks += 1
+    assert full_steps == fallbacks == FULL_STEPS[seed]
 
 
 def test_fuzz_verifies_with_truncated_last_step(monkeypatch):

@@ -1,8 +1,4 @@
-from fractions import Fraction
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from skewprod import (
     GermFileError,
@@ -15,10 +11,8 @@ from skewprod import (
     iterate_germ,
     parse_germ_file,
     parse_poly,
-    substitute,
 )
-from skewprod.germ import truncated_step
-from skewprod.poly import SparsePoly2, Staircase
+from skewprod.germ import iterates, vertex_step
 from conftest import germ
 
 
@@ -122,64 +116,59 @@ def _outcome(step, *args):
         return None, str(exc)
 
 
+def _reach(f, n, limits, reads=None):
+    """(the germs iterates yields, the message of a cap that trips or
+    None)."""
+    out = []
+    try:
+        for _, fn in iterates(f, n, limits, reads):
+            out.append(fn)
+    except ResourceCapError as exc:
+        return out, str(exc)
+    return out, None
+
+
 @pytest.mark.parametrize("limits", (
     [ResourceLimits(max_total_degree=d) for d in range(1, 15)]
     + [ResourceLimits(max_terms=t) for t in range(1, 8)]))
 def test_truncated_step_trips_caps_where_the_full_step_does(limits):
-    # W's term z*w^5 lies inside the predicted polygon of q(P, W), so
-    # the truncated products are smaller and of lower degree than the
-    # full ones; the caps must trip, or not, as in the full step.
+    # Q^2 = w^4 + 2 z w^2 + 2 z^2 has a term on its polygon's edge, so
+    # Q^2 and Q^3 hold fewer terms of lower degree as vertex steps than
+    # in full; the caps must trip, or not, as in the full steps.
     f = germ("z^2", "w^2 + z")
-    fn = germ("z^4", "w + z*w^5")
-    full, full_error = _outcome(compose_germ, f, fn, limits)
-    cut, cut_error = _outcome(truncated_step, f, fn, (), limits)
+    full, full_error = _reach(f, 3, limits)
+    cut, cut_error = _reach(f, 3, limits, lambda n: ())
     assert cut_error == full_error
-    if full is not None:
-        assert cut.p == full.p
-        assert set(cut.q.exponents()) <= set(full.q.exponents())
+    assert len(cut) == len(full)
+    for a, b in zip(cut, full):
+        assert a.p == b.p
+        assert a.q.items() <= b.q.items()
 
 
 def test_truncated_step_drops_only_interior_terms():
     f = germ("z^2", "w^2 + z")
     fn = germ("z^4", "w + z*w^5")
     full = compose_germ(f, fn)
-    cut = truncated_step(f, fn, ())
+    cut = vertex_step(f, fn, ())
     # Q = w^2 + 2 z w^6 + z^2 w^10 + z^4, whose polygon is the edge
     # from (0, 2) to (4, 0); only z w^6 and z^2 w^10 lie inside it.
     assert full.q == parse_poly("w^2 + 2*z*w^6 + z^2*w^10 + z^4")
     assert cut.q == parse_poly("w^2 + z^4")
-    # A read point inside the polygon sends the step to the full one.
-    assert truncated_step(f, fn, [(1, 6)]).q == full.q
+    assert cut.p == full.p
+    # The sums read only the vertex terms of fn.q.
+    assert vertex_step(f, germ("z^4", "w"), ()) == cut
+    # A read point inside the polygon leaves the step to the full one.
+    assert vertex_step(f, fn, [(1, 6)]) is None
+    assert vertex_step(f, fn, [(0, 2), (4, 0), (2, 0), (0, 1)]) == cut
 
 
-small_coeffs = st.sampled_from((1, -1, 2, -3, Fraction(1, 2)))
-small_polys = st.dictionaries(
-    st.tuples(st.integers(0, 3), st.integers(0, 3)), small_coeffs,
-    min_size=1, max_size=5).map(SparsePoly2)
-# One term takes the power table (where every coefficient is an int),
-# more than one Horner.
-z_polys = st.dictionaries(st.integers(1, 3), small_coeffs,
-                          min_size=1, max_size=2).map(
-    lambda t: SparsePoly2({(i, 0): c for i, c in t.items()}))
-staircases = st.lists(st.integers(-1, 14), max_size=14).map(
-    lambda caps: Staircase(tuple(sorted(caps, reverse=True))))
-
-
-@given(small_polys, z_polys, small_polys | st.just(SparsePoly2.zero()),
-       staircases)
-@settings(max_examples=200, deadline=None)
-def test_substitute_in_a_region_is_the_restricted_substitute(q, P, W, region):
-    cut = substitute(q, P, W, region=region)
-    want = substitute(q, P, W).restrict(region)
-    assert repr(sorted(cut.items())) == repr(sorted(want.items()))
-
-
-@pytest.mark.parametrize("P", ["z^2", "z^2 + z^3"])
-def test_substitute_restricts_the_layer_without_w(P):
-    # q(P, 0) = P^3 has degree 6 or more on row 0, past row 0's cap 5.
-    q = parse_poly("w^3 + z*w + z^3")
-    P, W = parse_poly(P), parse_poly("w + z")
-    region = Staircase((5, 3, 1, 0))
-    cut = substitute(q, P, W, region=region)
-    assert all(key in region for key in cut.exponents())
-    assert cut == substitute(q, P, W).restrict(region)
+def test_vertex_step_leaves_mixed_types_to_the_full_step():
+    # At z^2 the terms of q give 1/2 (from w^2), -1/2 (from z*w) and the
+    # int 1 (from z^2).  Horner cancels the first two before it adds
+    # z^2, so the full step's coefficient is the int 1, where the sum
+    # would be Fraction(1).
+    f = germ("z", "1/2*w^2 - 1/2*z*w + z^2")
+    fn = germ("z", "w + z")
+    full = compose_germ(f, fn)
+    assert repr(full.q.coeff(2, 0)) == "1"
+    assert vertex_step(f, fn, ()) is None

@@ -1,6 +1,5 @@
 """The two product paths, Kronecker substitution and the dict loop, must
-agree exactly: same terms, same coefficient types.  So must a product
-with a region and the dict loop's product filtered to it."""
+agree exactly: same terms, same coefficient types."""
 
 import decimal
 import random
@@ -13,8 +12,7 @@ from hypothesis import strategies as st
 
 from skewprod import _kernels
 from skewprod._kernels import mul_dict, mul_kronecker, mul_terms
-from skewprod.poly import (KERNEL_BACKEND, SparsePoly2, Staircase, poly_mul,
-                           poly_sum)
+from skewprod.poly import KERNEL_BACKEND, SparsePoly2, poly_sum
 
 
 def exact(terms):
@@ -466,93 +464,3 @@ def test_poly_sum_copies_only_the_first_operand(monkeypatch):
     for p in parts[1:]:
         expected = expected + p
     assert repr(list(total.items())) == repr(list(expected.items()))
-
-
-# The pruned product: mul_terms with a region computes only the terms in
-# the staircase, and each equals keep(mul_dict(a, b)), type included.
-
-def assert_pruned_agrees(a, b, region):
-    expected = exact(region.keep(mul_dict(a, b)))
-    assert exact(mul_terms(a, b, region)) == expected
-    assert exact(mul_terms(b, a, region)) == expected
-
-
-# Small coefficients of both types cancel often, so a sum's type
-# depends on the order its products are added in.
-small_coeffs = st.sampled_from((1, -1, 2, -2, Fraction(1), Fraction(-1),
-                                Fraction(1, 2), Fraction(-1, 2)))
-region_keys = st.tuples(st.integers(0, 12), st.integers(0, 12))
-small_terms = st.dictionaries(region_keys, small_coeffs, max_size=30)
-# Keys reach rows past the last cap and columns past the first; a
-# negative cap empties its row.
-pruning_staircases = st.lists(st.integers(-1, 12), max_size=16).map(
-    lambda caps: Staircase(tuple(sorted(caps, reverse=True))))
-
-
-@given(st.one_of(int_terms, fraction_terms, mixed_terms, small_terms),
-       st.one_of(int_terms, fraction_terms, mixed_terms, small_terms),
-       pruning_staircases)
-@settings(max_examples=300, deadline=None)
-def test_pruned_product_matches_the_filtered_dict_loop(a, b, region):
-    assert_pruned_agrees(a, b, region)
-
-
-@given(small_terms, pruning_staircases)
-@settings(max_examples=150, deadline=None)
-def test_pruned_square_matches_the_filtered_dict_loop(a, region):
-    assert_pruned_agrees(a, a, region)
-
-
-def test_pruned_product_keeps_the_dict_loops_summation_order():
-    # z^2 gets Fraction(1), then -1 (the sum is 0 and dropped), then 1:
-    # an int.  Added in another order it would be Fraction(1).
-    a = {(0, 0): Fraction(1), (1, 0): -1, (2, 0): 1}
-    b = {(2, 0): 1, (1, 0): 1, (0, 0): 1, (0, 3): 5, (0, 4): 7}
-    region = Staircase((4, 2, 2, 2, 2))
-    assert mul_dict(a, b)[(2, 0)] == 1
-    assert type(mul_dict(a, b)[(2, 0)]) is int
-    for x, y in ((a, b), (b, a)):
-        out = mul_terms(x, y, region)
-        assert type(out[(2, 0)]) is int
-        assert exact(out) == exact(region.keep(mul_dict(a, b)))
-
-
-def test_pruned_product_shapes():
-    a = {(0, 0): 2, (3, 1): -1, (1, 2): 3, (7, 0): 5}
-    b = {(i, j): i - j + 1 for i in range(6) for j in range(4) if i != j + 1}
-    # The product's terms lie in columns 0..12 and rows 0..5.
-    for region in (Staircase((12,) * 4 + (0, 0)),  # whole rows, then i <= 0
-                   Staircase((9,) * 6),  # a single cap on every row
-                   Staircase((12, 8, 5, 2, 2, 2)),
-                   Staircase((12,) * 6),  # every product row is whole
-                   Staircase((12, 8, 5)),  # rows 3 to 5 keep nothing
-                   Staircase(())):  # nothing is kept
-        assert_pruned_agrees(a, b, region)
-    # Every term of the operands lies outside the region: nothing is left.
-    far = {(5, 5): 1, (6, 5): 2}
-    region = Staircase((12,) + (3,) * 8)
-    assert mul_terms(far, b, region) == {}
-    assert mul_terms({}, b, region) == {}
-    assert mul_terms(a, {}, region) == {}
-    # (z + w)(z - w) = z^2 - w^2: its zw terms cancel, and the region
-    # keeps no other (rows 0 and 1 hold i <= 1, rows from 2 on nothing).
-    region = Staircase((1, 1))
-    assert mul_terms({(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1},
-                     region) == {}
-
-
-def test_region_products_never_reach_kronecker(monkeypatch):
-    a = {(i, j): i - 3 * j - 100 for i in range(8) for j in range(8)}
-    b = {(i, j): Fraction(i + 1, j + 2) for i in range(8) for j in range(8)}
-    region = Staircase((14,) * 3 + (9, 6) + (3,) * 10)
-    expected = [exact(region.keep(mul_dict(x, y)))
-                for x, y in ((a, a), (a, b))]
-
-    def refuse(*args):
-        raise AssertionError("a product with a region reached mul_kronecker")
-
-    monkeypatch.setattr(_kernels, "mul_kronecker", refuse)
-    assert [exact(mul_terms(x, y, region))
-            for x, y in ((a, a), (a, b))] == expected
-    got = poly_mul(SparsePoly2._raw(a), SparsePoly2._raw(a), region=region)
-    assert exact(got._terms) == expected[0]

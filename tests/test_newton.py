@@ -6,16 +6,17 @@ from hypothesis import strategies as st
 
 from skewprod import (
     NewtonPolygon,
+    SkewGerm,
     SparsePoly2,
     newton_polygon,
     parse_poly,
     substitute,
     weight,
 )
+from skewprod.germ import vertex_step
 from skewprod.newton import (
     composed_polygon,
     hull_vertices,
-    under_vertices,
     support_on_edge,
 )
 from reference import edge_slope, min_weight
@@ -268,62 +269,43 @@ def test_polygon_is_cached(p):
     assert repr(newton_polygon(square)) == repr(NewtonPolygon.of_poly(square))
 
 
-def _polygon_reference(polygon, point):
-    """Right of the first vertex or on its column, above the last or on
-    its row, and on or above every edge line (by a cross product)."""
-    x, y = point
-    verts = polygon.vertices
-    if x < verts[0][0] or y < verts[-1][1]:
-        return False
-    return all((y - m1) * (n2 - n1) >= (m2 - m1) * (x - n1)
-               for (n1, m1), (n2, m2) in zip(verts, verts[1:]))
-
-
-@given(polys)
-@settings(max_examples=150, deadline=None)
-def test_under_vertices_is_the_points_below_a_vertex(p):
-    """Checked on a box that holds the whole region: the region is the
-    union of the boxes under the vertices, closed downward, holds every
-    vertex and meets the polygon only in its vertices."""
-    polygon = newton_polygon(p)
-    region = under_vertices(polygon)
-    verts = polygon.vertices
-    box = [(i, j) for i in range(10) for j in range(10)]
-    below = {(i, j) for i, j in box
-             if any(i <= x and j <= y for x, y in verts)}
-    assert {pt for pt in box if pt in region} == below
-    assert set(region.keep({pt: 1 for pt in box})) == below
-    # Nothing of the region lies outside the box.
-    assert len(region.caps) == verts[0][1] + 1
-    assert max(region.caps) == verts[-1][0]
-    assert all((not i or (i - 1, j) in region)
-               and (not j or (i, j - 1) in region) for i, j in below)
-    assert all(v in region for v in verts)
-    assert {pt for pt in below if _polygon_reference(polygon, pt)} == set(verts)
-
-
-z_only = st.dictionaries(st.integers(1, 3), st.integers(-3, 3).filter(bool),
+coeffs = st.integers(-3, 3).filter(bool) | st.sampled_from(
+    (Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)))
+z_only = st.dictionaries(st.integers(1, 3), coeffs,
                          min_size=1, max_size=2).map(
     lambda t: SparsePoly2({(i, 0): c for i, c in t.items()}))
+# No constant term, so q and W make germs with any z_only p.
 small_polys = st.dictionaries(
-    st.tuples(st.integers(0, 3), st.integers(0, 3)),
-    st.integers(-3, 3).filter(bool), min_size=1, max_size=4,
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any),
+    coeffs, min_size=1, max_size=4,
 ).map(SparsePoly2)
 
 
+def _exact(terms) -> str:
+    """Terms with their coefficient types: 2 and Fraction(2) differ."""
+    return repr(sorted(terms))
+
+
 @given(small_polys, z_only, small_polys)
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_composed_polygon_holds_the_composite(q, P, W):
-    """N(q(P, W)) lies in the predicted polygon, and the composite
-    computed restricted to the points under its vertices is the full one
-    restricted there: its terms at the predicted vertices."""
+    """N(q(P, W)) lies in the predicted polygon.  Where vertex_step
+    returns a germ, the two polygons are equal and its terms are those
+    of q(P, W) at the vertices, types included, whether W holds all its
+    terms or only those at its vertices."""
     predicted = composed_polygon(q, min(P.column_minima()), newton_polygon(W))
     full = substitute(q, P, W)
-    region = under_vertices(predicted)
-    cut = substitute(q, P, W, region=region)
-    assert repr(sorted(cut.items())) == repr(sorted(
-        (key, c) for key, c in full.items() if key in region))
-    assert set(cut.exponents()) <= set(predicted.vertices)
     if full:
         got = newton_polygon(full).vertices
         assert hull_vertices(got + predicted.vertices) == predicted.vertices
+    f = SkewGerm(P, q)
+    step = vertex_step(f, SkewGerm(P, W), ())
+    if step is None:
+        return
+    assert newton_polygon(step.q) == newton_polygon(full)
+    assert _exact(step.q.items()) == _exact(
+        (v, full.coeff(*v)) for v in predicted.vertices)
+    corners = SparsePoly2._raw(
+        {v: W.coeff(*v) for v in newton_polygon(W).vertices})
+    cut = vertex_step(f, SkewGerm(P, corners), ())
+    assert _exact(cut.q.items()) == _exact(step.q.items())

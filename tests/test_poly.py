@@ -12,7 +12,7 @@ from skewprod import (
     format_poly,
     parse_poly,
 )
-from skewprod.poly import Staircase, poly_mul, poly_pow
+from skewprod.poly import poly_mul, poly_pow
 
 
 def P(src):
@@ -152,18 +152,3 @@ def test_pow_matches_repeated_mul(p, k):
     for _ in range(k):
         expected = expected * p
     assert p**k == expected
-
-
-staircases = st.lists(st.integers(0, 6), max_size=8).map(
-    lambda caps: Staircase(tuple(sorted(caps, reverse=True))))
-
-
-@given(polys, polys, staircases)
-@settings(max_examples=150, deadline=None)
-def test_product_restricted_to_a_staircase_is_a_ring_map(a, b, region):
-    # The exponents outside a staircase form an ideal, so the product of
-    # the restricted operands, restricted, is the restricted product.
-    got = poly_mul(a.restrict(region), b.restrict(region), region=region)
-    want = poly_mul(a, b).restrict(region)
-    assert repr(sorted(got.items())) == repr(sorted(want.items()))
-    assert all(key in region for key in got.exponents())

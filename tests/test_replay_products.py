@@ -1,10 +1,12 @@
 """Smoke tests of tools/replay_products.py on the oracle_rational and
 fuzz_campaign workloads."""
 
+import importlib.util
 import json
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -20,7 +22,6 @@ def test_replay_oracle_rational():
     # The traced benchmark counts the same 30 products.
     assert summary["products"] == 30
     assert summary["mismatches"] == 0
-    assert summary["regions"] == summary["region_slower"] == 0
     assert summary["by_kind"] == {"fraction": 18, "mixed": 12}
     assert set(summary["seconds_by_ratio"]) == {"fraction"}
     assert set(summary["seconds_by_ratio"]["fraction"]) == {"1/2", "5"}
@@ -28,18 +29,29 @@ def test_replay_oracle_rational():
                for path in ("dispatch", "dict", "kronecker"))
 
 
-def test_replay_fuzz_campaign_regions():
+def test_replay_fuzz_campaign_products():
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "replay_products.py"),
          "--workload", "fuzz_campaign", "--repeat", "1", "--ratios", "5"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     summary = json.loads(done.stdout.splitlines()[-1])
-    # The traced benchmark counts the same 2,382 products; the truncated
-    # last steps make 785 of them with a region.
-    assert summary["products"] == 2382
-    assert summary["regions"] == 785
+    # The traced benchmark counts the same 412 products, each of two
+    # int operands with terms.
+    assert summary["products"] == 412
+    assert summary["by_kind"] == {"int": 412}
     assert summary["mismatches"] == 0
-    assert 0 <= summary["region_slower"] <= summary["regions"]
-    assert all(summary["seconds_region"][path] > 0
-               for path in ("pruned", "full"))
+    assert set(summary["seconds_by_ratio"]) == {"int"}
+
+
+def test_kind_labels_an_empty_operand():
+    spec = importlib.util.spec_from_file_location(
+        "replay_products", ROOT / "tools" / "replay_products.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    half = Fraction(1, 2)
+    both = {(0, 1): 1, (1, 0): half}
+    assert tool.kind({}, {(1, 0): half}) == tool.kind(both, {}) == "empty"
+    assert tool.kind({(0, 1): 1}, {(1, 0): 2}) == "int"
+    assert tool.kind({(0, 1): 1}, {(1, 0): half}) == "fraction"
+    assert tool.kind(both, both) == "mixed"

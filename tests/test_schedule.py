@@ -196,8 +196,9 @@ def test_degree_bound_covers_every_checked_product(args):
         both_schedules(q, P, W)
     finally:
         poly_module._precheck_mul = precheck
+    deg_w = None if W.is_zero else W.total_degree()
     assert max(checked, default=0) <= germ_module._horner_degree_bound(
-        by_j, P, W)
+        by_j, P.total_degree(), deg_w)
 
 
 def test_degree_cap_on_g8():

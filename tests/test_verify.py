@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from skewprod import ResourceLimits, iterate_germ, parse_germ_file, verify_germ
+from skewprod.germ import iterates
 from skewprod.growth import GrowthTable
 from skewprod.jsonio import verification_json
-from skewprod.newton import composed_polygon, newton_polygon, under_vertices
+from skewprod.newton import composed_polygon
 
 
 @pytest.mark.parametrize("name", ["g1", "g2", "g3", "g4", "g5"])
@@ -127,10 +128,10 @@ def test_case1_checks_polygon_is_quadrant(germs):
     assert len(only) == 3 and all(c.passed for c in only)
 
 
-# -- the truncated last step (full_iterates=False) ------------------------
+# -- the vertex steps (full_iterates=False) -------------------------------
 
 # (fixture, n) pairs where the predicted polygon of Q^n is larger than
-# the true one, so the certificate sends the last step to the full one.
+# the true one, so the certificate sends the step to the full one.
 FALLBACKS = {("g5", 2), ("g5", 4)}
 TRUNCATION_CASES = ([(name, n) for name in ("g1", "g2", "g3", "g4", "g5", "g6")
                      for n in (2, 3, 4)]
@@ -146,42 +147,56 @@ def _exact(terms) -> str:
     return repr(sorted(terms))
 
 
+def _vertex_terms(rec, full_rec) -> bool:
+    """Whether a record holds exactly the terms of the full one at its
+    polygon's vertices; either way it has the full p and polygon."""
+    assert rec.germ.p == full_rec.germ.p
+    assert rec.polygon == full_rec.polygon
+    want = [(v, full_rec.germ.q.coeff(*v)) for v in rec.polygon.vertices]
+    return _exact(rec.germ.q.items()) == _exact(want)
+
+
 @pytest.mark.parametrize("name,n", TRUNCATION_CASES)
 def test_truncated_last_step_matches_full(name, n, germs):
     f = germs[name]
     full = verify_germ(f, n)
     cut = verify_germ(f, n, full_iterates=False)
     assert _json(cut) == _json(full)
-    assert all(a.germ == b.germ for a, b in zip(cut.oracle[:-1], full.oracle))
-    # Q^n mod I: the full Q^n on the points under a vertex of the
-    # polygon predicted from Q^(n-1), which are its vertex terms.
-    prev, deepest = full.oracle[-2].germ, full.oracle[-1].germ
-    predicted = composed_polygon(
-        f.q, min(prev.p.column_minima()), newton_polygon(prev.q))
-    region = under_vertices(predicted)
-    if (name, n) in FALLBACKS:
-        want = deepest.q.items()
-    else:
-        want = [(key, c) for key, c in deepest.q.items() if key in region]
-        assert {key for key, _ in want} == set(predicted.vertices)
-    assert _exact(cut.oracle[-1].germ.q.items()) == _exact(want)
-    assert cut.oracle[-1].germ.p == deepest.p
+    assert cut.oracle[0].germ == f
+    # From n = 2 on each record is the full Q^n's terms at the vertices
+    # of the polygon predicted from Q^(n-1), or, where the certificate
+    # fails, the full Q^n.
+    for prev, rec, want in zip(full.oracle, cut.oracle[1:], full.oracle[1:]):
+        predicted = composed_polygon(
+            f.q, min(prev.germ.p.column_minima()), prev.polygon)
+        if (name, rec.n) in FALLBACKS:
+            assert rec.germ == want.germ
+            assert _exact(rec.germ.q.items()) == _exact(want.germ.q.items())
+        else:
+            assert _vertex_terms(rec, want)
+            assert rec.polygon.vertices == predicted.vertices
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_g5_certificate_falls_back(n, germs, step_log):
-    verify_germ(germs["g5"], n, full_iterates=False)
-    # Every step but the last is full; the last is tried truncated, and
-    # at n = 2 and 4 a boundary term of Q^n cancels, so N(Q^n) is smaller
-    # than predicted and the full step follows.
-    tail = [True, False] if ("g5", n) in FALLBACKS else [True]
-    assert step_log == [False] * (n - 2) + tail
+    f = germs["g5"]
+    full = [fn for _, fn in iterates(f, n)]
+    step_log.clear()
+    verify_germ(f, n, full_iterates=False)
+    # At n = 2 and 4 a boundary term of Q^n cancels, so N(Q^n) is
+    # smaller than predicted and the full step follows.  Q^3 is a vertex
+    # step, so the full step to Q^4 iterates afresh from f.
+    composed = {2: [1], 3: [1], 4: [1, 1, 2, 3]}[n]
+    assert step_log == [full[k - 1] for k in composed]
 
 
 def test_default_and_iterate_keep_full_iterates(germs, step_log):
-    verify_germ(germs["g2"], 3)
-    iterate_germ(germs["g2"], 3)
-    assert step_log == [False] * 4
+    f = germs["g2"]
+    f2 = iterate_germ(f, 2)
+    step_log.clear()
+    verify_germ(f, 3)
+    iterate_germ(f, 3)
+    assert step_log == [f, f2] * 2
 
 
 def test_dominant_read_in_interior_takes_full_step(germs, step_log,
@@ -204,8 +219,11 @@ def test_dominant_read_in_interior_takes_full_step(germs, step_log,
     full = verify_germ(f, n)
     step_log.clear()
     cut = verify_germ(f, n, full_iterates=False)
-    assert step_log == [False, False]
+    # Q^2 is a vertex step, so the full step to Q^3 iterates afresh.
+    assert step_log == [f, full.oracle[1].germ]
     assert _json(cut) == _json(full)
+    assert _vertex_terms(cut.oracle[1], full.oracle[1])
+    assert cut.oracle[1].germ != full.oracle[1].germ
     assert cut.oracle[-1].germ == full.oracle[-1].germ
 
 
@@ -226,3 +244,6 @@ def test_truncated_last_step_trips_caps_as_full(name, n, limits, germs):
     assert (cut.reached_n, cut.resource_error) == (full.reached_n,
                                                    full.resource_error)
     assert _json(cut) == _json(full)
+    # Every record is full or its vertex terms.
+    for rec, want in zip(cut.oracle, full.oracle):
+        assert (rec.germ.q == want.germ.q) or _vertex_terms(rec, want)

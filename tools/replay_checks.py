@@ -15,8 +15,8 @@ passes.
 The digest covers every report's verification_json, hashed in order as
 tests/test_fuzz.py's test_campaign_sample_verification_digest does, so
 at the default seed and count it reads that test's digest.  fuzz
-verifies with full_iterates=False, so the deepest Q^n of each recorded
-result is the truncated one (germ.truncated_step), which holds only the
+verifies with full_iterates=False, so each recorded Q^n from n = 2 on
+is germ.vertex_step's wherever that is certified, and holds only the
 terms at its polygon's vertices; the checks read the same values off it
 as off the full Q^n, and the digest is the same.
 Copy the script into another checkout to pair its check side against

@@ -4,25 +4,20 @@
 
 Run from the root of a source checkout; skewprod is imported from src/.
 The script runs one operation with skewprod._kernels.mul_terms wrapped
-and keeps the operands and the region of every call; the operation is
-one operation of a perfbench workload (perfbench/workloads.py).  It
-then times each recorded product best-of-K and checks that the outputs
-agree by repr(sorted(...)), coefficient types included.  A product
-without a region runs through mul_terms as dispatched, through
-mul_dict, and through mul_kronecker where that path takes it.  A
-product with a region (a poly.Staircase of row caps) runs through
-mul_terms as dispatched (the pruned loop, mul_staircase) and as the
-full product filtered afterwards, region.keep(mul_terms(a, b)), and
-the summary counts the region products the pruned loop took longer
-on.
+and keeps the operands of every call; the operation is one operation
+of a perfbench workload (perfbench/workloads.py).  It then times each
+recorded product best-of-K through mul_terms as dispatched, through
+mul_dict, and through mul_kronecker where that path takes it, and
+checks that the outputs agree by repr(sorted(...)), coefficient types
+included.
 
-Products fall in three classes: "int" (both operands all-int),
-"fraction" (an all-Fraction operand) and "mixed" (all others, which
-only the dict loop takes).  For each ratio R (an int or a/b) it prints
-the total each class of products without a region would take if those
-whose smaller operand has at least KRONECKER_MIN_TERMS terms and whose
-multiply-adds reach R per cell of the bounding box went to Kronecker
-and all others to the dict loop.  That is how the kernel's dispatch
+Products fall in four classes: "empty" (an operand with no terms),
+"int" (both operands all-int), "fraction" (an all-Fraction operand) and
+"mixed" (all others, which only the dict loop takes).  For each ratio R
+(an int or a/b) it prints the total the int and the fraction products
+would take if those whose smaller operand has at least
+KRONECKER_MIN_TERMS terms and whose multiply-adds reach R per cell of
+the bounding box went to Kronecker and all others to the dict loop.  That is how the kernel's dispatch
 bounds are chosen.  The last line is one JSON object; the exit code is
 1 when two paths disagree.
 """
@@ -51,14 +46,13 @@ def exact(terms) -> str:
 
 
 def record(operation) -> list:
-    """The (a, b, region) of every mul_terms call operation() makes, in
-    order; region is None for a full product."""
+    """The (a, b) of every mul_terms call operation() makes, in order."""
     calls = []
     inner = _kernels.mul_terms
 
-    def recording(a, b, region=None):
-        calls.append((a, b, region))
-        return inner(a, b, region)
+    def recording(a, b):
+        calls.append((a, b))
+        return inner(a, b)
 
     _kernels.mul_terms = recording
     try:
@@ -89,6 +83,8 @@ def best_of(fn, a, b, repeat: int):
 
 
 def kind(a, b) -> str:
+    if not a or not b:
+        return "empty"
     types_a, types_b = set(map(type, a.values())), set(map(type, b.values()))
     if types_a == types_b == {int}:
         return "int"
@@ -101,22 +97,12 @@ def replay(calls, repeat: int) -> list:
     """One row per product: its shape, class, the seconds of each path
     (None where the path did not run), and whether the paths agree."""
     rows = []
-    for a, b, region in calls:
+    for a, b in calls:
         row = {"kind": kind(a, b), "work": len(a) * len(b),
-               "min_terms": min(len(a), len(b)), "cells": 0,
-               "region": region is not None}
+               "min_terms": min(len(a), len(b)), "cells": 0}
         if a and b:
             shape = _kernels._product_shape(_kernels._box(a), _kernels._box(b))
             row["cells"] = shape[0] * shape[1]
-        if region is not None:
-            row["pruned"], out = best_of(
-                lambda a, b: _kernels.mul_terms(a, b, region), a, b, repeat)
-            row["full"], expected = best_of(
-                lambda a, b: region.keep(_kernels.mul_terms(a, b)), a, b,
-                repeat)
-            row["agree"] = exact(out) == exact(expected)
-            rows.append(row)
-            continue
         row["dispatch"], out = best_of(_kernels.mul_terms, a, b, repeat)
         row["dict"], expected = best_of(_kernels.mul_dict, a, b, repeat)
         outputs = [exact(out), exact(expected)]
@@ -135,7 +121,7 @@ def total_at(rows, ratio: Fraction, which: str) -> float:
     multiply-adds per cell went to Kronecker."""
     total = 0.0
     for row in rows:
-        if row["kind"] != which or row["region"]:
+        if row["kind"] != which:
             continue
         dense = (row["min_terms"] >= _kernels.KRONECKER_MIN_TERMS
                  and row["cells"] * ratio <= row["work"])
@@ -145,24 +131,17 @@ def total_at(rows, ratio: Fraction, which: str) -> float:
 
 
 def summarize(rows, ratios) -> dict:
-    full = [row for row in rows if not row["region"]]
-    kinds = sorted({row["kind"] for row in full})
+    kinds = sorted({row["kind"] for row in rows})
     return {
         "products": len(rows),
-        "regions": len(rows) - len(full),
         "mismatches": sum(1 for row in rows if not row["agree"]),
         "by_kind": {k: sum(1 for row in rows if row["kind"] == k)
-                    for k in sorted({row["kind"] for row in rows})},
-        "seconds": {path: sum(row[path] or 0.0 for row in full)
+                    for k in kinds},
+        "seconds": {path: sum(row[path] or 0.0 for row in rows)
                     for path in ("dispatch", "dict", "kronecker")},
-        "seconds_region": {path: sum(row[path] for row in rows
-                                     if row["region"])
-                           for path in ("pruned", "full")},
-        "region_slower": sum(1 for row in rows
-                             if row["region"] and row["pruned"] > row["full"]),
         "seconds_by_ratio": {
             k: {str(r): total_at(rows, r, k) for r in ratios}
-            for k in kinds if k != "mixed"},
+            for k in kinds if k in ("int", "fraction")},
     }
 
 
@@ -177,13 +156,9 @@ def main(argv=None) -> int:
     rows = replay(record(workload_operation(args.workload)), args.repeat)
     summary = summarize(rows, ratios)
     print(f"{summary['products']} products {summary['by_kind']}, "
-          f"{summary['regions']} with a region, "
           f"{summary['mismatches']} mismatches")
     for path, seconds in summary["seconds"].items():
         print(f"{path:>24} {seconds:10.4f} s")
-    for path, seconds in summary["seconds_region"].items():
-        print(f"{'region ' + path:>24} {seconds:10.4f} s")
-    print(f"{'region pruned slower':>24} {summary['region_slower']:10d}")
     for k, totals in summary["seconds_by_ratio"].items():
         for r, seconds in totals.items():
             print(f"{k:>12} at {r:>9} per cell {seconds:10.4f} s")
