@@ -141,7 +141,9 @@ def _cmd_predict(args) -> int:
     f = _load_germ(args.germ)
     case = classify(f)
     ls, no_claim = weight_samples(case, _parse_l(args.l))
-    preds, _ = predictions(f, case, args.n, ls)
+    preds, _, error = predictions(f, case, args.n, ls)
+    if error is not None:
+        raise error
     ar = asymptotic(f, case)
     payload = {
         "germ": germ_json(f),
@@ -303,11 +305,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="seeded random germ campaign")
     p.add_argument("--seed", required=True, type=int)
     p.add_argument("--count", required=True, type=int)
-    p.add_argument("--delta-max", type=int, default=3, dest="delta_max")
-    p.add_argument("--support-max", type=int, default=6, dest="support_max")
-    p.add_argument("--n-max", type=int, default=3, dest="n_max")
-    p.add_argument("--degree-cap", type=int, default=200, dest="degree_cap")
-    p.add_argument("--boundary-bias", type=int, default=10,
+    p.add_argument("--delta-max", type=int, default=FuzzConfig.delta_max,
+                   dest="delta_max")
+    p.add_argument("--support-max", type=int, default=FuzzConfig.support_max,
+                   dest="support_max")
+    p.add_argument("--n-max", type=int, default=FuzzConfig.n_max, dest="n_max")
+    p.add_argument("--degree-cap", type=int, default=FuzzConfig.degree_cap,
+                   dest="degree_cap")
+    p.add_argument("--boundary-bias", type=int,
+                   default=FuzzConfig.boundary_bias_pct,
                    dest="boundary_bias", metavar="PCT")
     add_common(p)
     p.set_defaults(func=_cmd_fuzz)
@@ -319,8 +325,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except ResourceCapError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 
 from .classify import CASE1, CASE2, CASE3, CASE4, classify
-from .germ import InvalidGermError, SkewGerm, format_germ_file
+from .germ import SkewGerm, format_germ_file
 from .newton import newton_polygon
 from .poly import ResourceLimits, SparsePoly2
 from .verify import verify_germ
@@ -113,18 +113,13 @@ def _make_p(rng: random.Random, cfg: FuzzConfig, delta: int) -> SparsePoly2:
     return SparsePoly2(terms)
 
 
-def _regular_germ(rng: random.Random, cfg: FuzzConfig) -> SkewGerm | None:
+def _regular_germ(rng: random.Random, cfg: FuzzConfig) -> SkewGerm:
     q_terms = _random_q_terms(rng, cfg)
-    if not q_terms:
-        return None
     delta = rng.randint(1, cfg.delta_max)
-    try:
-        return SkewGerm(_make_p(rng, cfg, delta), SparsePoly2(q_terms))
-    except InvalidGermError:
-        return None
+    return SkewGerm(_make_p(rng, cfg, delta), SparsePoly2(q_terms))
 
 
-def _vanishing_germ(rng: random.Random, cfg: FuzzConfig) -> SkewGerm | None:
+def _vanishing_germ(rng: random.Random, cfg: FuzzConfig) -> SkewGerm:
     """Bottom edge from (0, B) to (G, 0) with delta = B = T and the edge
     sum solved to zero, so the pure-z term cancels at n = 2."""
     B = rng.randint(1, cfg.delta_max)
@@ -155,30 +150,19 @@ def _vanishing_germ(rng: random.Random, cfg: FuzzConfig) -> SkewGerm | None:
             continue
         if i * B + j * G > G * B:  # strictly above the critical edge
             terms[(i, j)] = _coeff(rng, cfg)
-    try:
-        return SkewGerm(SparsePoly2({(B, 0): a}), SparsePoly2(terms))
-    except InvalidGermError:
-        return None
+    return SkewGerm(SparsePoly2({(B, 0): a}), SparsePoly2(terms))
 
 
 def _intercept_pinned_germ(rng: random.Random, cfg: FuzzConfig) -> SkewGerm | None:
     """Draw q, then pin delta to an integer intercept of its polygon."""
-    q_terms = _random_q_terms(rng, cfg)
-    if not q_terms:
-        return None
-    q = SparsePoly2(q_terms)
-    if q.is_zero:
-        return None
+    q = SparsePoly2(_random_q_terms(rng, cfg))
     polygon = newton_polygon(q)
     options = sorted({int(t) for t in polygon.intercepts
                       if t.denominator == 1 and 1 <= t <= max(cfg.delta_max, 4)})
     if not options:
         return None
     delta = rng.choice(options)
-    try:
-        return SkewGerm(_make_p(rng, cfg, delta), q)
-    except InvalidGermError:
-        return None
+    return SkewGerm(_make_p(rng, cfg, delta), q)
 
 
 def _case3_germ(rng: random.Random, cfg: FuzzConfig) -> SkewGerm | None:
@@ -193,17 +177,12 @@ def _case3_germ(rng: random.Random, cfg: FuzzConfig) -> SkewGerm | None:
     if lo > cfg.delta_max:
         return None
     delta = rng.randint(lo, cfg.delta_max)
-    if delta < 1:
-        return None
     for _ in range(rng.randint(0, 2)):
         i = rng.randint(gamma, EXPONENT_MAX + gamma)
         j = rng.randint(0, EXPONENT_MAX)
         if (i, j) not in terms and i + j >= 1:
             terms[(i, j)] = _coeff(rng, cfg)
-    try:
-        return SkewGerm(_make_p(rng, cfg, delta), SparsePoly2(terms))
-    except InvalidGermError:
-        return None
+    return SkewGerm(_make_p(rng, cfg, delta), SparsePoly2(terms))
 
 
 def _case4_germ(rng: random.Random, cfg: FuzzConfig) -> SkewGerm | None:
@@ -229,13 +208,10 @@ def _case4_germ(rng: random.Random, cfg: FuzzConfig) -> SkewGerm | None:
         j = rng.randint(b2, b1 + b2)
         if (i, j) not in terms:
             terms[(i, j)] = _coeff(rng, cfg)
-    try:
-        return SkewGerm(_make_p(rng, cfg, delta), SparsePoly2(terms))
-    except InvalidGermError:
-        return None
+    return SkewGerm(_make_p(rng, cfg, delta), SparsePoly2(terms))
 
 
-def _draw(rng: random.Random, cfg: FuzzConfig) -> SkewGerm | None:
+def _draw(rng: random.Random, cfg: FuzzConfig) -> SkewGerm:
     if rng.random() * 100 < cfg.boundary_bias_pct:
         if rng.random() < 0.5:
             g = _vanishing_germ(rng, cfg)
@@ -269,13 +245,8 @@ def generate_germs(cfg: FuzzConfig, rng: random.Random | None = None):
     """
     if rng is None:
         rng = random.Random(cfg.seed)
-    produced = 0
-    while produced < cfg.germ_count:
-        g = _draw(rng, cfg)
-        if g is None:
-            continue
-        produced += 1
-        yield g
+    for _ in range(cfg.germ_count):
+        yield _draw(rng, cfg)
 
 
 def campaign_limits(cfg: FuzzConfig) -> ResourceLimits:
@@ -293,6 +264,9 @@ def fuzz(cfg: FuzzConfig) -> FuzzSummary:
             raise ValueError(f"{name} must be at least 1")
     if not 0 <= cfg.boundary_bias_pct <= 100:
         raise ValueError("boundary_bias_pct must be between 0 and 100")
+    # _coeff redraws 0, so the range needs a nonzero int.
+    if cfg.coeff_min > cfg.coeff_max or cfg.coeff_min == cfg.coeff_max == 0:
+        raise ValueError("coeff_min..coeff_max must hold a nonzero int")
     rng = random.Random(cfg.seed)
     summary = FuzzSummary(config=cfg)
     limits = campaign_limits(cfg)

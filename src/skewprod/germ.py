@@ -13,10 +13,10 @@ same polynomial (Horner 1819; Paterson & Stockmeyer, SIAM J. Comput. 2,
   the products layer_j * W^j.  Each large product then has a few-term
   layer as one operand.  Every p^k is a monomial when p is, as for
   every fixture germ.
-* Horner in w, with a Horner in P per layer, for every other call.  It
-  is the reference.  The number of multiplications by the large
-  iterate Q^k is bounded by the w-degree of q, but each multiplies the
-  whole accumulator.
+* Horner in w, with a Horner in P per layer, for every other call: one
+  rule, _horner, run at both levels.  It is the reference.  The number
+  of multiplications by the large iterate Q^k is bounded by the
+  w-degree of q, but each multiplies the whole accumulator.
 
 Both schedules make every product through poly_mul, so the resource
 caps see each one, and both check the term cap on their result, so no
@@ -107,20 +107,22 @@ class SkewGerm:
         return f"SkewGerm(p={format_poly(self.p)}, q={format_poly(self.q)})"
 
 
-def _eval_univariate_at(coeffs_by_i: dict, P: SparsePoly2,
-                        limits: ResourceLimits | None) -> SparsePoly2:
-    # Horner over descending z-exponent with gap powers of P.
+def _horner(by_e: dict, X: SparsePoly2, part,
+            limits: ResourceLimits | None) -> SparsePoly2:
+    """sum_e part(by_e[e]) * X^e by Horner's rule: over descending e,
+    with each gap between exponents a power of X."""
     acc = SparsePoly2.zero()
-    prev_i = None
-    for i in sorted(coeffs_by_i, reverse=True):
-        c = SparsePoly2.constant(coeffs_by_i[i])
-        if prev_i is None:
-            acc = c
+    prev_e = None
+    for e in sorted(by_e, reverse=True):
+        value = part(by_e[e])
+        if prev_e is None:
+            acc = value
         else:
-            acc = poly_mul(acc, poly_pow(P, prev_i - i, limits), limits) + c
-        prev_i = i
-    if prev_i:
-        acc = poly_mul(acc, poly_pow(P, prev_i, limits), limits)
+            acc = poly_mul(acc, poly_pow(X, prev_e - e, limits),
+                           limits) + value
+        prev_e = e
+    if prev_e:
+        acc = poly_mul(acc, poly_pow(X, prev_e, limits), limits)
     return acc
 
 
@@ -157,18 +159,10 @@ def _layers(poly: SparsePoly2) -> dict:
 
 def _substitute_horner(by_j: dict, P: SparsePoly2, W: SparsePoly2,
                        limits: ResourceLimits | None) -> SparsePoly2:
-    acc = SparsePoly2.zero()
-    prev_j = None
-    for j in sorted(by_j, reverse=True):
-        layer = _eval_univariate_at(by_j[j], P, limits)
-        if prev_j is None:
-            acc = layer
-        else:
-            acc = poly_mul(acc, poly_pow(W, prev_j - j, limits),
-                           limits) + layer
-        prev_j = j
-    if prev_j:
-        acc = poly_mul(acc, poly_pow(W, prev_j, limits), limits)
+    def layer(coeffs: dict) -> SparsePoly2:
+        return _horner(coeffs, P, SparsePoly2.constant, limits)
+
+    acc = _horner(by_j, W, layer, limits)
     check_term_count(acc, limits)
     return acc
 

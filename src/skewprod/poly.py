@@ -92,15 +92,7 @@ class SparsePoly2:
                     raise ValueError(f"negative exponent in ({i}, {j})")
                 c = as_coeff(c)
                 if c:
-                    prev = clean.get((i, j))
-                    if prev is None:
-                        clean[(i, j)] = c
-                    else:
-                        s = prev + c
-                        if s:
-                            clean[(i, j)] = as_coeff(s)
-                        else:
-                            del clean[(i, j)]
+                    clean[(i, j)] = c
         self._terms = clean
 
     @classmethod

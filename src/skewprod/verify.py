@@ -12,6 +12,10 @@ Every comparison is exact.  A failed check names the violated claim and
 carries the oracle value; unproven statements (the dominant-coefficient
 closed form) are reported as findings instead of failures.
 
+predictions is the one prediction path: the predictions that fit under
+predict's digit guard, and the guard's error, if any.  verify_germ keeps
+the n that fit in every reading; the predict command raises the error.
+
 The checks that need no iterate (the R-map, the slope lemma and the
 weight-interval systems) read gamma_n, d^n and delta^n off the
 reading's growth table and run on int pairs (num, den) with den > 0,
@@ -198,23 +202,15 @@ def weight_samples(case: CaseData, extra_ls=()):
 
 
 def predictions(f: SkewGerm, case: CaseData, n_max: int, ls):
-    """predict(f, case, n) for n = 1 .. n_max, and the critical sequence.
+    """(preds, crit_seq, error): predict(f, case, n) for n = 1 .. n_max,
+    and the critical sequence.
 
     The critical pure-z coefficients come from their recursion when the
     reading may vanish (None otherwise); each prediction reads whether
-    its own coefficient is nonzero.  Raises ResourceCapError where
-    predict's digit guard trips.
+    its own coefficient is nonzero.  Where predict's digit guard trips
+    at some n, preds stops before it and error is the ResourceCapError
+    (None otherwise).
     """
-    preds, crit_seq, error = _fitting_predictions(f, case, n_max, ls)
-    if error is not None:
-        raise error
-    return preds, crit_seq
-
-
-def _fitting_predictions(f: SkewGerm, case: CaseData, n_max: int, ls):
-    """(preds, crit_seq, error): predictions' two results, but where
-    predict's digit guard trips at some n, preds stops before it and
-    error is the ResourceCapError (None otherwise)."""
     if not isinstance(n_max, int) or n_max < 1:
         raise ValueError("n must be a positive integer")
     crit_seq = critical_coeff_sequence(f, n_max) if case.may_vanish else None
@@ -252,8 +248,7 @@ def verify_germ(f: SkewGerm, n_max: int, extra_ls=(),
         ls, outside = weight_samples(case, extra_ls)
         # One growth table serves every prediction and the R-map checks.
         case.growth(max(records[-1].n, R_MAP_N_TOP))
-        preds, crit_seq, cap = _fitting_predictions(f, case, records[-1].n,
-                                                    ls)
+        preds, crit_seq, cap = predictions(f, case, records[-1].n, ls)
         if cap is not None:
             # Every reading reads the same records: keep the n whose
             # predictions fit in each.
@@ -261,7 +256,7 @@ def verify_germ(f: SkewGerm, n_max: int, extra_ls=(),
                 raise cap
             records, error = records[:len(preds)], str(cap)
         readings.append((ls, outside, preds, crit_seq))
-    variants = [_verify_variant(f, case, records, extra_ls, reading)
+    variants = [_verify_variant(f, case, records, reading)
                 for case, reading in zip(cases, readings)]
     return VerificationReport(
         germ=f,
@@ -273,20 +268,15 @@ def verify_germ(f: SkewGerm, n_max: int, extra_ls=(),
     )
 
 
-def _verify_variant(f: SkewGerm, case: CaseData, records, extra_ls,
-                    reading=None):
+def _verify_variant(f: SkewGerm, case: CaseData, records, reading):
     """The checks of one case reading against the oracle records.
 
     reading is (ls, outside, preds, crit_seq): the reading's weight
     samples and its predictions for n = 1 .. records[-1].n at least, as
-    verify_germ computes them before it runs any checks.  Without it,
-    they are computed here.
+    verify_germ computes them before it runs any checks.
     """
     # One growth table serves every prediction and the R-map checks.
     growth = case.growth(max(records[-1].n, R_MAP_N_TOP))
-    if reading is None:
-        ls, outside = weight_samples(case, extra_ls)
-        reading = (ls, outside, *predictions(f, case, records[-1].n, ls))
     ls, outside, preds, crit_seq = reading
     rep = VariantReport(case=case, predictions=preds[:len(records)])
     out = rep.checks.append

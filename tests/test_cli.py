@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from skewprod import SparsePoly2, format_poly, parse_poly
+from skewprod import FuzzConfig, SparsePoly2, format_poly, parse_poly
 from conftest import DATA, GOLDEN
 
 
@@ -130,6 +130,17 @@ def test_exit_status_fuzz_config_out_of_range(flags, field):
                 *flags)
     assert r.returncode == 2, r.stdout
     assert field in r.stderr
+
+
+def test_fuzz_flag_defaults_are_the_config_defaults():
+    from skewprod.cli import build_parser
+
+    args = build_parser().parse_args(["fuzz", "--seed", "1", "--count", "2"])
+    cfg = FuzzConfig(seed=1, germ_count=2)
+    assert (args.delta_max, args.support_max, args.n_max, args.degree_cap,
+            args.boundary_bias) == (
+        cfg.delta_max, cfg.support_max, cfg.n_max, cfg.degree_cap,
+        cfg.boundary_bias_pct)
 
 
 @pytest.mark.parametrize("n,code", [("13", 0), ("14", 3)])

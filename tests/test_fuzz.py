@@ -7,9 +7,10 @@ import pytest
 
 from skewprod import FuzzConfig, fuzz
 from skewprod.fuzz import _projected_degree, campaign_limits, generate_germs
+from skewprod.germ import format_germ_file
 from skewprod.jsonio import verification_json
 from skewprod.newton import composed_polygon
-from skewprod.verify import verify_germ
+from skewprod.verify import CheckResult, verify_germ
 from conftest import CRITERION_5
 
 
@@ -175,3 +176,65 @@ def test_fuzz_verifies_with_truncated_last_step(monkeypatch):
     summary = fuzz(FuzzConfig(seed=3, germ_count=5, n_max=2))
     assert len(calls) == summary.germs_run > 0
     assert all(kw.get("full_iterates") is False for kw in calls)
+
+
+@pytest.mark.parametrize("coeff_min,coeff_max", [(0, 0), (2, 1)])
+def test_coefficient_range_without_a_nonzero_int_rejected(
+        monkeypatch, coeff_min, coeff_max):
+    """_coeff redraws 0, so [0, 0] would draw forever and an empty range
+    fails inside random: both are rejected before any draw."""
+    fuzz_module = importlib.import_module("skewprod.fuzz")
+
+    def no_draw(*args):
+        raise AssertionError("drew a coefficient")
+
+    monkeypatch.setattr(fuzz_module, "_coeff", no_draw)
+    cfg = FuzzConfig(seed=1, germ_count=1, coeff_min=coeff_min,
+                     coeff_max=coeff_max)
+    with pytest.raises(ValueError, match="coeff_min..coeff_max"):
+        fuzz(cfg)
+
+
+def test_fuzz_counts_failures_and_truncations(monkeypatch):
+    """Failed checks are summed over the germs, failing_germs keeps the
+    first 10 with their sorted unique claims, and each report that hit a
+    resource cap counts as truncated."""
+    fuzz_module = importlib.import_module("skewprod.fuzz")
+    inner = fuzz_module.verify_germ
+    germs = []
+
+    def seeded(germ, *args, **kwargs):
+        report = inner(germ, *args, **kwargs)
+        if len(germs) % 2 == 0:
+            report.variants[0].checks += [CheckResult("b-claim", False),
+                                          CheckResult("a-claim", False),
+                                          CheckResult("b-claim", False)]
+        else:
+            report.resource_error = "seeded cap"
+        germs.append(germ)
+        return report
+
+    monkeypatch.setattr(fuzz_module, "verify_germ", seeded)
+    summary = fuzz(FuzzConfig(seed=3, germ_count=30, n_max=2))
+    failing = germs[::2]
+    assert len(failing) > 10
+    assert summary.failures == 3 * len(failing)
+    assert summary.truncated == len(germs) - len(failing)
+    assert summary.failing_germs == [
+        {"germ": format_germ_file(g), "claims": ["a-claim", "b-claim"]}
+        for g in failing[:10]]
+
+
+@pytest.mark.parametrize("seed,n_max,coverage_ok,extra_draws,germs_run", [
+    (1, 3, True, 13, 9),
+    (10, 1, False, 6, 6),  # no vanishing retry; the boundary retry runs
+])
+def test_coverage_retries_from_an_empty_campaign(
+        seed, n_max, coverage_ok, extra_draws, germs_run):
+    """With no germ drawn, coverage comes from the targeted retries
+    alone; the two streams reach every kind of retry between them."""
+    summary = fuzz(FuzzConfig(seed=seed, germ_count=0, n_max=n_max))
+    assert summary.coverage_ok is coverage_ok
+    assert summary.extra_draws == extra_draws
+    assert summary.germs_run == germs_run
+    assert summary.boundary_count >= 1

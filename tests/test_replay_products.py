@@ -8,6 +8,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -44,11 +46,29 @@ def test_replay_fuzz_campaign_products():
     assert set(summary["seconds_by_ratio"]) == {"int"}
 
 
-def test_kind_labels_an_empty_operand():
+def _load_tool():
     spec = importlib.util.spec_from_file_location(
         "replay_products", ROOT / "tools" / "replay_products.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_repeat_below_one_rejected(monkeypatch, capsys):
+    tool = _load_tool()
+
+    def no_workload(name):
+        raise AssertionError("recorded a workload")
+
+    monkeypatch.setattr(tool, "workload_operation", no_workload)
+    with pytest.raises(SystemExit) as exit_info:
+        tool.main(["--workload", "fuzz_campaign", "--repeat", "0"])
+    assert exit_info.value.code == 2
+    assert "--repeat must be at least 1" in capsys.readouterr().err
+
+
+def test_kind_labels_an_empty_operand():
+    tool = _load_tool()
     half = Fraction(1, 2)
     both = {(0, 1): 1, (1, 0): half}
     assert tool.kind({}, {(1, 0): half}) == tool.kind(both, {}) == "empty"

@@ -423,7 +423,8 @@ def test_probe_values(xs):
 def assert_predictions_match(f, n_max):
     for case in case_variants(f):
         ls, _ = weight_samples(case)
-        preds, _ = predictions(f, case, n_max, ls)
+        preds, _, error = predictions(f, case, n_max, ls)
+        assert error is None
         # Each reference reads a fresh copy of the reading, so it builds
         # its own growth table up to its n.
         want = [predict(f, replace(case), n, ls=ls)

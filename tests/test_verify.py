@@ -87,31 +87,35 @@ def test_nonpositive_extra_weight_rejected(germs):
         verify_germ(germs["g1"], 2, extra_ls=(-1,))
 
 
-def test_detects_seeded_defects(germs):
+def test_detects_seeded_defects(germs, monkeypatch):
     """Deliberately wrong case payloads must fail: the checks have to
     reject wrong weights, a wrong dominant vertex, and a wrong delta."""
+    import importlib
     from dataclasses import replace
 
     from skewprod import classify
-    from skewprod.verify import _verify_variant, oracle_records
 
+    verify_module = importlib.import_module("skewprod.verify")
     f = germs["g2"]
     case = classify(f)
-    records, _ = oracle_records(f, 2)
+
+    def failures(wrong):
+        monkeypatch.setattr(verify_module, "case_variants", lambda g: [wrong])
+        return verify_germ(f, 2).failures
 
     wrong_l1 = replace(case, l1=case.l1 + 1, alpha=case.alpha + 1)
-    assert _verify_variant(f, wrong_l1, records, ()).failures > 0
+    assert failures(wrong_l1) > 0
 
     wrong_dominant = replace(case, gamma=case.gamma + 1)
-    assert _verify_variant(f, wrong_dominant, records, ()).failures > 0
+    assert failures(wrong_dominant) > 0
 
     wrong_prev = replace(case, prev_vertex=(2, 2))
-    assert _verify_variant(f, wrong_prev, records, ()).failures > 0
+    assert failures(wrong_prev) > 0
 
     # claiming the boundary form where delta < T must trip the starred
     # previous-vertex identity
     wrong_boundary = replace(case, delta_eq_t_prev=True)
-    assert _verify_variant(f, wrong_boundary, records, ()).failures > 0
+    assert failures(wrong_boundary) > 0
 
 
 def test_interval_stability_checked_for_case2(germs):

@@ -151,6 +151,8 @@ def main(argv=None) -> int:
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--ratios", default=DEFAULT_RATIOS)
     args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
 
     ratios = [Fraction(r) for r in args.ratios.split(",")]
     rows = replay(record(workload_operation(args.workload)), args.repeat)
