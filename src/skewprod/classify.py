@@ -32,9 +32,12 @@ l = a/b as the int pair (a, b) with b > 0.  Each inequality is scaled
 by its positive denominators, so a level gamma + l*d is compared as the
 int b*gamma + a*d against b*i + a*j over the support, and a rational
 result is built once as Fraction(numerator, denominator).  Each has an
-entry point on such pairs (`Interval.contains_pair`, `r_map_pair`, the
-`*_pair` systems), which need not be in lowest terms; `Interval.contains`
-and `system_membership_case4_pair` take Fractions and call them.
+entry point on such pairs (`Interval.contains_pair`,
+`CaseFourRectangle.contains_pair`, `r_map_pair`, the `*_pair` systems),
+which need not be in lowest terms; `Interval.contains` and
+`CaseFourRectangle.contains` take Fractions and call them.  A pair
+(l_(1), l_(1) + l_(2)) is in the rectangle's staged systems when l_(1)
+passes `system_membership_case4_first_pair` and l_(2) the second.
 `r_map_pair` takes gamma_n, d^n and delta^n, which its callers read off
 the reading's growth table (`CaseData.growth`); at (gamma, d, delta) it
 is one step R.
@@ -74,16 +77,24 @@ class Interval:
         """Membership of l = a/b, for any b > 0."""
         # Against an end p/q, all with positive denominators: l < p/q
         # exactly when a*q < p*b.
-        lo = self.lower
-        lo_b = lo.numerator * b
-        a_lo = a * lo.denominator
+        lo_p, lo_q, hi_p, hi_q = self._ends
+        lo_b, a_lo = lo_p * b, a * lo_q
         if a_lo < lo_b if self.lower_closed else a_lo <= lo_b:
             return False
-        hi = self.upper
-        if is_inf(hi):
+        if hi_p is None:
             return True
-        a_hi, hi_b = a * hi.denominator, hi.numerator * b
+        a_hi, hi_b = a * hi_q, hi_p * b
         return a_hi <= hi_b if self.upper_closed else a_hi < hi_b
+
+    @cached_property
+    def _ends(self) -> tuple:
+        """(p, q) of the lower end and of the upper one, (None, None)
+        for INF."""
+        lo, hi = as_fraction(self.lower), self.upper
+        if is_inf(hi):
+            return lo.numerator, lo.denominator, None, None
+        hi = as_fraction(hi)
+        return lo.numerator, lo.denominator, hi.numerator, hi.denominator
 
     def sample_points(self):
         """Deterministic exact probes: closed endpoints plus a midpoint."""
@@ -103,7 +114,7 @@ class Interval:
                 pts.append(self.upper)
             if self.lower < self.upper:
                 pts.append((self.lower + self.upper) / 2)
-        return sorted(set(Fraction(p) for p in pts))
+        return sorted(set(map(as_fraction, pts)))
 
 
 @dataclass(frozen=True)
@@ -287,9 +298,41 @@ class CaseFourRectangle:
     def contains(self, l_first, l_sum) -> bool:
         """Membership of the pair (l_(1), l_(1) + l_(2))."""
         l_first, l_sum = as_fraction(l_first), as_fraction(l_sum)
-        if not self.first.contains(l_first):
+        return self.contains_pair(l_first.numerator, l_first.denominator,
+                                  l_sum.numerator, l_sum.denominator)
+
+    def contains_pair(self, a1: int, b1: int, a_s: int, b_s: int) -> bool:
+        """Membership of the pair (a1/b1, a_s/b_s), for any b1, b_s > 0."""
+        if not self.first.contains_pair(a1, b1):
             return False
-        return self.second_of(l_first).contains(l_sum - l_first)
+        below, above = self._second_forms
+        alpha = self.alpha
+        on_sum, interval = (
+            below if self.shape == "interior"
+            and a1 * alpha.denominator < alpha.numerator * b1 else above)
+        if on_sum:
+            return interval.contains_pair(a_s, b_s)
+        # l_(2) = a_s/b_s - a1/b1 over the denominator b1*b_s.
+        return interval.contains_pair(a_s * b1 - a1 * b_s, b_s * b1)
+
+    @cached_property
+    def _second_forms(self) -> tuple:
+        """second_of's interval for an l_(1) below alpha and for one at
+        or above it, each as (on_sum, interval).  Where second_of's ends
+        are fixed values less l_(1), interval holds the fixed values and
+        bounds l_(1) + l_(2) (on_sum); where its ends are fixed, it
+        bounds l_(2).  Only the interior shape tells the two l_(1)
+        apart."""
+        top = self.l1 + self.l2
+        if self.shape == "first_fixed":
+            form = (False, Interval(Fraction(0), self.l2, lower_closed=False))
+            return form, form
+        if self.shape == "second_fixed":
+            form = (True, Interval(top, top))
+            return form, form
+        return ((True, Interval(self.alpha, top)),
+                (False, Interval(Fraction(0), top - self.alpha,
+                                 lower_closed=False)))
 
 
 @dataclass(frozen=True)
@@ -416,20 +459,6 @@ def system_membership_case4_ar_pair(case: CaseData, a: int, b: int) -> bool:
         if idx != k and level > b * n + a * m:
             return False
     return True
-
-
-def system_membership_case4_pair(f: SkewGerm, case: CaseData,
-                                 l_first, l_sum) -> bool:
-    """Pair membership for the rectangle via the staged systems."""
-    l_first = as_fraction(l_first)
-    a1, b1 = l_first.numerator, l_first.denominator
-    if not system_membership_case4_first_pair(case, a1, b1):
-        return False
-    l_sum = as_fraction(l_sum)
-    # l_(2) = l_sum - l_(1) = (a_s b1 - a1 b_s) / (b_s b1).
-    a_s, b_s = l_sum.numerator, l_sum.denominator
-    return system_membership_case4_second_pair(
-        f, case, a1, b1, a_s * b1 - a1 * b_s, b_s * b1)
 
 
 # -- the induced action on weights ---------------------------------------

@@ -236,27 +236,9 @@ def _projected_degree(f: SkewGerm, n_max: int) -> int:
     return base**n_max
 
 
-def generate_germs(cfg: FuzzConfig, rng: random.Random | None = None):
-    """The campaign's germ_count germs, drawn from rng (by default the
-    config's seed).
-
-    Germs whose projected degree passes cfg.degree_cap are yielded too;
-    a campaign skips them.
-    """
-    if rng is None:
-        rng = random.Random(cfg.seed)
-    for _ in range(cfg.germ_count):
-        yield _draw(rng, cfg)
-
-
-def campaign_limits(cfg: FuzzConfig) -> ResourceLimits:
-    """The resource caps each campaign germ is verified under."""
-    return ResourceLimits(max_terms=MAX_TERMS,
-                          max_total_degree=max(cfg.degree_cap * 10, 10**6))
-
-
-def fuzz(cfg: FuzzConfig) -> FuzzSummary:
-    """Run the campaign; zero failures is the expected outcome."""
+def check_config(cfg: FuzzConfig) -> None:
+    """Raise ValueError for a config no campaign can draw from; fuzz and
+    generate_germs call it before their first draw."""
     if cfg.germ_count < 0:
         raise ValueError("germ count must be non-negative")
     for name in ("delta_max", "support_max", "degree_cap"):
@@ -267,6 +249,30 @@ def fuzz(cfg: FuzzConfig) -> FuzzSummary:
     # _coeff redraws 0, so the range needs a nonzero int.
     if cfg.coeff_min > cfg.coeff_max or cfg.coeff_min == cfg.coeff_max == 0:
         raise ValueError("coeff_min..coeff_max must hold a nonzero int")
+
+
+def generate_germs(cfg: FuzzConfig, rng: random.Random | None = None):
+    """An iterator over the campaign's germ_count germs, drawn from rng
+    (by default the config's seed); the config is checked on the call.
+
+    Germs whose projected degree passes cfg.degree_cap are yielded too;
+    a campaign skips them.
+    """
+    check_config(cfg)
+    if rng is None:
+        rng = random.Random(cfg.seed)
+    return (_draw(rng, cfg) for _ in range(cfg.germ_count))
+
+
+def campaign_limits(cfg: FuzzConfig) -> ResourceLimits:
+    """The resource caps each campaign germ is verified under."""
+    return ResourceLimits(max_terms=MAX_TERMS,
+                          max_total_degree=max(cfg.degree_cap * 10, 10**6))
+
+
+def fuzz(cfg: FuzzConfig) -> FuzzSummary:
+    """Run the campaign; zero failures is the expected outcome."""
+    check_config(cfg)
     rng = random.Random(cfg.seed)
     summary = FuzzSummary(config=cfg)
     limits = campaign_limits(cfg)

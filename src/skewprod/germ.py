@@ -249,7 +249,8 @@ def vertex_step(f: SkewGerm, fn: SkewGerm, reads,
     c_p = min(P.column_minima())
     a_p = P.coeff(c_p, 0)
     w_polygon = newton_polygon(W)
-    vertices = composed_polygon(f.q, c_p, w_polygon).vertices
+    polygon = composed_polygon(f.q, c_p, w_polygon)
+    vertices = polygon.vertices
     if not all(any(i <= x and j <= y for x, y in vertices)
                for i, j in reads):
         return None
@@ -268,8 +269,11 @@ def vertex_step(f: SkewGerm, fn: SkewGerm, reads,
         if not total or len(set(map(type, part))) > 1:
             return None
         terms[v] = total
-    return SkewGerm(substitute(f.p, P, SparsePoly2.zero(), limits),
-                    SparsePoly2._raw(terms))
+    q = SparsePoly2._raw(terms)
+    # Certified: the hull is q's Newton polygon, so newton_polygon(q)
+    # builds none.
+    q._polygon = polygon
+    return SkewGerm(substitute(f.p, P, SparsePoly2.zero(), limits), q)
 
 
 def iterate_germ(f: SkewGerm, n: int,

@@ -1,15 +1,16 @@
 """Exact growth sequences attached to a dominant bidegree (gamma, d).
 
 gamma_n = gamma * (delta^{n-1} + delta^{n-2} d + ... + d^{n-1}) is the
-z-exponent of the dominant term of the n-th iterate, computed here by
-that geometric sum.  It also satisfies gamma_{n+1} = delta^n * gamma +
-d * gamma_n and has the closed forms alpha (delta^n - d^n) for
-delta != d and n gamma delta^{n-1} for delta == d; the tests check the
-sum against both routes exactly.
+z-exponent of the dominant term of the n-th iterate, computed by
+`gamma_n` as that geometric sum.  It also satisfies gamma_{n+1} =
+delta^n * gamma + d * gamma_n and has the closed forms
+alpha (delta^n - d^n) for delta != d and n gamma delta^{n-1} for
+delta == d; the tests check the routes against each other exactly.
 
 A case reading's predictions and checks read gamma_n, d^n and delta^n
 for the same few n many times, so `GrowthTable` holds them, built once
-per reading (`CaseData.growth`) by the geometric-sum route.
+per reading (`CaseData.growth`) by the recurrence: one product a term,
+where the geometric sum takes n powers for each gamma_n.
 """
 
 from __future__ import annotations
@@ -52,11 +53,13 @@ class GrowthTable:
               n_top: int) -> "GrowthTable":
         if n_top < 1:
             raise ValueError("n must be a positive integer")
-        return cls(
-            (0,) + tuple(gamma_n(delta, gamma, d, n)
-                         for n in range(1, n_top + 1)),
-            tuple(d**n for n in range(n_top + 1)),
-            tuple(delta**n for n in range(n_top + 1)))
+        d_pow, delta_pow, g = [1], [1], [0]
+        for n in range(n_top):
+            # gamma_{n+1} = delta^n gamma + d gamma_n, from gamma_0 = 0.
+            g.append(delta_pow[n] * gamma + d * g[n])
+            d_pow.append(d_pow[n] * d)
+            delta_pow.append(delta_pow[n] * delta)
+        return cls(tuple(g), tuple(d_pow), tuple(delta_pow))
 
 
 def iterate_lead_coeff(a_delta, delta: int, n: int):

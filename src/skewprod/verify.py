@@ -10,16 +10,22 @@ verified independently.
 
 Every comparison is exact.  A failed check names the violated claim and
 carries the oracle value; unproven statements (the dominant-coefficient
-closed form) are reported as findings instead of failures.
+closed form) are reported as findings instead of failures.  A check's
+outcome, and every value it compared, is computed when the check is
+made; only its detail text waits: CheckResult.detail formats it from
+those values on first read.  fuzz reads claims and outcomes only, so it
+formats no detail.
 
-predictions is the one prediction path: the predictions that fit under
-predict's digit guard, and the guard's error, if any.  verify_germ keeps
-the n that fit in every reading; the predict command raises the error.
+predictions calls predict once for each n: the predictions that fit
+under predict's digit guard, and the guard's error, if any.
+verify_germ keeps the n that fit in every reading; the predict command
+raises the error.
 
 The checks that need no iterate (the R-map, the slope lemma and the
-weight-interval systems) read gamma_n, d^n and delta^n off the
-reading's growth table and run on int pairs (num, den) with den > 0,
-compared by cross-multiplication.
+weight-interval systems, Case 4's rectangle probes included) read
+gamma_n, d^n and delta^n off the reading's growth table and run on int
+pairs (num, den) with den > 0, compared by cross-multiplication.  So do
+the rate-bracket checks of each n, against predict's Fractions.
 
 The checks read an iterate only through its Newton polygon (which fixes
 the orders and the weights) and the coefficients of each reading's
@@ -38,6 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
+from operator import attrgetter
 
 from .classify import (
     CASE1,
@@ -51,11 +58,11 @@ from .classify import (
     r_map_pair,
     system_membership_case4_ar_pair,
     system_membership_case4_first_pair,
-    system_membership_case4_pair,
+    system_membership_case4_second_pair,
     system_membership_pair,
     weight_intervals,
 )
-from .exact import as_fraction, format_exact
+from .exact import INF, as_fraction, format_exact
 from .germ import SkewGerm, iterates
 from .growth import GrowthTable
 from .newton import newton_polygon, weight
@@ -65,15 +72,65 @@ from .predict import asymptotic, critical_coeff_sequence, predict
 # The deepest n the R-map checks read; the slope check reads n <= 6.
 R_MAP_N_TOP = 10
 
+# The exact scalars _format_detail renders by format_exact.
+_EXACT = (int, Fraction, type(INF))
 
-@dataclass(frozen=True)
+
+def _format_detail(template, values) -> str:
+    """The text of a check's detail or of a finding: template(*values)
+    for a function, else template.format(*values) with each exact scalar
+    rendered by format_exact."""
+    if type(template) is not str:
+        return template(*values)
+    return template.format(*[format_exact(v) if type(v) in _EXACT else v
+                             for v in values])
+
+
 class CheckResult:
-    """Outcome of one exact comparison; passed=None is informational."""
+    """Outcome of one exact comparison; passed=None is informational.
 
-    claim: str
-    passed: bool | None
-    n: int | None = None
-    detail: str = ""
+    An immutable record, equal, hashed and shown as a frozen dataclass
+    of (claim, passed, n, detail) would be.  detail is a str, or a tuple
+    (template, *values) of values bound when the check is made, which
+    _format_detail turns into the str on first read; a caller that reads
+    only claim and passed, as fuzz does, formats nothing.
+    """
+
+    __slots__ = ("_claim", "_passed", "_n", "_detail")
+
+    def __init__(self, claim: str, passed: bool | None, n: int | None = None,
+                 detail: str | tuple = "") -> None:
+        self._claim = claim
+        self._passed = passed
+        self._n = n
+        self._detail = detail
+
+    claim = property(attrgetter("_claim"))
+    passed = property(attrgetter("_passed"))
+    n = property(attrgetter("_n"))
+
+    @property
+    def detail(self) -> str:
+        detail = self._detail
+        if type(detail) is not str:
+            detail = self._detail = _format_detail(detail[0], detail[1:])
+        return detail
+
+    def _fields(self) -> tuple:
+        return self._claim, self._passed, self._n, self.detail
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(claim={self._claim!r}, "
+                f"passed={self._passed!r}, n={self._n!r}, "
+                f"detail={self.detail!r})")
 
 
 @dataclass(frozen=True)
@@ -279,184 +336,14 @@ def _verify_variant(f: SkewGerm, case: CaseData, records, reading):
     growth = case.growth(max(records[-1].n, R_MAP_N_TOP))
     ls, outside, preds, crit_seq = reading
     rep = VariantReport(case=case, predictions=preds[:len(records)])
+    _per_n_checks(case, records, rep, outside, crit_seq)
     out = rep.checks.append
-
-    for rec, pred in zip(records, rep.predictions):
-        n = rec.n
-        Q = rec.germ.q
-        dom = pred.dominant_bidegree
-        dom_obs = Q.coeff(*dom)
-
-        out(CheckResult("p-iterate-order", rec.c_pn == rec.delta_pow, n,
-                        f"order(p^n) = {rec.c_pn}, delta^n = {rec.delta_pow}"))
-
-        # Dominant term: presence is asserted whenever it cannot cancel.
-        if case.dominant_may_vanish:
-            out(CheckResult(
-                "dominant-presence-conditional", None, n,
-                f"coefficient of z^{dom[0]} w^{dom[1]} is "
-                f"{format_exact(dom_obs)}"))
-        else:
-            out(CheckResult(
-                "dominant-term-presence", bool(dom_obs), n,
-                f"coefficient of z^{dom[0]} w^{dom[1]} is "
-                f"{format_exact(dom_obs)}"))
-            if dom_obs:
-                agree = dom_obs == pred.dominant_coeff
-                out(CheckResult(
-                    "dominant-coefficient-closed-form", None, n,
-                    f"observed {format_exact(dom_obs)}, closed form "
-                    f"{format_exact(pred.dominant_coeff)}"))
-                if not agree:
-                    rep.findings.append(
-                        f"n={n}: dominant coefficient {format_exact(dom_obs)} "
-                        "differs from closed form "
-                        f"{format_exact(pred.dominant_coeff)}")
-
-        # Critical pure-z coefficient: recursion must match the oracle.
-        if crit_seq is not None:
-            crit_deg = _critical_degree(case, n)
-            obs = Q.coeff(crit_deg, 0)
-            out(CheckResult(
-                "critical-coefficient-recursion", obs == crit_seq[n - 1], n,
-                f"z^{crit_deg}: oracle {format_exact(obs)}, "
-                f"recursion {format_exact(crit_seq[n - 1])}"))
-            if not obs:
-                if rep.vanishing_first_n is None:
-                    rep.vanishing_first_n = n
-                rep.findings.append(f"vanishing event at n={n} (z^{crit_deg})")
-
-        # Dominant vertex position.
-        verts = rec.polygon.vertices
-        pos = pred.dominant_position
-        if pos == "only_vertex":
-            out(CheckResult("dominant-only-vertex", verts == (dom,), n,
-                            f"vertices {verts}"))
-        elif pos == "min_y_vertex":
-            out(CheckResult("dominant-min-y-vertex", verts[-1] == dom, n,
-                            f"vertices {verts}, dominant {dom}"))
-        elif pos == "min_x_vertex":
-            out(CheckResult("dominant-min-x-vertex", verts[0] == dom, n,
-                            f"vertices {verts}, dominant {dom}"))
-        elif pos == "vertex":
-            out(CheckResult("dominant-vertex", dom in verts, n,
-                            f"vertices {verts}, dominant {dom}"))
-        else:  # min_y_vertex_if_present
-            if dom_obs:
-                out(CheckResult("dominant-min-y-vertex", verts[-1] == dom, n,
-                                f"vertices {verts}, dominant {dom}"))
-
-        # Weight equalities on the sampled l values.
-        for claim in pred.weight_claims:
-            obs_w = weight(Q, claim.l)
-            out(CheckResult(
-                "weight-equality", obs_w == claim.value, n,
-                f"w_{format_exact(claim.l)}(Q^n) = {format_exact(obs_w)}, "
-                f"claimed {format_exact(claim.value)}"))
-        for l in outside:
-            out(CheckResult(
-                "weight-sample-outside-range", None, n,
-                f"w_{format_exact(l)}(Q^n) = "
-                f"{format_exact(weight(Q, l))} (no claim)"))
-
-        # Rate brackets.
-        c = rec.c_qn
-        cq = pred.cqn
-        if cq.exact is not None:
-            out(CheckResult("cqn-exact", c == cq.exact, n,
-                            f"c(Q^n) = {c}, claimed {format_exact(cq.exact)}"))
-        else:
-            ok_lo = c > cq.lower if cq.lower_strict else c >= cq.lower
-            ok_up = c < cq.upper if cq.upper_strict else c <= cq.upper
-            rel_lo = ">" if cq.lower_strict else ">="
-            rel_up = "<" if cq.upper_strict else "<="
-            out(CheckResult("cqn-refined-lower", ok_lo, n,
-                            f"c(Q^n) = {c} {rel_lo} {format_exact(cq.lower)}"))
-            out(CheckResult("cqn-refined-upper", ok_up, n,
-                            f"c(Q^n) = {c} {rel_up} {format_exact(cq.upper)}"))
-        tb = pred.theorem_cqn
-        out(CheckResult(
-            "cqn-base-bracket", tb.lower <= c <= tb.upper, n,
-            f"{format_exact(tb.lower)} <= {c} <= {format_exact(tb.upper)}"))
-
-        out(CheckResult(
-            "cfn-identity", rec.c_fn == min(rec.delta_pow, c), n,
-            f"c(f^n) = {rec.c_fn}"))
-        out(CheckResult(
-            "cfn-bracket",
-            pred.cfn_lower <= rec.c_fn <= pred.cfn_upper, n,
-            f"{format_exact(pred.cfn_lower)} <= {rec.c_fn} <= "
-            f"{format_exact(pred.cfn_upper)}"))
-
-        # Order claims.
-        if pred.ord_w_claim is not None:
-            out(CheckResult("order-in-w", rec.ord_w == pred.ord_w_claim, n,
-                            f"ord_w = {rec.ord_w}, claimed {pred.ord_w_claim}"))
-        if pred.ord_z_claim is not None:
-            out(CheckResult("order-in-z", rec.ord_z == pred.ord_z_claim, n,
-                            f"ord_z = {rec.ord_z}, claimed {pred.ord_z_claim}"))
-
-        # Adjacent vertices.
-        for vc in (pred.prev_vertex, pred.next_vertex):
-            if vc is None:
-                continue
-            name = f"{vc.side}-vertex"
-            if dom not in verts:
-                out(CheckResult(name, False, n,
-                                f"dominant {dom} is not a vertex"))
-                continue
-            idx = verts.index(dom)
-            adj_idx = idx - 1 if vc.side == "prev" else idx + 1
-            ok_pos = 0 <= adj_idx < len(verts) and verts[adj_idx] == vc.point
-            out(CheckResult(
-                name, ok_pos, n,
-                f"claimed {vc.tag} = {vc.point}, chain {verts}"))
-            if ok_pos:
-                px, py = vc.point
-                slope = Fraction(py - dom[1], px - dom[0])
-                out(CheckResult(
-                    f"{vc.side}-vertex-slope",
-                    slope == -1 / vc.edge_l, n,
-                    f"slope {slope}, claimed -1/{format_exact(vc.edge_l)}"))
-            out(CheckResult(
-                f"{vc.side}-vertex-intercept-side",
-                vc.intercept_identity_holds(dom, rec.delta_pow), n,
-                f"delta^n = {rec.delta_pow} vs intercept of the "
-                f"{vc.tag} edge"))
-
-        # Slope inequalities at the dominant vertex.
-        if pred.m_n_claim == "greater_than_M" and dom in verts:
-            idx = verts.index(dom)
-            if idx == 0:
-                out(CheckResult("prev-slope-exceeds-base", True, n,
-                                "no previous vertex (slope infinite)"))
-            else:
-                pv = verts[idx - 1]
-                m_n = Fraction(pv[1] - dom[1], dom[0] - pv[0])
-                out(CheckResult(
-                    "prev-slope-exceeds-base", m_n > 1 / case.l1, n,
-                    f"M_n = {format_exact(m_n)} vs 1/l1 = "
-                    f"{format_exact(1 / case.l1)}"))
-        elif pred.m_n_claim == "at_most_M" and dom in verts:
-            idx = verts.index(dom)
-            if idx == len(verts) - 1:
-                out(CheckResult("next-slope-at-most-base", None, n,
-                                "no next vertex (vacuous)"))
-            else:
-                nv = verts[idx + 1]
-                m_n = Fraction(dom[1] - nv[1], nv[0] - dom[0])
-                out(CheckResult(
-                    "next-slope-at-most-base", m_n <= 1 / case.l2, n,
-                    f"M_n = {format_exact(m_n)} vs 1/l2 = "
-                    f"{format_exact(1 / case.l2)}"))
 
     # Variant-level claims over all computed n.
     ar = asymptotic(f, case)
     observed = [(rec.n, rec.c_fn) for rec in records]
-    out(CheckResult(
-        "asymptotic-rate-bracket", ar.holds_for(observed), None,
-        f"c_inf = {ar.c_infinity}, candidates "
-        f"{[format_exact(x) for x in ar.d_candidates]}"))
+    out(CheckResult("asymptotic-rate-bracket", ar.holds_for(observed), None,
+                    (_asymptotic_detail, ar)))
 
     # Only Case 2 with d > 0 claims its interval for the iterates.
     if case.kind == CASE2 and case.d > 0:
@@ -467,14 +354,207 @@ def _verify_variant(f: SkewGerm, case: CaseData, records, reading):
             sub = classify(rec.germ)
             same = (sub.kind == CASE2
                     and weight_intervals(sub).i_f == base)
-            out(CheckResult(
-                "interval-stability", same, rec.n,
-                f"iterate classified {sub.kind}"))
+            out(CheckResult("interval-stability", same, rec.n,
+                            ("iterate classified {}", sub.kind)))
 
     _r_map_checks(case, ls, growth, out)
     _slope_lemma_check(case, growth, out)
     _interval_system_checks(f, case, out)
     return rep
+
+
+def _per_n_checks(case: CaseData, records, rep: VariantReport, outside,
+                  crit_seq) -> None:
+    """The checks of each record against the prediction for its n, onto
+    rep.checks; the findings and the first vanishing n go on rep too."""
+    out = rep.checks.append
+    for rec, pred in zip(records, rep.predictions):
+        n = rec.n
+        Q = rec.germ.q
+        dom = pred.dominant_bidegree
+        dom_obs = Q.coeff(*dom)
+
+        out(CheckResult("p-iterate-order", rec.c_pn == rec.delta_pow, n,
+                        ("order(p^n) = {}, delta^n = {}", rec.c_pn,
+                         rec.delta_pow)))
+
+        # Dominant term: presence is asserted whenever it cannot cancel.
+        dom_detail = ("coefficient of z^{} w^{} is {}", dom[0], dom[1],
+                      dom_obs)
+        if case.dominant_may_vanish:
+            out(CheckResult("dominant-presence-conditional", None, n,
+                            dom_detail))
+        else:
+            out(CheckResult("dominant-term-presence", bool(dom_obs), n,
+                            dom_detail))
+            if dom_obs:
+                out(CheckResult(
+                    "dominant-coefficient-closed-form", None, n,
+                    ("observed {}, closed form {}", dom_obs,
+                     pred.dominant_coeff)))
+                if dom_obs != pred.dominant_coeff:
+                    rep.findings.append(_format_detail(
+                        "n={}: dominant coefficient {} differs from closed "
+                        "form {}", (n, dom_obs, pred.dominant_coeff)))
+
+        # Critical pure-z coefficient: recursion must match the oracle.
+        if crit_seq is not None:
+            crit_deg = _critical_degree(case, n)
+            obs = Q.coeff(crit_deg, 0)
+            out(CheckResult(
+                "critical-coefficient-recursion", obs == crit_seq[n - 1], n,
+                ("z^{}: oracle {}, recursion {}", crit_deg, obs,
+                 crit_seq[n - 1])))
+            if not obs:
+                if rep.vanishing_first_n is None:
+                    rep.vanishing_first_n = n
+                rep.findings.append(_format_detail(
+                    "vanishing event at n={} (z^{})", (n, crit_deg)))
+
+        # Dominant vertex position.
+        verts = rec.polygon.vertices
+        pos = pred.dominant_position
+        if pos == "only_vertex":
+            out(CheckResult("dominant-only-vertex", verts == (dom,), n,
+                            ("vertices {}", verts)))
+        elif pos == "min_y_vertex":
+            out(CheckResult("dominant-min-y-vertex", verts[-1] == dom, n,
+                            ("vertices {}, dominant {}", verts, dom)))
+        elif pos == "min_x_vertex":
+            out(CheckResult("dominant-min-x-vertex", verts[0] == dom, n,
+                            ("vertices {}, dominant {}", verts, dom)))
+        elif pos == "vertex":
+            out(CheckResult("dominant-vertex", dom in verts, n,
+                            ("vertices {}, dominant {}", verts, dom)))
+        else:  # min_y_vertex_if_present
+            if dom_obs:
+                out(CheckResult("dominant-min-y-vertex", verts[-1] == dom, n,
+                                ("vertices {}, dominant {}", verts, dom)))
+
+        # Weight equalities on the sampled l values.
+        for claim in pred.weight_claims:
+            obs_w = weight(Q, claim.l)
+            out(CheckResult(
+                "weight-equality", obs_w == claim.value, n,
+                ("w_{}(Q^n) = {}, claimed {}", claim.l, obs_w, claim.value)))
+        for l in outside:
+            out(CheckResult(
+                "weight-sample-outside-range", None, n,
+                ("w_{}(Q^n) = {} (no claim)", l, weight(Q, l))))
+
+        # Rate brackets.
+        c = rec.c_qn
+        cq = pred.cqn
+        if cq.exact is not None:
+            out(CheckResult("cqn-exact", c == cq.exact, n,
+                            ("c(Q^n) = {}, claimed {}", c, cq.exact)))
+        else:
+            ok_lo = _above(c, cq.lower, cq.lower_strict)
+            ok_up = _below(c, cq.upper, cq.upper_strict)
+            rel_lo = ">" if cq.lower_strict else ">="
+            rel_up = "<" if cq.upper_strict else "<="
+            out(CheckResult("cqn-refined-lower", ok_lo, n,
+                            ("c(Q^n) = {} {} {}", c, rel_lo, cq.lower)))
+            out(CheckResult("cqn-refined-upper", ok_up, n,
+                            ("c(Q^n) = {} {} {}", c, rel_up, cq.upper)))
+        tb = pred.theorem_cqn
+        out(CheckResult(
+            "cqn-base-bracket", _above(c, tb.lower) and _below(c, tb.upper),
+            n, ("{} <= {} <= {}", tb.lower, c, tb.upper)))
+
+        c_fn = rec.c_fn
+        out(CheckResult("cfn-identity", c_fn == min(rec.delta_pow, c), n,
+                        ("c(f^n) = {}", c_fn)))
+        out(CheckResult(
+            "cfn-bracket",
+            _above(c_fn, pred.cfn_lower) and _below(c_fn, pred.cfn_upper), n,
+            ("{} <= {} <= {}", pred.cfn_lower, c_fn, pred.cfn_upper)))
+
+        # Order claims.
+        if pred.ord_w_claim is not None:
+            out(CheckResult("order-in-w", rec.ord_w == pred.ord_w_claim, n,
+                            ("ord_w = {}, claimed {}", rec.ord_w,
+                             pred.ord_w_claim)))
+        if pred.ord_z_claim is not None:
+            out(CheckResult("order-in-z", rec.ord_z == pred.ord_z_claim, n,
+                            ("ord_z = {}, claimed {}", rec.ord_z,
+                             pred.ord_z_claim)))
+
+        # Adjacent vertices.
+        for vc in (pred.prev_vertex, pred.next_vertex):
+            if vc is None:
+                continue
+            name = f"{vc.side}-vertex"
+            if dom not in verts:
+                out(CheckResult(name, False, n,
+                                ("dominant {} is not a vertex", dom)))
+                continue
+            idx = verts.index(dom)
+            adj_idx = idx - 1 if vc.side == "prev" else idx + 1
+            ok_pos = 0 <= adj_idx < len(verts) and verts[adj_idx] == vc.point
+            out(CheckResult(name, ok_pos, n,
+                            ("claimed {} = {}, chain {}", vc.tag, vc.point,
+                             verts)))
+            if ok_pos:
+                # The slope rise/run of the edge between two distinct
+                # vertices (so run != 0) against -1/edge_l, edge_l > 0.
+                rise, run = vc.point[1] - dom[1], vc.point[0] - dom[0]
+                l = vc.edge_l
+                out(CheckResult(
+                    f"{vc.side}-vertex-slope",
+                    rise * l.numerator == -run * l.denominator, n,
+                    (_slope_detail, rise, run, l)))
+            out(CheckResult(
+                f"{vc.side}-vertex-intercept-side",
+                vc.intercept_identity_holds(dom, rec.delta_pow), n,
+                ("delta^n = {} vs intercept of the {} edge", rec.delta_pow,
+                 vc.tag)))
+
+        # Slope inequalities at the dominant vertex.
+        if pred.m_n_claim == "greater_than_M" and dom in verts:
+            idx = verts.index(dom)
+            if idx == 0:
+                out(CheckResult("prev-slope-exceeds-base", True, n,
+                                "no previous vertex (slope infinite)"))
+            else:
+                pv = verts[idx - 1]
+                m_n = Fraction(pv[1] - dom[1], dom[0] - pv[0])
+                base = 1 / case.l1
+                out(CheckResult("prev-slope-exceeds-base", m_n > base, n,
+                                ("M_n = {} vs 1/l1 = {}", m_n, base)))
+        elif pred.m_n_claim == "at_most_M" and dom in verts:
+            idx = verts.index(dom)
+            if idx == len(verts) - 1:
+                out(CheckResult("next-slope-at-most-base", None, n,
+                                "no next vertex (vacuous)"))
+            else:
+                nv = verts[idx + 1]
+                m_n = Fraction(dom[1] - nv[1], nv[0] - dom[0])
+                base = 1 / case.l2
+                out(CheckResult("next-slope-at-most-base", m_n <= base, n,
+                                ("M_n = {} vs 1/l2 = {}", m_n, base)))
+
+
+def _above(c: int, x, strict: bool = False) -> bool:
+    """c > x if strict, else c >= x, for an int c and an exact x = p/q
+    (q > 0), compared as c*q against p."""
+    c_q, p = c * x.denominator, x.numerator
+    return c_q > p if strict else c_q >= p
+
+
+def _below(c: int, x, strict: bool = False) -> bool:
+    """c < x if strict, else c <= x, as _above compares them."""
+    c_q, p = c * x.denominator, x.numerator
+    return c_q < p if strict else c_q <= p
+
+
+def _slope_detail(rise: int, run: int, edge_l: Fraction) -> str:
+    return f"slope {Fraction(rise, run)}, claimed -1/{format_exact(edge_l)}"
+
+
+def _asymptotic_detail(ar) -> str:
+    return (f"c_inf = {ar.c_infinity}, candidates "
+            f"{[format_exact(x) for x in ar.d_candidates]}")
 
 
 def _pair_le(x: tuple, y: tuple) -> bool:
@@ -501,15 +581,16 @@ def _r_map_checks(case: CaseData, ls, growth: GrowthTable, out,
     alpha_pair = None if alpha is None else (alpha.numerator,
                                              alpha.denominator)
     for l in ls[:3]:
-        label = f"l = {format_exact(l)}"
+        label = ("l = {}", l)
         start = (l.numerator, l.denominator)
         # R iterated one step at a time against the closed form, which
         # reads gamma_n off the table (gamma_0 = 0, so n = 0 is l).
         seq = [start]
         for _ in range(n_top):
             seq.append(r_map_pair(gamma, d, delta, *seq[-1]))
-        closed_ok = all(_pair_eq(r_n(n, start), seq[n])
-                        for n in range(n_top + 1))
+        closed_ok = all(
+            _pair_eq(r_map_pair(g[n], d_pow[n], delta_pow[n], *start), v)
+            for n, v in enumerate(seq))
         out(CheckResult("r-map-closed-form", closed_ok, None, label))
         out(CheckResult(
             "r-map-stays-in-interval",
@@ -544,12 +625,18 @@ def _slope_lemma_check(case: CaseData, growth: GrowthTable, out,
     same = all((d_pow[n] - delta_pow[n]) * run == rise * g[n]
                for n in range(2, n_top + 1))
     if same:
-        slopes = {Fraction(rise, run)}
+        slopes = ((rise, run),)
     else:
-        slopes = {Fraction(d_pow[n] - delta_pow[n], g[n])
-                  for n in range(1, n_top + 1)}
+        slopes = tuple((d_pow[n] - delta_pow[n], g[n])
+                       for n in range(1, n_top + 1))
     out(CheckResult("iterate-anchor-slope-constant", same, None,
-                    f"slopes {sorted(map(format_exact, slopes))}"))
+                    (_slopes_detail, slopes)))
+
+
+def _slopes_detail(slopes) -> str:
+    """The distinct slopes rise/run, as sorted strings."""
+    distinct = {Fraction(rise, run) for rise, run in slopes}
+    return f"slopes {sorted(map(format_exact, distinct))}"
 
 
 # The offsets 0, 1/7, 1/2 and 1, and the fixed probes 1/3, 1 and 3, as
@@ -587,23 +674,28 @@ def _interval_system_checks(f: SkewGerm, case: CaseData, out):
                  == system_membership_pair(f, case, a, b)
                  for a, b in probes)
         out(CheckResult("interval-system-agreement", ok, None,
-                        f"{len(probes)} probes"))
+                        ("{} probes", len(probes))))
         return
     ok_first = all(
         iv.i_f1.contains_pair(a, b)
         == system_membership_case4_first_pair(case, a, b)
         for a, b in probes)
     out(CheckResult("interval-system-agreement-first", ok_first, None,
-                    f"{len(probes)} probes"))
+                    ("{} probes", len(probes))))
     ok_ar = all(
         iv.i_f_ar.contains_pair(a, b)
         == system_membership_case4_ar_pair(case, a, b)
         for a, b in probes)
     out(CheckResult("interval-system-agreement-ar", ok_ar, None,
-                    f"{len(probes)} probes"))
-    pair_probes = [Fraction(a, b) for a, b in probes[:6]]
+                    ("{} probes", len(probes))))
+    # The pairs (l_(1), l_(1) + l_(2)) of the first six probes; the
+    # staged systems read l_(2) = a_s/b_s - a1/b1 over b1*b_s.
+    pair_probes = probes[:6]
     pair_ok = all(
-        iv.i_f.contains(x, y) == system_membership_case4_pair(f, case, x, y)
-        for x in pair_probes for y in pair_probes)
+        iv.i_f.contains_pair(a1, b1, a_s, b_s)
+        == (system_membership_case4_first_pair(case, a1, b1)
+            and system_membership_case4_second_pair(
+                f, case, a1, b1, a_s * b1 - a1 * b_s, b1 * b_s))
+        for a1, b1 in pair_probes for a_s, b_s in pair_probes)
     out(CheckResult("interval-system-agreement-pairs", pair_ok, None,
                     "rectangle probes"))

@@ -2,7 +2,9 @@
 
 Nothing in the package calls these.  The polygon reads and the gamma_n
 routes are independent of the library's own; the raw systems are the
-Fraction entry points to classify's `*_pair` systems.
+Fraction entry points to classify's `*_pair` systems, and
+system_membership_case4_pair composes its two stages as verify's
+rectangle probes do.
 """
 
 from fractions import Fraction
@@ -76,3 +78,16 @@ def system_membership_case4_second(f, case, l_first, l_second) -> bool:
 def system_membership_case4_ar(case, l) -> bool:
     l = as_fraction(l)
     return system_membership_case4_ar_pair(case, l.numerator, l.denominator)
+
+
+def system_membership_case4_pair(f, case, l_first, l_sum) -> bool:
+    """Pair membership for the Case-4 rectangle via the staged systems."""
+    l_first = as_fraction(l_first)
+    a1, b1 = l_first.numerator, l_first.denominator
+    if not system_membership_case4_first_pair(case, a1, b1):
+        return False
+    l_sum = as_fraction(l_sum)
+    # l_(2) = l_sum - l_(1) = (a_s b1 - a1 b_s) / (b_s b1).
+    a_s, b_s = l_sum.numerator, l_sum.denominator
+    return system_membership_case4_second_pair(
+        f, case, a1, b1, a_s * b1 - a1 * b_s, b_s * b1)

@@ -29,12 +29,13 @@ from skewprod import (
     weight,
     weight_intervals,
 )
-from skewprod.classify import r_map_pair, system_membership_case4_pair
+from skewprod.classify import r_map_pair
 from conftest import DATA, FIXTURES, GOLDEN, germ
 from reference import (
     system_membership,
     system_membership_case4_ar,
     system_membership_case4_first,
+    system_membership_case4_pair,
 )
 
 FIVE = ("g1", "g2", "g3", "g4", "g5")

@@ -13,13 +13,14 @@ from skewprod import (
     classify,
     weight_intervals,
 )
-from skewprod.classify import r_map_pair, system_membership_case4_pair
+from skewprod.classify import r_map_pair
 from skewprod.fuzz import generate_germs
 from conftest import CRITERION_5, germ
 from reference import (
     system_membership,
     system_membership_case4_ar,
     system_membership_case4_first,
+    system_membership_case4_pair,
 )
 
 

@@ -195,6 +195,47 @@ def test_coefficient_range_without_a_nonzero_int_rejected(
         fuzz(cfg)
 
 
+@pytest.mark.parametrize("entry", ["fuzz", "generate_germs"])
+@pytest.mark.parametrize("fields,message", [
+    ({"coeff_min": 0, "coeff_max": 0}, "coeff_min..coeff_max"),
+    ({"coeff_min": 3, "coeff_max": 1}, "coeff_min..coeff_max"),
+    ({"delta_max": 0}, "delta_max must be at least 1"),
+])
+def test_config_rejected_before_any_draw(monkeypatch, entry, fields,
+                                         message):
+    """Both entry points check the config on the call, before any draw:
+    [0, 0] would draw forever, and an empty coefficient or delta range
+    would fail inside random."""
+    fuzz_module = importlib.import_module("skewprod.fuzz")
+
+    def no_draw(*args):
+        raise AssertionError("drew a germ")
+
+    monkeypatch.setattr(fuzz_module, "_draw", no_draw)
+    monkeypatch.setattr(fuzz_module, "_coeff", no_draw)
+    cfg = FuzzConfig(seed=1, germ_count=1, **fields)
+    with pytest.raises(ValueError, match=message):
+        getattr(fuzz_module, entry)(cfg)
+
+
+def test_campaign_formats_only_its_findings(monkeypatch):
+    """fuzz reads each check's claim and passed only, so a 40-germ
+    campaign formats no check detail: the formatter runs once for each
+    finding and for nothing else."""
+    verify_module = importlib.import_module("skewprod.verify")
+    inner = verify_module._format_detail
+    calls = []
+
+    def counted(template, values):
+        calls.append(template)
+        return inner(template, values)
+
+    monkeypatch.setattr(verify_module, "_format_detail", counted)
+    summary = fuzz(replace(CRITERION_5, germ_count=40))
+    assert summary.findings > 0
+    assert len(calls) == summary.findings
+
+
 def test_fuzz_counts_failures_and_truncations(monkeypatch):
     """Failed checks are summed over the germs, failing_germs keeps the
     first 10 with their sorted unique claims, and each report that hit a

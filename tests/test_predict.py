@@ -13,6 +13,7 @@ from skewprod import (
     iterate_germ,
     predict,
 )
+from skewprod.growth import GrowthTable
 from skewprod.predict import PredictionRangeError
 from conftest import germ
 from reference import gamma_n_closed, gamma_n_recurrence
@@ -45,6 +46,21 @@ def test_gamma_n_recursion_invariant():
         for n in range(1, 12):
             assert gamma_n(delta, g, d, n + 1) == \
                 delta**n * g + d * gamma_n(delta, g, d, n)
+
+
+def test_growth_table_recurrence_equals_the_sum():
+    """GrowthTable's recurrence against gamma_n's geometric sum and the
+    closed forms, including gamma = 0, d = 0 and delta = d."""
+    for delta in range(1, 5):
+        for g in range(0, 4):
+            for d in range(0, 5):
+                table = GrowthTable.build(delta, g, d, 12)
+                assert table.gamma[0] == 0
+                for n in range(1, 13):
+                    assert table.gamma[n] == gamma_n(delta, g, d, n) == \
+                        gamma_n_closed(delta, g, d, n)
+                    assert table.d_pow[n] == d**n
+                    assert table.delta_pow[n] == delta**n
 
 
 def test_dominant_term_examples(germs):
@@ -268,3 +284,45 @@ def test_predict_record_fields(germs):
     assert {w.l for w in pred.weight_claims} == {
         Fraction(2), Fraction(5, 2), Fraction(3)}
     assert all(w.value == 9 + w.l for w in pred.weight_claims)
+
+
+def _pinned_prediction_readings():
+    """(f, case, n_max) for every reading of g1-g8 to n = 4 and of the
+    first 40 criterion-5 germs to the campaign's n_max."""
+    from itertools import islice
+
+    from skewprod.fuzz import generate_germs
+    from conftest import CRITERION_5, FIXTURES
+
+    for name in sorted(FIXTURES):
+        f = germ(*FIXTURES[name])
+        for case in case_variants(f):
+            yield f, case, 4
+    for f in islice(generate_germs(CRITERION_5), 40):
+        for case in case_variants(f):
+            yield f, case, CRITERION_5.n_max
+
+
+def test_predictions_pinned():
+    """The repr of every RatePrediction verify.predictions returns, over
+    the fixtures and a campaign sample, hashed in order: a change to any
+    bracket, weight value, bound or its type shows here.  predict at each
+    n, on a fresh copy of the reading, gives the same record."""
+    import hashlib
+    from dataclasses import replace
+
+    from skewprod.verify import predictions, weight_samples
+
+    h = hashlib.sha256()
+    count = 0
+    for f, case, n_max in _pinned_prediction_readings():
+        ls, _ = weight_samples(case)
+        preds, _, error = predictions(f, case, n_max, ls)
+        assert error is None and len(preds) == n_max
+        for n, pred in enumerate(preds, start=1):
+            alone = predict(f, replace(case), n, ls=ls)
+            assert alone == pred and repr(alone) == repr(pred)
+            h.update(repr(pred).encode())
+            count += 1
+    assert count == 193
+    assert h.hexdigest()[:16] == "8efb80e6f141dd65"

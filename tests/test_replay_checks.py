@@ -36,3 +36,21 @@ def test_replay_small_campaign():
         report = verify_germ(g, cfg.n_max, limits=campaign_limits(cfg))
         h.update(json.dumps(verification_json(report), sort_keys=True).encode())
     assert summary["digest"] == h.hexdigest()[:16]
+
+
+def test_replay_phases():
+    """--phases times the check side's four phases apart."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "replay_checks.py"),
+         "--count", "5", "--repeat", "1", "--phases"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    summary = json.loads(done.stdout.splitlines()[-1])
+    phases = summary["phases_s"]
+    assert list(phases) == ["weight_samples", "predictions", "per_n_checks",
+                            "no_iterate_checks"]
+    assert all(seconds > 0 for seconds in phases.values())
+    assert isinstance(summary["digest"], str)
+    for phase in phases:
+        assert any(line.split()[:1] == [phase]
+                   for line in done.stdout.splitlines())

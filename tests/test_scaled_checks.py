@@ -14,14 +14,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewprod import INF, Interval, SkewGerm, SparsePoly2, case_variants
+from skewprod import (
+    INF,
+    Interval,
+    SkewGerm,
+    SparsePoly2,
+    case_variants,
+    weight_intervals,
+)
 from skewprod.classify import (
     CASE1,
     CASE2,
     CASE3,
+    CASE4,
     equality_interval,
     r_map_pair,
-    system_membership_case4_pair,
 )
 from skewprod.exact import format_exact, is_inf
 from skewprod.fuzz import generate_germs
@@ -40,6 +47,7 @@ from reference import (
     system_membership,
     system_membership_case4_ar,
     system_membership_case4_first,
+    system_membership_case4_pair,
     system_membership_case4_second,
 )
 
@@ -269,6 +277,55 @@ def test_systems_near_the_interval_ends(f, data):
                         == outcome(ref_system, f, case, x))
                 assert (outcome(system_membership_case4_pair, f, case, x, a)
                         == outcome(ref_pair, f, case, x, a))
+
+
+# -- the Case-4 rectangle -----------------------------------------------------
+
+
+def ref_rect_contains(rect, x, y):
+    """Membership of (l_(1), l_(1) + l_(2)) through second_of."""
+    x, y = Fraction(x), Fraction(y)
+    if not ref_contains(rect.first, x):
+        return False
+    return ref_contains(rect.second_of(x), y - x)
+
+
+# g4, g6 and g7 give the interior shape, g8 the other two.
+RECTANGLES = [weight_intervals(case).i_f for f in FIXTURE_GERMS
+              for case in case_variants(f) if case.kind == CASE4]
+
+
+def rect_points(rect):
+    """The rectangle's ends and alpha, and points next to each."""
+    ends = {rect.l1, rect.alpha, rect.l1 + rect.l2,
+            rect.l1 + rect.l2 - rect.alpha}
+    return sorted({a + e for a in ends
+                   for e in (Fraction(-1, 7), Fraction(0), Fraction(1, 7))})
+
+
+def assert_rect_agrees(rect, x, y, k):
+    want = outcome(ref_rect_contains, rect, x, y)
+    assert outcome(rect.contains, x, y) == want
+    x, y = Fraction(x), Fraction(y)
+    # The pair form takes fractions not in lowest terms.
+    assert outcome(rect.contains_pair, x.numerator * k, x.denominator * k,
+                   y.numerator * k, y.denominator * k) == want
+
+
+@given(st.sampled_from(RECTANGLES), weights, weights, st.integers(1, 6))
+@settings(max_examples=300, deadline=None)
+def test_rectangle_contains_pair(rect, x, y, k):
+    assert_rect_agrees(rect, x, y, k)
+
+
+def test_rectangle_contains_pair_at_its_ends():
+    assert {rect.shape for rect in RECTANGLES} == {
+        "interior", "first_fixed", "second_fixed"}
+    for rect in RECTANGLES:
+        points = rect_points(rect)
+        for x in points:
+            for y in points:
+                assert_rect_agrees(rect, x, y, 3)
 
 
 # -- predict's weight claims ------------------------------------------------

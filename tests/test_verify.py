@@ -4,11 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from skewprod import ResourceLimits, iterate_germ, parse_germ_file, verify_germ
+from skewprod import (
+    ResourceLimits,
+    case_variants,
+    iterate_germ,
+    newton_polygon,
+    parse_germ_file,
+    verify_germ,
+)
 from skewprod.germ import iterates
+from skewprod.exact import format_exact
 from skewprod.growth import GrowthTable
 from skewprod.jsonio import verification_json
-from skewprod.newton import composed_polygon
+from skewprod.newton import NewtonPolygon, composed_polygon, weight
+from skewprod.verify import CheckResult, oracle_records
 
 
 @pytest.mark.parametrize("name", ["g1", "g2", "g3", "g4", "g5"])
@@ -85,6 +94,52 @@ def test_nonpositive_extra_weight_rejected(germs):
     # an out-of-range sample is still read, and w_l needs l > 0
     with pytest.raises(ValueError):
         verify_germ(germs["g1"], 2, extra_ls=(-1,))
+
+
+def test_check_details_bind_their_own_n(germs):
+    """A check's detail is formatted on first read, from the values of
+    its own n bound when the check was made, and reads the same again."""
+    report = verify_germ(germs["g2"], 3, extra_ls=["7"])
+    checks = [c for v in report.variants for c in v.checks]
+    first = [c.detail for c in checks]
+    assert [c.detail for c in checks] == first
+    assert all(repr(c).endswith(f"detail={c.detail!r})") for c in checks)
+    seen = set()
+    for c in checks:
+        if c.n is None:
+            continue
+        rec = report.oracle[c.n - 1]
+        if c.claim == "p-iterate-order":
+            assert c.detail == (f"order(p^n) = {rec.c_pn}, "
+                                f"delta^n = {rec.delta_pow}")
+        elif c.claim == "weight-sample-outside-range":
+            w = format_exact(weight(rec.germ.q, 7))
+            assert c.detail == f"w_7(Q^n) = {w} (no claim)"
+        else:
+            continue
+        seen.add((c.claim, c.n))
+    # delta^n and w_7(Q^n) differ from one n to the next.
+    assert len({rec.delta_pow for rec in report.oracle}) == 3
+    assert seen == {(claim, n) for n in (1, 2, 3)
+                    for claim in ("p-iterate-order",
+                                  "weight-sample-outside-range")}
+
+
+def test_check_result_record():
+    """Equal, hashed and shown by (claim, passed, n, detail), whether the
+    detail is a str or formatted on read; no field can be set."""
+    lazy = CheckResult("cqn-exact", True, 2, ("c(Q^n) = {}, claimed {}", 6,
+                                              Fraction(12, 2)))
+    eager = CheckResult("cqn-exact", True, 2, "c(Q^n) = 6, claimed 6")
+    assert lazy == eager and hash(lazy) == hash(eager)
+    assert repr(lazy) == repr(eager) == (
+        "CheckResult(claim='cqn-exact', passed=True, n=2, "
+        "detail='c(Q^n) = 6, claimed 6')")
+    assert lazy != CheckResult("cqn-exact", True, 3, eager.detail)
+    assert CheckResult("x", None) == CheckResult("x", None, None, "")
+    for name in ("claim", "passed", "n", "detail", "other"):
+        with pytest.raises(AttributeError):
+            setattr(eager, name, None)
 
 
 def test_detects_seeded_defects(germs, monkeypatch):
@@ -179,6 +234,31 @@ def test_truncated_last_step_matches_full(name, n, germs):
         else:
             assert _vertex_terms(rec, want)
             assert rec.polygon.vertices == predicted.vertices
+
+
+@pytest.mark.parametrize("name", ["g1", "g2", "g3", "g4", "g6", "g7"])
+def test_vertex_step_keeps_its_polygon(name, germs, monkeypatch):
+    """A certified vertex step leaves its composed polygon on its q, so
+    the oracle record builds no second hull; that polygon is the one a
+    fresh build gives."""
+    built = []
+    build = NewtonPolygon.of_poly.__func__
+
+    def counted(cls, poly):
+        built.append(poly)
+        return build(cls, poly)
+
+    f = germs[name]
+    cases = case_variants(f)
+    monkeypatch.setattr(NewtonPolygon, "of_poly", classmethod(counted))
+    records, error = oracle_records(f, 3, cases=cases)
+    monkeypatch.undo()
+    assert error is None and len(records) == 3
+    for rec in records[1:]:
+        q = rec.germ.q
+        assert not any(p is q for p in built)
+        assert rec.polygon is newton_polygon(q)
+        assert rec.polygon == NewtonPolygon.of_poly(q)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -1,6 +1,6 @@
 """Replay the check side of one fuzz_campaign operation on recorded oracle data.
 
-    python3 tools/replay_checks.py [--seed N] [--count N] [--repeat K]
+    python3 tools/replay_checks.py [--seed N] [--count N] [--repeat K] [--phases]
 
 Run from the root of a source checkout; skewprod is imported from src/.
 The script runs one operation of perfbench's fuzz_campaign workload
@@ -10,7 +10,14 @@ arguments of every verify_germ call and the result of its
 oracle_records.  It then runs each recorded verify_germ call K times
 with oracle_records replaced by its recorded result, so only the checks
 that need no new iterate are timed, and prints the best of the K
-passes.
+passes.  With --phases it runs K more passes with these of verify's
+functions timed apart, and prints the best of the K for each phase:
+
+    weight_samples     verify.weight_samples
+    predictions        verify.predictions
+    per_n_checks       verify._per_n_checks, the loop over n
+    no_iterate_checks  verify._r_map_checks, _slope_lemma_check and
+                       _interval_system_checks, which need no iterate
 
 The digest covers every report's verification_json, hashed in order as
 tests/test_fuzz.py's test_campaign_sample_verification_digest does, so
@@ -88,6 +95,43 @@ def replay(calls) -> tuple:
     return seconds, reports
 
 
+# Each phase and the functions of skewprod.verify whose time it sums.
+PHASES = {
+    "weight_samples": ("weight_samples",),
+    "predictions": ("predictions",),
+    "per_n_checks": ("_per_n_checks",),
+    "no_iterate_checks": ("_r_map_checks", "_slope_lemma_check",
+                          "_interval_system_checks"),
+}
+
+
+def phase_pass(calls) -> dict:
+    """The seconds of each phase over one pass of replay(calls)."""
+    seconds = dict.fromkeys(PHASES, 0.0)
+
+    def timed(phase, fn):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                seconds[phase] += time.perf_counter() - start
+        return wrapper
+
+    saved = []
+    try:
+        for phase, names in PHASES.items():
+            for name in names:
+                fn = getattr(verify, name)
+                saved.append((name, fn))
+                setattr(verify, name, timed(phase, fn))
+        replay(calls)
+    finally:
+        for name, fn in saved:
+            setattr(verify, name, fn)
+    return seconds
+
+
 def reports_digest(reports) -> str:
     h = hashlib.sha256()
     for report in reports:
@@ -102,6 +146,8 @@ def main(argv=None) -> int:
     parser.add_argument("--count", type=int, default=None,
                         help="germs to draw (default: the workload's)")
     parser.add_argument("--repeat", type=int, default=5)
+    parser.add_argument("--phases", action="store_true",
+                        help="also time the phases of the check side")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
@@ -125,6 +171,12 @@ def main(argv=None) -> int:
     }
     print(f"{summary['germs']} germs, check side best of {args.repeat}: "
           f"{summary['best_s']:.4f} s, digest {summary['digest']}")
+    if args.phases:
+        timed = [phase_pass(calls) for _ in range(args.repeat)]
+        summary["phases_s"] = {phase: min(t[phase] for t in timed)
+                               for phase in PHASES}
+        for phase, seconds in summary["phases_s"].items():
+            print(f"  {phase:18} best of {args.repeat}: {seconds:.4f} s")
     print(json.dumps(summary))
     return 0 if isinstance(summary["digest"], str) else 1
 
