@@ -182,23 +182,23 @@ class CaseData:
         return self.dominant_may_vanish or self.next_term_may_vanish
 
 
-def _applicable_kinds(delta: int, polygon: NewtonPolygon) -> tuple:
-    s = polygon.s
+def _readings(f: SkewGerm) -> tuple:
+    """(polygon, readings, applicable): q's Newton polygon, (kind, k)
+    for every reading that applies, in priority order (Case1, Case2,
+    Case3, then Case 4 by k), and its kinds without repeats."""
+    polygon = newton_polygon(f.q)
+    delta, s, T = f.delta, polygon.s, polygon.intercept
     if s == 1:
-        return (CASE1,)
-    kinds = []
-    if delta <= polygon.intercept(s - 1):
-        kinds.append(CASE2)
-    if polygon.intercept(1) <= delta:
-        kinds.append(CASE3)
-    if s > 2 and _case4_indices(delta, polygon):
-        kinds.append(CASE4)
-    return tuple(kinds)
-
-
-def _case4_indices(delta: int, polygon: NewtonPolygon) -> list:
-    return [k for k in range(2, polygon.s)
-            if polygon.intercept(k) <= delta <= polygon.intercept(k - 1)]
+        return polygon, [(CASE1, 1)], (CASE1,)
+    readings = []
+    if delta <= T(s - 1):
+        readings.append((CASE2, s))
+    if T(1) <= delta:
+        readings.append((CASE3, 1))
+    readings += [(CASE4, k) for k in range(2, s)
+                 if T(k) <= delta <= T(k - 1)]
+    return polygon, readings, tuple(dict.fromkeys(
+        kind for kind, _ in readings))
 
 
 def _build(f: SkewGerm, polygon: NewtonPolygon, kind: str, k: int,
@@ -235,7 +235,9 @@ def _build(f: SkewGerm, polygon: NewtonPolygon, kind: str, k: int,
 
 def classify(f: SkewGerm) -> CaseData:
     """Primary case of the germ (priority Case1, Case2, Case3, Case4)."""
-    return case_variants(f)[0]
+    polygon, readings, applicable = _readings(f)
+    kind, k = readings[0]
+    return _build(f, polygon, kind, k, applicable)
 
 
 def case_variants(f: SkewGerm) -> tuple:
@@ -245,19 +247,9 @@ def case_variants(f: SkewGerm) -> tuple:
     can apply simultaneously; the attached claims all hold at once and
     are verified per variant.
     """
-    polygon = newton_polygon(f.q)
-    applicable = _applicable_kinds(f.delta, polygon)
-    out = []
-    if CASE1 in applicable:
-        return (_build(f, polygon, CASE1, 1, applicable),)
-    if CASE2 in applicable:
-        out.append(_build(f, polygon, CASE2, polygon.s, applicable))
-    if CASE3 in applicable:
-        out.append(_build(f, polygon, CASE3, 1, applicable))
-    if CASE4 in applicable:
-        for k in _case4_indices(f.delta, polygon):
-            out.append(_build(f, polygon, CASE4, k, applicable))
-    return tuple(out)
+    polygon, readings, applicable = _readings(f)
+    return tuple(_build(f, polygon, kind, k, applicable)
+                 for kind, k in readings)
 
 
 # -- weight intervals ----------------------------------------------------

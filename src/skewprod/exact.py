@@ -7,8 +7,10 @@ INF singleton.  Floats never appear; all comparisons are exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 
 
+@total_ordering
 class _PosInf:
     """Positive infinity for weight bounds (l2 in the unbounded cases).
 
@@ -20,20 +22,8 @@ class _PosInf:
     def __lt__(self, other):
         return False
 
-    def __le__(self, other):
-        return other is INF
-
-    def __gt__(self, other):
-        return other is not INF
-
-    def __ge__(self, other):
-        return True
-
     def __eq__(self, other):
         return other is INF
-
-    def __ne__(self, other):
-        return other is not INF
 
     def __hash__(self):
         return hash("skewprod-inf")

@@ -241,7 +241,7 @@ def check_config(cfg: FuzzConfig) -> None:
     generate_germs call it before their first draw."""
     if cfg.germ_count < 0:
         raise ValueError("germ count must be non-negative")
-    for name in ("delta_max", "support_max", "degree_cap"):
+    for name in ("delta_max", "support_max", "n_max", "degree_cap"):
         if getattr(cfg, name) < 1:
             raise ValueError(f"{name} must be at least 1")
     if not 0 <= cfg.boundary_bias_pct <= 100:

@@ -45,6 +45,7 @@ step, so a capped run stops where the full one would, with its message.
 
 from __future__ import annotations
 
+from .growth import check_depth
 from .newton import composed_polygon, newton_polygon
 from .poly import (
     DEFAULT_LIMITS,
@@ -246,8 +247,7 @@ def vertex_step(f: SkewGerm, fn: SkewGerm, reads,
     of its coefficient.
     """
     P, W = fn.p, fn.q
-    c_p = min(P.column_minima())
-    a_p = P.coeff(c_p, 0)
+    c_p, a_p = fn.delta, fn.a_delta
     w_polygon = newton_polygon(W)
     polygon = composed_polygon(f.q, c_p, w_polygon)
     vertices = polygon.vertices
@@ -296,8 +296,7 @@ def iterates(f: SkewGerm, n_max: int, limits: ResourceLimits | None = None,
     otherwise, on f^(n-1) iterated afresh if that holds vertex terms
     only.
     """
-    if not isinstance(n_max, int) or n_max < 1:
-        raise ValueError("n must be a positive integer")
+    check_depth(n_max)
     cur = f
     yield 1, cur
     lim = limits or DEFAULT_LIMITS

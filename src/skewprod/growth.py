@@ -25,10 +25,15 @@ def geometric_sum(a: int, b: int, n: int) -> int:
     return sum(a ** (n - 1 - t) * b**t for t in range(n))
 
 
+def check_depth(n) -> None:
+    """Raise every entry point's ValueError unless n is a positive int."""
+    if not isinstance(n, int) or n < 1:
+        raise ValueError("n must be a positive integer")
+
+
 def gamma_n(delta: int, gamma: int, d: int, n: int) -> int:
     """Dominant z-exponent of the n-th iterate, n >= 1."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    check_depth(n)
     return gamma * geometric_sum(delta, d, n)
 
 
@@ -51,8 +56,7 @@ class GrowthTable:
     @classmethod
     def build(cls, delta: int, gamma: int, d: int,
               n_top: int) -> "GrowthTable":
-        if n_top < 1:
-            raise ValueError("n must be a positive integer")
+        check_depth(n_top)
         d_pow, delta_pow, g = [1], [1], [0]
         for n in range(n_top):
             # gamma_{n+1} = delta^n gamma + d gamma_n, from gamma_0 = 0.

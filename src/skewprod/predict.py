@@ -19,12 +19,10 @@ variants of the refined estimates.
 `predict(f, case, n)` returns all of these as one `RatePrediction`
 record; verify's `predictions` calls it once for each n.  It reads
 gamma_n, d^n and delta^n off the reading's growth table
-(`CaseData.growth`), and what no n changes off the reading's `_Reading`:
-l1 and l1 + l2 as int pairs and their comparisons with 1, the dominant
-position, and the weight samples, checked against the equality interval
-once.  Both are built on first use and kept on the reading.  Every
-bracket, weight value and c(f^n) bound is computed on ints, with one
-Fraction per reported value.
+(`CaseData.growth`), and l1 and l1 + l2 as (numerator, denominator),
+compared with 1 as ints; it checks each weight sample against the
+equality interval.  Every bracket, weight value and c(f^n) bound is
+computed on ints, with one Fraction per reported value.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from math import gcd
 from .classify import CASE1, CASE2, CASE3, CaseData, equality_interval
 from .exact import as_coeff, as_fraction, is_inf
 from .germ import SkewGerm
-from .growth import GrowthTable, geometric_sum, iterate_lead_coeff
+from .growth import GrowthTable, check_depth, geometric_sum, iterate_lead_coeff
 from .newton import newton_polygon, support_on_edge
 from .poly import ResourceCapError
 
@@ -111,6 +109,7 @@ def critical_coeff_sequence(f: SkewGerm, n_max: int):
     strictly larger weight, so c_{n+1} = sum over edge points (I, J) of
     a_n^I b_IJ c_n^J with a_n the lowest coefficient of p^n.
     """
+    check_depth(n_max)
     polygon = newton_polygon(f.q)
     s = polygon.s
     if (s < 2 or polygon.vertex(s)[1] != 0
@@ -145,41 +144,48 @@ class CqnBounds:
         return CqnBounds(value, value, exact=value)
 
 
-def _theorem_bracket(case: CaseData, reading: _Reading, g_n: int,
-                     d_n: int) -> CqnBounds:
+def _theorem_bracket(case: CaseData, g_n: int, d_n: int) -> CqnBounds:
     """The unrefined bracket that holds in every configuration:
     g_n / max(l1, 1) + min(l1 + l2, 1) d^n <= c(Q^n) <= g_n + d^n."""
     # Case 1's single vertex fixes c(Q^n) exactly.
     if case.kind == CASE1:
         return CqnBounds.exactly(g_n + d_n)
-    (p, q), (r, s) = reading.max_l1_one, reading.min_lsum_one
-    lower = Fraction(g_n * q * s + r * d_n * p, p * s)
+    # p/q with q > 0 compares with 1 as p with q; INF is above 1.
+    p, q = case.l1.numerator, case.l1.denominator
+    lsum = case.l1_plus_l2
+    max_p, max_q = (p, q) if p > q else (1, 1)
+    lsum_below_one = not is_inf(lsum) and lsum.numerator < lsum.denominator
+    r, s = (lsum.numerator, lsum.denominator) if lsum_below_one else (1, 1)
+    lower = Fraction(g_n * max_q * s + r * d_n * max_p, max_p * s)
     # With d = 0 (Case 2) the theorem allows z^{gamma_n} to cancel, so
-    # its upper end is the previous edge's w-intercept.
+    # its upper end is the previous edge's w-intercept g_n / min(l1, 1).
     if case.d == 0:
-        p, q = reading.min_l1_one
-        return CqnBounds(lower, Fraction(g_n * q, p))
+        return CqnBounds(lower, Fraction(g_n * q, p) if p < q
+                         else Fraction(g_n))
     return CqnBounds(lower, Fraction(g_n + d_n))
 
 
-def _cqn_bounds(case: CaseData, reading: _Reading, n: int, g_n: int,
-                d_n: int, critical_present: bool | None) -> CqnBounds:
+def _cqn_bounds(case: CaseData, n: int, g_n: int, d_n: int,
+                critical_present: bool | None) -> CqnBounds:
     """Tightest refined bracket for c(Q^n), with strictness flags.
     critical_present (whether the critical pure-z term survives in
     Q^n) is read only in the three may-vanish configurations."""
-    p, q = reading.l1  # l1 = p/q
+    # l1 = p/q and l1 + l2 compare with 1 as _theorem_bracket compares them.
+    p, q = case.l1.numerator, case.l1.denominator
 
     # Case 2's d = 0 upper bound: where z^{gamma_n} may cancel, c(Q^n)
     # can rise along the previous edge up to its w-intercept g_n / l1.
-    if case.dominant_may_vanish and reading.l1_below_one:
+    if case.dominant_may_vanish and p < q:
         low = Fraction(g_n)
         if critical_present:
             return CqnBounds(low, Fraction(g_n * q, p), exact=low)
         return CqnBounds(low, Fraction(g_n * q, p), lower_strict=True)
-    if reading.l1_to_lsum_holds_one:
-        return CqnBounds.exactly(g_n + d_n)
+    lsum = case.l1_plus_l2
+    lsum_below_one = not is_inf(lsum) and lsum.numerator < lsum.denominator
+    if p <= q and not lsum_below_one:
+        return CqnBounds.exactly(g_n + d_n)  # l1 <= 1 <= l1 + l2
     full = Fraction(g_n + d_n)
-    if reading.l1_above_one:
+    if p > q:
         low = Fraction(g_n * q + d_n * p, p)  # g_n / l1 + d^n
         if case.kind != CASE2:
             return CqnBounds(low, full, lower_strict=case.prev_vertex[0] > 0,
@@ -193,7 +199,7 @@ def _cqn_bounds(case: CaseData, reading: _Reading, n: int, g_n: int,
         if case.prev_vertex[0] == 0 and reached:
             return CqnBounds.exactly(low)
         return CqnBounds(low, full, lower_strict=True, upper_strict=True)
-    p, q = reading.l1_plus_l2  # finite: l1 + l2 < 1 here
+    p, q = lsum.numerator, lsum.denominator  # finite: l1 + l2 < 1 here
     low = Fraction(g_n * q + p * d_n, q)  # g_n + (l1 + l2) d^n
     if case.next_vertex[1] > 0:
         return CqnBounds(low, full, lower_strict=True, upper_strict=True)
@@ -394,61 +400,6 @@ def _dominant_position(case: CaseData) -> str:
     return "vertex"
 
 
-class _Reading:
-    """What predict reads off one case reading for every n: l1 and
-    l1 + l2 as int pairs (l1 + l2 None for INF) and their comparisons
-    with 1, the dominant position, and the last weight samples checked
-    against the equality interval, as (l, a, b) with l = a/b."""
-
-    __slots__ = ("l1", "l1_plus_l2", "l1_below_one", "l1_above_one",
-                 "l1_to_lsum_holds_one", "max_l1_one", "min_l1_one",
-                 "min_lsum_one", "position", "interval", "ls", "samples")
-
-    def __init__(self, case: CaseData):
-        one = (1, 1)
-        l1 = self.l1 = (case.l1.numerator, case.l1.denominator)
-        lsum = case.l1_plus_l2
-        lsum = self.l1_plus_l2 = (None if is_inf(lsum)
-                                  else (lsum.numerator, lsum.denominator))
-        # p/q with q > 0 compares with 1 as p with q; INF is above 1.
-        self.l1_below_one, self.l1_above_one = l1[0] < l1[1], l1[0] > l1[1]
-        lsum_below_one = lsum is not None and lsum[0] < lsum[1]
-        self.l1_to_lsum_holds_one = l1[0] <= l1[1] and not lsum_below_one
-        self.max_l1_one = l1 if self.l1_above_one else one
-        self.min_l1_one = l1 if self.l1_below_one else one
-        self.min_lsum_one = lsum if lsum_below_one else one
-        self.position = _dominant_position(case)
-        self.interval = equality_interval(case)
-        self.ls = self.samples = None
-
-    def weight_samples(self, ls, kind: str) -> list:
-        """[(l, a, b)] for the weights ls (by default the interval's
-        sample points), each checked to lie in the equality interval
-        once for as long as predict is given equal ls."""
-        key = None if ls is None else tuple(ls)
-        if self.samples is None or key != self.ls:
-            samples = []
-            for l in self.interval.sample_points() if ls is None else ls:
-                l = as_fraction(l)
-                a, b = l.numerator, l.denominator
-                if not self.interval.contains_pair(a, b):
-                    raise PredictionRangeError(
-                        f"l = {l} is outside the equality range for {kind}")
-                samples.append((l, a, b))
-            self.ls, self.samples = key, samples
-        return self.samples
-
-
-def _reading(case: CaseData) -> _Reading:
-    """The reading's _Reading, built on first use and kept on the
-    reading, as CaseData.growth keeps its table."""
-    reading = case.__dict__.get("_predict_reading")
-    if reading is None:
-        # A derived value, like the growth table: the fields stay frozen.
-        reading = case.__dict__["_predict_reading"] = _Reading(case)
-    return reading
-
-
 def _at_most(bound: int, x: Fraction) -> Fraction:
     """min(bound, x), x itself where it is the smaller."""
     return x if x.numerator < bound * x.denominator else Fraction(bound)
@@ -457,15 +408,22 @@ def _at_most(bound: int, x: Fraction) -> Fraction:
 def predict(f: SkewGerm, case: CaseData, n: int, ls=None,
             critical_present: bool | None = None) -> RatePrediction:
     """Assemble the full per-n prediction record for one case reading."""
-    reading = _reading(case)
+    check_depth(n)
     growth = case.growth(n)
     g_n, d_n = growth.gamma[n], growth.d_pow[n]
     if case.may_vanish and critical_present is None:
         seq = critical_coeff_sequence(f, n)
         critical_present = bool(seq[n - 1]) if seq else None
-    claims = tuple(WeightClaim(l, Fraction(g_n * b + a * d_n, b))
-                   for l, a, b in reading.weight_samples(ls, case.kind))
-    cqn = _cqn_bounds(case, reading, n, g_n, d_n, critical_present)
+    interval = equality_interval(case)
+    claims = []
+    for l in interval.sample_points() if ls is None else ls:
+        l = as_fraction(l)
+        a, b = l.numerator, l.denominator
+        if not interval.contains_pair(a, b):
+            raise PredictionRangeError(
+                f"l = {l} is outside the equality range for {case.kind}")
+        claims.append(WeightClaim(l, Fraction(g_n * b + a * d_n, b)))
+    cqn = _cqn_bounds(case, n, g_n, d_n, critical_present)
     # c(f^n) = min(delta^n, c(Q^n))
     delta_n = growth.delta_pow[n]
     prev_claim, next_claim = _adjacent_vertices(case, n, g_n)
@@ -482,9 +440,9 @@ def predict(f: SkewGerm, case: CaseData, n: int, ls=None,
         dominant_coeff=_dominant_coeff(f, case, growth, n),
         may_vanish=case.dominant_may_vanish,
         critical_present=critical_present,
-        weight_claims=claims,
+        weight_claims=tuple(claims),
         cqn=cqn,
-        theorem_cqn=_theorem_bracket(case, reading, g_n, d_n),
+        theorem_cqn=_theorem_bracket(case, g_n, d_n),
         cfn_lower=_at_most(delta_n, cqn.lower),
         cfn_upper=_at_most(delta_n, cqn.upper),
         prev_vertex=prev_claim,
@@ -492,5 +450,5 @@ def predict(f: SkewGerm, case: CaseData, n: int, ls=None,
         m_n_claim=m_n_claim(case, n),
         ord_w_claim=ord_w,
         ord_z_claim=ord_z,
-        dominant_position=reading.position,
+        dominant_position=_dominant_position(case),
     )

@@ -64,7 +64,7 @@ from .classify import (
 )
 from .exact import INF, as_fraction, format_exact
 from .germ import SkewGerm, iterates
-from .growth import GrowthTable
+from .growth import GrowthTable, check_depth
 from .newton import newton_polygon, weight
 from .poly import ResourceCapError, ResourceLimits
 from .predict import asymptotic, critical_coeff_sequence, predict
@@ -185,7 +185,7 @@ class VerificationReport:
 def oracle_record(f: SkewGerm, n: int, fn: SkewGerm) -> OracleRecord:
     """The data the checks read off fn = f^n."""
     c_qn, ord_z, ord_w = fn.q.orders()
-    c_pn = min(fn.p.column_minima())
+    c_pn = fn.delta  # the order of p^n
     return OracleRecord(
         n=n,
         germ=fn,
@@ -268,8 +268,7 @@ def predictions(f: SkewGerm, case: CaseData, n_max: int, ls):
     at some n, preds stops before it and error is the ResourceCapError
     (None otherwise).
     """
-    if not isinstance(n_max, int) or n_max < 1:
-        raise ValueError("n must be a positive integer")
+    check_depth(n_max)
     crit_seq = critical_coeff_sequence(f, n_max) if case.may_vanish else None
     preds = []
     try:
@@ -411,25 +410,23 @@ def _per_n_checks(case: CaseData, records, rep: VariantReport, outside,
                 rep.findings.append(_format_detail(
                     "vanishing event at n={} (z^{})", (n, crit_deg)))
 
-        # Dominant vertex position.
+        # Dominant vertex position; idx is its place in the chain.
         verts = rec.polygon.vertices
+        idx = verts.index(dom) if dom in verts else None
         pos = pred.dominant_position
         if pos == "only_vertex":
             out(CheckResult("dominant-only-vertex", verts == (dom,), n,
                             ("vertices {}", verts)))
-        elif pos == "min_y_vertex":
-            out(CheckResult("dominant-min-y-vertex", verts[-1] == dom, n,
-                            ("vertices {}, dominant {}", verts, dom)))
         elif pos == "min_x_vertex":
             out(CheckResult("dominant-min-x-vertex", verts[0] == dom, n,
                             ("vertices {}, dominant {}", verts, dom)))
         elif pos == "vertex":
-            out(CheckResult("dominant-vertex", dom in verts, n,
+            out(CheckResult("dominant-vertex", idx is not None, n,
                             ("vertices {}, dominant {}", verts, dom)))
-        else:  # min_y_vertex_if_present
-            if dom_obs:
-                out(CheckResult("dominant-min-y-vertex", verts[-1] == dom, n,
-                                ("vertices {}, dominant {}", verts, dom)))
+        elif pos == "min_y_vertex" or dom_obs:
+            # min_y_vertex_if_present claims it only where the term is.
+            out(CheckResult("dominant-min-y-vertex", verts[-1] == dom, n,
+                            ("vertices {}, dominant {}", verts, dom)))
 
         # Weight equalities on the sampled l values.
         for claim in pred.weight_claims:
@@ -485,11 +482,10 @@ def _per_n_checks(case: CaseData, records, rep: VariantReport, outside,
             if vc is None:
                 continue
             name = f"{vc.side}-vertex"
-            if dom not in verts:
+            if idx is None:
                 out(CheckResult(name, False, n,
                                 ("dominant {} is not a vertex", dom)))
                 continue
-            idx = verts.index(dom)
             adj_idx = idx - 1 if vc.side == "prev" else idx + 1
             ok_pos = 0 <= adj_idx < len(verts) and verts[adj_idx] == vc.point
             out(CheckResult(name, ok_pos, n,
@@ -511,8 +507,7 @@ def _per_n_checks(case: CaseData, records, rep: VariantReport, outside,
                  vc.tag)))
 
         # Slope inequalities at the dominant vertex.
-        if pred.m_n_claim == "greater_than_M" and dom in verts:
-            idx = verts.index(dom)
+        if pred.m_n_claim == "greater_than_M" and idx is not None:
             if idx == 0:
                 out(CheckResult("prev-slope-exceeds-base", True, n,
                                 "no previous vertex (slope infinite)"))
@@ -522,8 +517,7 @@ def _per_n_checks(case: CaseData, records, rep: VariantReport, outside,
                 base = 1 / case.l1
                 out(CheckResult("prev-slope-exceeds-base", m_n > base, n,
                                 ("M_n = {} vs 1/l1 = {}", m_n, base)))
-        elif pred.m_n_claim == "at_most_M" and dom in verts:
-            idx = verts.index(dom)
+        elif pred.m_n_claim == "at_most_M" and idx is not None:
             if idx == len(verts) - 1:
                 out(CheckResult("next-slope-at-most-base", None, n,
                                 "no next vertex (vacuous)"))

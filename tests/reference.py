@@ -1,7 +1,8 @@
 """Reference forms the tests compare the library against.
 
-Nothing in the package calls these.  The polygon reads and the gamma_n
-routes are independent of the library's own; the raw systems are the
+Nothing in the package calls these.  The polygon reads, the case
+readings and the gamma_n routes are independent of the library's own;
+the raw systems are the
 Fraction entry points to classify's `*_pair` systems, and
 system_membership_case4_pair composes its two stages as verify's
 rectangle probes do.
@@ -30,6 +31,32 @@ def edge_slope(polygon, k: int) -> Fraction:
 def min_weight(polygon, l) -> Fraction:
     """min(n + l*m) over the vertices; equals the support minimum."""
     return min(n + Fraction(l) * m for n, m in polygon.vertices)
+
+
+# -- case readings ------------------------------------------------------------
+
+
+def case_readings(polygon, delta) -> list:
+    """(kind, k) of every case reading of a germ with this polygon and
+    delta, from the definitions in classify's docstring, in its
+    priority order (Case1, Case2, Case3, then Case 4 by k).
+
+    T_k is the y-intercept of the edge through vertices k and k+1:
+    Case 1 is s = 1 (k = 1), Case 2 delta <= T_{s-1} (k = s), Case 3
+    T_1 <= delta (k = 1) and Case 4 T_k <= delta <= T_{k-1} for
+    2 <= k <= s-1.
+    """
+    verts = polygon.vertices
+    s = len(verts)
+    T = {}
+    for k, ((n1, m1), (n2, m2)) in enumerate(zip(verts, verts[1:]), 1):
+        T[k] = m1 + Fraction((m1 - m2) * n1, n2 - n1)
+    readings = [("Case1", 1, s == 1),
+                ("Case2", s, s > 1 and delta <= T[s - 1]),
+                ("Case3", 1, s > 1 and T[1] <= delta)]
+    readings += [("Case4", k, T[k] <= delta <= T[k - 1])
+                 for k in range(2, s)]
+    return [(kind, k) for kind, k, holds in readings if holds]
 
 
 # -- gamma_n by its closed form and its recurrence --------------------------

@@ -2,6 +2,9 @@ import itertools
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from skewprod import (
     CASE1,
     CASE2,
@@ -15,8 +18,12 @@ from skewprod import (
 )
 from skewprod.classify import r_map_pair
 from skewprod.fuzz import generate_germs
+from skewprod.germ import SkewGerm
+from skewprod.newton import newton_polygon
+from skewprod.poly import SparsePoly2
 from conftest import CRITERION_5, germ
 from reference import (
+    case_readings,
     system_membership,
     system_membership_case4_ar,
     system_membership_case4_first,
@@ -140,6 +147,56 @@ def test_exhaustive_primary_kind(germs):
         case = classify(f)
         assert case.kind in case.applicable
         assert case.applicable
+
+
+points = st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(
+    lambda pt: pt != (0, 0))
+supports = st.sets(points, min_size=1, max_size=7)
+
+
+@st.composite
+def chains(draw):
+    """Supports around a convex chain whose edges have run 1, so every
+    intercept is an int and delta = T_k can select two Case-4 vertices."""
+    x, y = draw(st.integers(0, 2)), 0
+    rises = sorted(draw(st.sets(st.integers(1, 5), min_size=1, max_size=4)))
+    chain = [(x + len(rises), 0)]
+    for rise in rises:
+        y += rise
+        chain.append((x + len(rises) - len(chain), y))
+    return set(chain) | draw(st.sets(points, max_size=3))
+
+
+def _check_readings(q_support, delta):
+    q = SparsePoly2(dict.fromkeys(q_support, 1))
+    f = SkewGerm(SparsePoly2({(delta, 0): 1}), q)
+    expected = case_readings(newton_polygon(q), delta)
+    variants = case_variants(f)
+    assert [(c.kind, c.k) for c in variants] == expected
+    kinds = tuple(kind for kind in (CASE1, CASE2, CASE3, CASE4)
+                  if any(kind == seen for seen, _ in expected))
+    assert all(c.applicable == kinds for c in variants)
+    assert classify(f) == variants[0]
+
+
+@given(supports, st.integers(1, 9))
+@settings(max_examples=300, deadline=None)
+def test_case_readings_match_the_definitions(q_support, delta):
+    """Every reading case_variants gives, and applicable, against the
+    definitions of Cases 1-4, over random supports and orders of p."""
+    _check_readings(q_support, delta)
+
+
+@given(st.one_of(supports, chains()), st.data())
+@settings(max_examples=300, deadline=None)
+def test_case_readings_at_integer_intercepts(q_support, data):
+    """The same with delta pinned to an integer intercept where the
+    polygon has one, so the boundaries T_k = delta are hit."""
+    pins = sorted(int(t) for t in newton_polygon(
+        SparsePoly2(dict.fromkeys(q_support, 1))).intercepts
+        if t.denominator == 1 and t >= 1)
+    delta = data.draw(st.sampled_from(pins) if pins else st.integers(1, 9))
+    _check_readings(q_support, delta)
 
 
 def test_primary_case_is_first_variant(germs):

@@ -123,6 +123,7 @@ def test_exit_status_negative_fuzz_count():
     (("--boundary-bias", "150"), "boundary_bias_pct"),
     (("--boundary-bias", "-1"), "boundary_bias_pct"),
     (("--degree-cap", "-1"), "degree_cap"),
+    (("--n-max", "0"), "n_max"),
 ])
 def test_exit_status_fuzz_config_out_of_range(flags, field):
     """Each out-of-range campaign setting is a usage error naming it."""

@@ -200,6 +200,7 @@ def test_coefficient_range_without_a_nonzero_int_rejected(
     ({"coeff_min": 0, "coeff_max": 0}, "coeff_min..coeff_max"),
     ({"coeff_min": 3, "coeff_max": 1}, "coeff_min..coeff_max"),
     ({"delta_max": 0}, "delta_max must be at least 1"),
+    ({"n_max": 0}, "n_max must be at least 1"),
 ])
 def test_config_rejected_before_any_draw(monkeypatch, entry, fields,
                                          message):

@@ -222,6 +222,27 @@ def test_vanishing_sum_examples(germs):
     assert critical_coeff_sequence(germs["g2"], 2) is None
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_predict_rejects_nonpositive_n(germs, n):
+    """On a reading that already holds a deeper growth table, too."""
+    f = germs["g2"]
+    case = classify(f)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            predict(f, case, n)
+        predict(f, case, 5)
+
+
+@pytest.mark.parametrize("name", ["g1", "g5"])
+@pytest.mark.parametrize("n_max", [0, -2])
+def test_critical_sequence_rejects_nonpositive_n(germs, name, n_max):
+    """Whether or not the germ has a critical sequence (g5 has one)."""
+    f = germs[name]
+    assert (critical_coeff_sequence(f, 5) is not None) == (name == "g5")
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        critical_coeff_sequence(f, n_max)
+
+
 def test_critical_sequence_matches_oracle(germs):
     f5 = germs["g5"]
     seq = critical_coeff_sequence(f5, 4)

@@ -39,18 +39,20 @@ def test_replay_small_campaign():
 
 
 def test_replay_phases():
-    """--phases times the check side's four phases apart."""
+    """--phases times the check side's five phases apart, and prints the
+    best and the median of each over the passes."""
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "replay_checks.py"),
-         "--count", "5", "--repeat", "1", "--phases"],
+         "--count", "5", "--repeat", "3", "--phases"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     summary = json.loads(done.stdout.splitlines()[-1])
-    phases = summary["phases_s"]
-    assert list(phases) == ["weight_samples", "predictions", "per_n_checks",
-                            "no_iterate_checks"]
-    assert all(seconds > 0 for seconds in phases.values())
+    phases, medians = summary["phases_s"], summary["phases_median_s"]
+    assert list(phases) == list(medians) == [
+        "case_variants", "weight_samples", "predictions", "per_n_checks",
+        "no_iterate_checks"]
+    assert all(0 < phases[phase] <= medians[phase] for phase in phases)
     assert isinstance(summary["digest"], str)
     for phase in phases:
-        assert any(line.split()[:1] == [phase]
+        assert any(line.split()[:1] == [phase] and "median" in line
                    for line in done.stdout.splitlines())

@@ -11,8 +11,10 @@ oracle_records.  It then runs each recorded verify_germ call K times
 with oracle_records replaced by its recorded result, so only the checks
 that need no new iterate are timed, and prints the best of the K
 passes.  With --phases it runs K more passes with these of verify's
-functions timed apart, and prints the best of the K for each phase:
+functions timed apart, and prints the best and the median of the K for
+each phase:
 
+    case_variants      verify.case_variants, the readings of each germ
     weight_samples     verify.weight_samples
     predictions        verify.predictions
     per_n_checks       verify._per_n_checks, the loop over n
@@ -38,6 +40,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import statistics
 import sys
 import time
 
@@ -97,6 +100,7 @@ def replay(calls) -> tuple:
 
 # Each phase and the functions of skewprod.verify whose time it sums.
 PHASES = {
+    "case_variants": ("case_variants",),
     "weight_samples": ("weight_samples",),
     "predictions": ("predictions",),
     "per_n_checks": ("_per_n_checks",),
@@ -175,8 +179,13 @@ def main(argv=None) -> int:
         timed = [phase_pass(calls) for _ in range(args.repeat)]
         summary["phases_s"] = {phase: min(t[phase] for t in timed)
                                for phase in PHASES}
-        for phase, seconds in summary["phases_s"].items():
-            print(f"  {phase:18} best of {args.repeat}: {seconds:.4f} s")
+        summary["phases_median_s"] = {
+            phase: statistics.median(t[phase] for t in timed)
+            for phase in PHASES}
+        for phase in PHASES:
+            print(f"  {phase:18} best of {args.repeat}: "
+                  f"{summary['phases_s'][phase]:.4f} s, median "
+                  f"{summary['phases_median_s'][phase]:.4f} s")
     print(json.dumps(summary))
     return 0 if isinstance(summary["digest"], str) else 1
 
