@@ -21,11 +21,12 @@ dict, coefficient types included.  Every step is exact integer or
 exact decimal arithmetic.
 """
 
-import sys
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, DivisionByZero,
                      Inexact, InvalidOperation, Overflow)
 from fractions import Fraction
 from math import lcm
+
+from .exact import int_max_str_digits
 
 BACKEND = "pure"
 
@@ -56,8 +57,6 @@ KRONECKER_MIN_TERMS = 5
 # Decimal arithmetic that never rounds: an inexact result raises.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                  traps=[Inexact, InvalidOperation, DivisionByZero, Overflow])
-# 0, no limit, where the interpreter has none (before 3.11).
-_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def add_terms(a, *rest):
@@ -142,7 +141,7 @@ def mul_kronecker(a, b, box_a=None, box_b=None):
     None when the types of the operands' coefficients do not fix the
     type of every product coefficient, or when a slot would need more
     decimal digits than int <-> str conversion allows
-    (sys.get_int_max_str_digits).  The types fix it in two cases: both
+    (exact.int_max_str_digits).  The types fix it in two cases: both
     operands all-int (the product is all-int) and one operand
     all-Fraction (the product is all-Fraction; Fraction arithmetic
     never turns back into int).  box_a and box_b, when given, are the
@@ -168,7 +167,7 @@ def mul_kronecker(a, b, box_a=None, box_b=None):
     abs_a, abs_b = list(map(abs, num_a.values())), list(map(abs, num_b.values()))
     bound = min(sum(abs_a) * max(abs_b), max(abs_a) * sum(abs_b))
     digits = _slot_digits(bound)
-    limit = _int_max_str_digits()
+    limit = int_max_str_digits()
     if limit and digits > limit:
         return None
 

@@ -36,6 +36,16 @@ EXIT_CHECK_FAILURES = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
+# Each fuzz flag and the FuzzConfig field it sets, whose default is the
+# flag's.
+_FUZZ_FLAGS = {
+    "--delta-max": "delta_max",
+    "--support-max": "support_max",
+    "--n-max": "n_max",
+    "--degree-cap": "degree_cap",
+    "--boundary-bias": "boundary_bias_pct",
+}
+
 
 def _load_germ(path: str) -> SkewGerm:
     try:
@@ -73,6 +83,12 @@ def _emit(payload: dict, fmt: str, text_lines) -> None:
             print(line)
 
 
+def _bracket(lower: str, upper: str, lower_closed: bool,
+             upper_closed: bool) -> str:
+    return (f"{'[' if lower_closed else '('}{lower}, "
+            f"{upper}{']' if upper_closed else ')'}")
+
+
 def _write_csv(path: str, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -98,7 +114,7 @@ def _cmd_classify(args) -> int:
         f"alpha = {format_exact(case.alpha) if case.alpha is not None else 'undefined'}",
         f"polygon vertices: {' '.join(str(v) for v in case.polygon.vertices)}",
         f"intercepts: {', '.join(format_exact(t) for t in case.polygon.intercepts) or '(none)'}",
-        f"interval: [{payload['interval'][0]}, {payload['interval'][1]}]",
+        f"interval: {_bracket(**payload['interval_detail'])}",
         f"boundary: delta = T_prev: {case.delta_eq_t_prev}, "
         f"delta = T_next: {case.delta_eq_t_next}",
         f"may_vanish: {case.may_vanish}",
@@ -158,10 +174,9 @@ def _cmd_predict(args) -> int:
         if cq.exact is not None:
             bracket = f"c(Q^n) = {format_exact(cq.exact)}"
         else:
-            lo = "(" if cq.lower_strict else "["
-            hi = ")" if cq.upper_strict else "]"
-            bracket = (f"c(Q^n) in {lo}{format_exact(cq.lower)}, "
-                       f"{format_exact(cq.upper)}{hi}")
+            bracket = "c(Q^n) in " + _bracket(
+                format_exact(cq.lower), format_exact(cq.upper),
+                not cq.lower_strict, not cq.upper_strict)
         ws = ", ".join(
             f"w_{format_exact(w.l)} = {format_exact(w.value)}"
             for w in p.weight_claims)
@@ -234,15 +249,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    cfg = FuzzConfig(
-        seed=args.seed,
-        germ_count=args.count,
-        delta_max=args.delta_max,
-        support_max=args.support_max,
-        n_max=args.n_max,
-        degree_cap=args.degree_cap,
-        boundary_bias_pct=args.boundary_bias,
-    )
+    cfg = FuzzConfig(seed=args.seed, germ_count=args.count,
+                     **{field: getattr(args, field)
+                        for field in _FUZZ_FLAGS.values()})
     summary = fuzz(cfg)
     payload = fuzz_json(summary)
     lines = [
@@ -305,16 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="seeded random germ campaign")
     p.add_argument("--seed", required=True, type=int)
     p.add_argument("--count", required=True, type=int)
-    p.add_argument("--delta-max", type=int, default=FuzzConfig.delta_max,
-                   dest="delta_max")
-    p.add_argument("--support-max", type=int, default=FuzzConfig.support_max,
-                   dest="support_max")
-    p.add_argument("--n-max", type=int, default=FuzzConfig.n_max, dest="n_max")
-    p.add_argument("--degree-cap", type=int, default=FuzzConfig.degree_cap,
-                   dest="degree_cap")
-    p.add_argument("--boundary-bias", type=int,
-                   default=FuzzConfig.boundary_bias_pct,
-                   dest="boundary_bias", metavar="PCT")
+    for flag, field in _FUZZ_FLAGS.items():
+        p.add_argument(flag, type=int, default=getattr(FuzzConfig, field),
+                       dest=field,
+                       metavar="PCT" if field == "boundary_bias_pct" else None)
     add_common(p)
     p.set_defaults(func=_cmd_fuzz)
     return parser

@@ -6,8 +6,22 @@ INF singleton.  Floats never appear; all comparisons are exact.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import total_ordering
+
+# The interpreter's limit on int <-> str conversion, in digits; 0, no
+# limit, where it has none (3.10 before 3.10.7).
+int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+class ResourceCapError(RuntimeError):
+    """An operation exceeded the configured term-count or degree cap, or
+    an exact value has more digits than int_max_str_digits() converts.
+
+    Signals a resource guard, not a mathematical failure: geometric
+    degree growth under iteration must abort loudly instead of hanging.
+    """
 
 
 @total_ordering
@@ -54,16 +68,24 @@ def as_coeff(x):
 
 
 def format_exact(x) -> str:
-    """Render an exact scalar as 'a', 'a/b' or 'inf'."""
+    """Render an exact scalar as 'a', 'a/b' or 'inf'.
+
+    Raises ResourceCapError for a part with more digits than
+    int_max_str_digits() allows."""
     if x is INF:
         return "inf"
-    if isinstance(x, int):
-        return str(x)
-    # type() first: isinstance against Fraction goes through its ABC.
-    if type(x) is Fraction or isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+    try:
+        if isinstance(x, int):
+            return str(x)
+        # type() first: isinstance against Fraction goes through its ABC.
+        if type(x) is Fraction or isinstance(x, Fraction):
+            if x.denominator == 1:
+                return str(x.numerator)
+            return f"{x.numerator}/{x.denominator}"
+    except ValueError:  # str() raises nothing else on an int
+        raise ResourceCapError(
+            f"an exact value has more than {int_max_str_digits()} digits, "
+            "the interpreter's limit for int-to-string conversion") from None
     raise TypeError(f"exact scalar expected, got {type(x).__name__}")
 
 

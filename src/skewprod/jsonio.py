@@ -8,7 +8,8 @@ consumers cannot lose exactness to binary floating point.
 
 from __future__ import annotations
 
-from .classify import CASE4, CaseData, CaseFourRectangle, Interval, weight_intervals
+from .classify import (CASE4, CaseData, CaseFourRectangle, Interval,
+                       equality_interval, weight_intervals)
 from .exact import format_exact
 from .fuzz import FuzzSummary
 from .germ import SkewGerm
@@ -39,10 +40,6 @@ def interval_json(iv: Interval) -> dict:
     }
 
 
-def interval_endpoints(iv: Interval):
-    return [rat(iv.lower), rat(iv.upper)]
-
-
 def polygon_json(polygon: NewtonPolygon) -> dict:
     return {
         "vertices": [point_json(v) for v in polygon.vertices],
@@ -60,7 +57,7 @@ def germ_json(f: SkewGerm) -> dict:
 
 
 def case_json(case: CaseData) -> dict:
-    iv = weight_intervals(case)
+    interval = equality_interval(case)
     out = {
         "case": case.kind,
         "applicable": list(case.applicable),
@@ -79,11 +76,12 @@ def case_json(case: CaseData) -> dict:
         },
         "polygon": polygon_json(case.polygon),
         "may_vanish": case.may_vanish,
+        "interval": [rat(interval.lower), rat(interval.upper)],
+        "interval_detail": interval_json(interval),
     }
     if case.kind == CASE4:
+        iv = weight_intervals(case)
         rect: CaseFourRectangle = iv.i_f
-        out["interval"] = interval_endpoints(iv.i_f_ar)
-        out["interval_detail"] = interval_json(iv.i_f_ar)
         out["interval_first"] = interval_json(iv.i_f1)
         out["rectangle"] = {
             "shape": rect.shape,
@@ -91,9 +89,6 @@ def case_json(case: CaseData) -> dict:
             "excluded_corner": [rat(x) for x in rect.excluded_corner]
             if rect.excluded_corner else None,
         }
-    else:
-        out["interval"] = interval_endpoints(iv.i_f)
-        out["interval_detail"] = interval_json(iv.i_f)
     return out
 
 

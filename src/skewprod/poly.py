@@ -11,11 +11,12 @@ between a dict loop and Kronecker substitution from the operands.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels as kernels
-from .exact import as_coeff, format_exact
+from .exact import ResourceCapError, as_coeff, format_exact
 
 # The one kernel there is; kept as a name because benchmark reports
 # record it.
@@ -28,14 +29,6 @@ class PolyParseError(ValueError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
         self.pos = pos
-
-
-class ResourceCapError(RuntimeError):
-    """An operation exceeded the configured term-count or degree cap.
-
-    Signals a resource guard, not a mathematical failure: geometric
-    degree growth under iteration must abort loudly instead of hanging.
-    """
 
 
 @dataclass(frozen=True)
@@ -270,6 +263,9 @@ def poly_pow(a: SparsePoly2, k: int,
 # -- parsing and printing ----------------------------------------------
 
 _VAR_AXIS = {"z": 0, "w": 1}
+# One token per match: a run of decimal digits or any other single
+# non-space character, each after optional whitespace.
+_TOKEN = re.compile(r"\s*(?:(\d+)|(\S))")
 
 
 def parse_poly(text: str, allowed_vars=("z", "w")) -> SparsePoly2:
@@ -280,102 +276,78 @@ def parse_poly(text: str, allowed_vars=("z", "w")) -> SparsePoly2:
     var := 'z' | 'w'.  Whitespace is insignificant, '-' negates the
     following term's coefficient and '*' is optional.
     """
-    allowed = set(allowed_vars)
-    n = len(text)
-    pos = 0
+    # (position, token, is_number), closed by an empty end token.
+    tokens = [(m.start(m.lastindex), m[m.lastindex], m.lastindex == 1)
+              for m in _TOKEN.finditer(text)]
+    end = len(tokens)
+    tokens.append((len(text), "", False))
+    k = 0
 
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
+    def number():
+        nonlocal k
+        pos, tok, is_number = tokens[k]
+        if not is_number:
+            raise PolyParseError("expected a number", pos)
+        k += 1
+        return int(tok)
 
-    def read_nat():
-        nonlocal pos
-        start = pos
-        while pos < n and text[pos].isdigit():
-            pos += 1
-        if pos == start:
-            raise PolyParseError("expected a number", start)
-        return int(text[start:pos])
-
+    if not end:
+        raise PolyParseError("empty expression", len(text))
     terms = {}
-    skip_ws()
-    if pos == n:
-        raise PolyParseError("empty expression", pos)
-    first = True
     while True:
-        sign = 1
-        skip_ws()
-        if pos < n and text[pos] in "+-":
-            if text[pos] == "-":
-                sign = -1
-            pos += 1
-        elif not first:
-            if pos >= n:
-                break
-            raise PolyParseError(f"expected '+' or '-', got {text[pos]!r}", pos)
-        first = False
-        skip_ws()
-        if pos >= n:
-            raise PolyParseError("expected a term", pos)
-
+        pos, tok, _ = tokens[k]
+        sign = -1 if tok == "-" else 1
+        if tok in ("+", "-"):
+            k += 1
+        elif terms:
+            raise PolyParseError(f"expected '+' or '-', got {tok[0]!r}", pos)
+        if k == end:
+            raise PolyParseError("expected a term", len(text))
         coeff = Fraction(sign)
         exps = [0, 0]
-        saw_anything = False
-        if text[pos].isdigit():
-            num = read_nat()
-            skip_ws()
-            if pos < n and text[pos] == "/":
-                pos += 1
-                skip_ws()
-                slash_at = pos
-                den = read_nat()
+        saw_anything = tokens[k][2]
+        if saw_anything:
+            num = number()
+            if tokens[k][1] == "/":
+                k += 1
+                slash_at = tokens[k][0]
+                den = number()
                 if den == 0:
                     raise PolyParseError("zero denominator", slash_at)
                 coeff *= Fraction(num, den)
             else:
                 coeff *= num
-            saw_anything = True
         while True:
-            skip_ws()
-            mark = pos
-            if pos < n and text[pos] == "*":
-                pos += 1
-                skip_ws()
-                if pos >= n or not text[pos].isalpha():
+            pos, tok, _ = tokens[k]
+            if tok == "*":
+                k += 1
+                pos, tok, _ = tokens[k]
+                if not tok.isalpha():
                     raise PolyParseError("expected a variable after '*'", pos)
-            if pos < n and text[pos].isalpha():
-                var_at = pos
-                v = text[pos]
-                pos += 1
-                if v not in _VAR_AXIS:
-                    raise PolyParseError(f"unknown variable {v!r}", var_at)
-                if v not in allowed:
-                    raise PolyParseError(f"variable {v!r} not allowed here", var_at)
-                e = 1
-                skip_ws()
-                if pos < n and text[pos] == "^":
-                    pos += 1
-                    skip_ws()
-                    if pos < n and text[pos] == "-":
-                        raise PolyParseError("negative exponent", pos)
-                    e = read_nat()
-                exps[_VAR_AXIS[v]] += e
-                saw_anything = True
-            else:
-                pos = mark
+            elif not tok.isalpha():
                 break
+            if tok not in _VAR_AXIS:
+                raise PolyParseError(f"unknown variable {tok!r}", pos)
+            if tok not in allowed_vars:
+                raise PolyParseError(f"variable {tok!r} not allowed here", pos)
+            k += 1
+            e = 1
+            if tokens[k][1] == "^":
+                k += 1
+                if tokens[k][1] == "-":
+                    raise PolyParseError("negative exponent", tokens[k][0])
+                e = number()
+            exps[_VAR_AXIS[tok]] += e
+            saw_anything = True
         if not saw_anything:
-            raise PolyParseError(f"expected a term, got {text[pos]!r}", pos)
+            raise PolyParseError(f"expected a term, got {tok[0]!r}", pos)
         key = (exps[0], exps[1])
         terms[key] = terms.get(key, 0) + coeff
-        skip_ws()
-        if pos >= n:
-            break
-    return SparsePoly2(terms)
+        if k == end:
+            return SparsePoly2(terms)
 
 
-def format_poly(p: SparsePoly2, var_names=("z", "w")) -> str:
+def format_poly(p: SparsePoly2) -> str:
     """Deterministic rendering in graded lexicographic term order.
 
     parse_poly(format_poly(p)) == p for every polynomial.
@@ -384,21 +356,13 @@ def format_poly(p: SparsePoly2, var_names=("z", "w")) -> str:
         return "0"
     pieces = []
     for (i, j), c in p.sorted_terms():
-        factors = []
+        factors = [format_exact(abs(c))]
         if i:
-            factors.append(var_names[0] if i == 1 else f"{var_names[0]}^{i}")
+            factors.append("z" if i == 1 else f"z^{i}")
         if j:
-            factors.append(var_names[1] if j == 1 else f"{var_names[1]}^{j}")
-        mag = format_exact(as_coeff(abs(c)))
-        if not factors:
-            body = mag
-        elif mag == "1":
-            body = "*".join(factors)
-        else:
-            body = "*".join([mag] + factors)
-        pieces.append(("-" if c < 0 else "+", body))
-    sign0, body0 = pieces[0]
-    out = ("-" if sign0 == "-" else "") + body0
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+            factors.append("w" if j == 1 else f"w^{j}")
+        if factors[0] == "1" and len(factors) > 1:
+            del factors[0]
+        pieces.append(("- " if c < 0 else "+ ") + "*".join(factors))
+    out = " ".join(pieces)
+    return out[2:] if out[0] == "+" else "-" + out[2:]

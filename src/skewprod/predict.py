@@ -27,13 +27,12 @@ computed on ints, with one Fraction per reported value.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .classify import CASE1, CASE2, CASE3, CaseData, equality_interval
-from .exact import as_coeff, as_fraction, is_inf
+from .exact import as_coeff, as_fraction, int_max_str_digits, is_inf
 from .germ import SkewGerm
 from .growth import GrowthTable, check_depth, geometric_sum, iterate_lead_coeff
 from .newton import newton_polygon, support_on_edge
@@ -47,10 +46,6 @@ class PredictionRangeError(ValueError):
     """A weight was requested outside the claimed equality range."""
 
 
-# 0, no limit, where the interpreter has none (before 3.10.7).
-_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
-
-
 # -- elementary quantities ------------------------------------------------
 
 
@@ -60,12 +55,12 @@ def _dominant_coeff(f: SkewGerm, case: CaseData, growth: GrowthTable,
     b the coefficient of z^gamma w^d in q: the coefficient of
     z^{gamma_n} w^{d^n} in Q^n, proven only where that term cannot
     cancel.  Raises ResourceCapError where it has more digits than str()
-    converts (sys.get_int_max_str_digits()), before any power is taken
+    converts (exact.int_max_str_digits()), before any power is taken
     where the bit lengths of a_delta and b show it."""
     a_exp = sum(growth.gamma[:n])  # gamma_0 = 0
     b_exp = sum(growth.d_pow[:n])
     a, b = f.a_delta, f.q.coeff(case.gamma, case.d)
-    limit = _int_max_str_digits()
+    limit = int_max_str_digits()
     if limit:
         # Reducing a^a_exp b^b_exp divides both its parts by
         # gcd(a_num^a_exp, b_den^b_exp) gcd(b_num^b_exp, a_den^a_exp),

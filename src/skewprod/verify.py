@@ -243,7 +243,8 @@ def weight_samples(case: CaseData, extra_ls=()):
 
     `claimed` holds the equality interval's sample points and every
     extra l inside the interval, sorted; w_l(Q^n) is claimed at these
-    only.  `outside` holds the other extras in their given order.
+    only.  `outside` holds the other extras in their given order, each
+    value once.
     """
     interval = equality_interval(case)
     ls = interval.sample_points()
@@ -252,7 +253,7 @@ def weight_samples(case: CaseData, extra_ls=()):
         if interval.contains(l):
             if l not in ls:
                 ls.append(l)
-        else:
+        elif l not in outside:
             outside.append(l)
     ls.sort()
     return ls, outside

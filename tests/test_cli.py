@@ -139,7 +139,7 @@ def test_fuzz_flag_defaults_are_the_config_defaults():
     args = build_parser().parse_args(["fuzz", "--seed", "1", "--count", "2"])
     cfg = FuzzConfig(seed=1, germ_count=2)
     assert (args.delta_max, args.support_max, args.n_max, args.degree_cap,
-            args.boundary_bias) == (
+            args.boundary_bias_pct) == (
         cfg.delta_max, cfg.support_max, cfg.n_max, cfg.degree_cap,
         cfg.boundary_bias_pct)
 
@@ -186,6 +186,57 @@ def test_verify_keeps_the_n_whose_predictions_fit(tmp_path):
     for key in ("n_max", "resource_error"):
         payload.pop(key), expected.pop(key)
     assert payload == expected
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_iterate_past_the_digit_limit(tmp_path, fmt):
+    """Q^n's coefficient 10^(40 (2^n - 1)) has 601 digits at n = 4 and
+    1,241 at n = 5, more than str() converts under a 640-digit limit:
+    every renderer reports a resource cap, not a usage error."""
+    path = tmp_path / "wide.germ"
+    path.write_text(f"p = z^2\nq = {10**40}*w^2 + z\n")
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="640")
+    fits = run_cli("iterate", "--germ", str(path), "--n", "4",
+                   "--format", fmt, env=env)
+    assert fits.returncode == 0, fits.stderr
+    assert str(10**600) in fits.stdout
+    r = run_cli("iterate", "--germ", str(path), "--n", "5",
+                "--format", fmt, env=env)
+    assert r.returncode == 3, r.stderr
+    assert r.stdout == ""
+    assert "resource cap exceeded" in r.stderr
+    assert "more than 640 digits" in r.stderr
+
+
+def test_duplicate_l_outside_the_interval_counts_once():
+    """g2's equality interval is [2, 3]: 100 lies outside it, and a
+    repeated --l 100 is one sample, checked once per n."""
+    flags = ("--l", "100", "--l", "5/2", "--l", "100", "--l", "7")
+    r = run_cli("predict", "--germ", str(DATA / "g2.germ"), "--n", "2",
+                *flags)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == (
+        "no claim for l outside the equality range: 100, 7")
+    r = run_cli("verify", "--germ", str(DATA / "g2.germ"), "--n-max", "2",
+                *flags, "--format", "json")
+    assert r.returncode == 0, r.stderr
+    checks = json.loads(r.stdout)["variants"][0]["checks"]
+    outside = [(c["n"], c["detail"]) for c in checks
+               if c["claim"] == "weight-sample-outside-range"]
+    assert [n for n, _ in outside] == [1, 1, 2, 2]
+    assert ["100" in d for _, d in outside] == [True, False, True, False]
+
+
+def test_classify_text_brackets_follow_the_interval(tmp_path):
+    """Case 1's equality interval (0, inf) is open at both ends."""
+    path = tmp_path / "case1.germ"
+    path.write_text("p = z^2\nq = z\n")
+    r = run_cli("classify", "--germ", str(path))
+    assert r.returncode == 0, r.stderr
+    assert "case: Case1 (applicable: Case1)" in r.stdout
+    assert "interval: (0, inf)" in r.stdout.splitlines()
+    r = run_cli("classify", "--germ", str(DATA / "g2.germ"))
+    assert "interval: [2, 3]" in r.stdout.splitlines()
 
 
 def test_verify_text_reports_pass():

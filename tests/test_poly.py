@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -48,22 +49,40 @@ def test_parse_duplicate_monomials_sum():
 
 
 def test_parse_errors_carry_position():
+    """Every parse error, its message and the position it names."""
+    cases = [
+        ("", "empty expression", 0),
+        ("  \t", "empty expression", 3),
+        ("z 2", "expected '+' or '-', got '2'", 2),
+        ("z*w)", "expected '+' or '-', got ')'", 3),
+        ("z + ", "expected a term", 4),
+        ("-", "expected a term", 1),
+        ("z^", "expected a number", 2),
+        ("3 / z", "expected a number", 4),
+        ("1/0", "zero denominator", 2),
+        ("1 /  00*z", "zero denominator", 5),
+        ("2*", "expected a variable after '*'", 2),
+        ("2 * 3", "expected a variable after '*'", 4),
+        ("x + 1", "unknown variable 'x'", 0),
+        ("z + 2*Z", "unknown variable 'Z'", 6),
+        ("z^-1", "negative exponent", 2),
+        ("w ^ - 1", "negative exponent", 4),
+        ("z + + w", "expected a term, got '+'", 4),
+        ("*3", "expected a variable after '*'", 1),
+        ("^2", "expected a term, got '^'", 0),
+        # A superscript digit is no number: int() rejects it.
+        ("z^\u00b2", "expected a number", 2),
+        ("\u00b2 + z", "expected a term, got '\u00b2'", 0),
+    ]
+    for text, message, pos in cases:
+        with pytest.raises(PolyParseError) as exc:
+            parse_poly(text)
+        assert (str(exc.value), exc.value.pos) == (
+            f"{message} (at position {pos})", pos), text
     with pytest.raises(PolyParseError) as exc:
-        parse_poly("z^-1")
-    assert "negative exponent" in str(exc.value)
-    with pytest.raises(PolyParseError):
-        parse_poly("z + + w")
-    with pytest.raises(PolyParseError):
-        parse_poly("")
-    with pytest.raises(PolyParseError):
-        parse_poly("2*")
-    with pytest.raises(PolyParseError):
-        parse_poly("x + 1")
-    with pytest.raises(PolyParseError) as exc:
-        parse_poly("z*w", allowed_vars=("z",))
-    assert "'w' not allowed" in str(exc.value)
-    with pytest.raises(PolyParseError):
-        parse_poly("1/0")
+        parse_poly("z + z*w", allowed_vars=("z",))
+    assert str(exc.value) == "variable 'w' not allowed here (at position 6)"
+    assert exc.value.pos == 6
 
 
 def test_monomial_power():
@@ -143,6 +162,19 @@ def test_ring_axioms(a, b, c):
 @settings(max_examples=100, deadline=None)
 def test_round_trip_property(p):
     assert parse_poly(format_poly(p)) == p
+
+
+@given(polys, st.data())
+@settings(max_examples=100, deadline=None)
+def test_round_trip_with_whitespace_between_tokens(p, data):
+    """Whitespace between the tokens of format_poly's output, a digit
+    run or any other character, changes nothing."""
+    tokens = re.findall(r"\d+|\S", format_poly(p))
+    gaps = data.draw(st.lists(st.sampled_from(["", " ", "\t", " \n  "]),
+                              min_size=len(tokens) + 1,
+                              max_size=len(tokens) + 1))
+    text = "".join(gap + tok for gap, tok in zip(gaps, tokens + [""]))
+    assert parse_poly(text) == p
 
 
 @given(polys, st.integers(0, 4))

@@ -10,7 +10,8 @@ arguments of every verify_germ call and the result of its
 oracle_records.  It then runs each recorded verify_germ call K times
 with oracle_records replaced by its recorded result, so only the checks
 that need no new iterate are timed, and prints the best of the K
-passes.  With --phases it runs K more passes with these of verify's
+passes.  Each pass, timed whole or by phase, starts with gc.collect().
+With --phases it runs K more passes with these of verify's
 functions timed apart, and prints the best and the median of the K for
 each phase:
 
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -82,10 +84,13 @@ def record(cfg) -> list:
 
 def replay(calls) -> tuple:
     """(seconds, reports) of one pass of verify_germ over the calls,
-    each reading its recorded oracle records."""
+    each reading its recorded oracle records.  The pass starts from a
+    full collection, so it is not charged for garbage the passes before
+    it left."""
     inner = verify.oracle_records
     reports = []
     seconds = 0.0
+    gc.collect()
     try:
         for args, kwargs, result in calls:
             verify.oracle_records = lambda *a, _r=result, **k: _r
