@@ -30,17 +30,21 @@ every table product and the result stay under it, and then the table
 returns the result.
 
 vertex_step computes an iterate only where the checks can see it, for
-fuzz (verify_germ(..., full_iterates=False)).  By Ostrowski's theorem,
-N(P^i W^j) = (i*c_p, 0) + j*N(W) for P = p^n of z-order c_p, so
-N(Q^(n+1)) lies in the hull of these over the terms of q
-(newton.composed_polygon).  A vertex V of the hull splits one way only,
-as V = (i*c_p, 0) + j*w with w a vertex of N(Q^n), so its coefficient
-is the sum of c_ij * a_P^i * c_w^j over the terms of q that give V, and
-reads only the vertex terms of Q^n.  If no such sum is 0, the hull is
-N(Q^(n+1)), and a read point at or below a vertex is that vertex or
-has coefficient 0.  Otherwise, and wherever _horner_degree_bound does
-not show that the full step fits the caps, iterates runs the full
-step, so a capped run stops where the full one would, with its message.
+fuzz (verify_germ(..., full_iterates=False)), and makes no product.  By
+Ostrowski's theorem, N(P^i W^j) = (i*c_p, 0) + j*N(W) for P = p^n of
+z-order c_p, so N(Q^(n+1)) lies in the hull of these over the terms of
+q (newton.composed_polygon).  A vertex V of the hull splits one way
+only, as V = (i*c_p, 0) + j*w with w a vertex of N(Q^n), so its
+coefficient is the sum of c_ij * a_P^i * c_w^j over the terms of q that
+give V, and reads only the vertex terms of Q^n.  If no such sum is 0,
+the hull is N(Q^(n+1)), and a read point at or below a vertex is that
+vertex or has coefficient 0.  Otherwise, and wherever a degree bound
+that needs no terms does not show that the full step fits the caps,
+iterates runs the full step, so a capped run stops where the full one
+would, with its message.  The checks and the next step read p^(n+1)
+only through its order and lowest coefficient, and by the same theorem
+its lowest term is the one product a_delta * a_P^delta z^(delta*c_p),
+so vertex_step keeps only that term.
 """
 
 from __future__ import annotations
@@ -235,18 +239,18 @@ def compose_germ(g: SkewGerm, h: SkewGerm,
     return SkewGerm(p_new, q_new)
 
 
-def vertex_step(f: SkewGerm, fn: SkewGerm, reads,
-                limits: ResourceLimits | None = None) -> SkewGerm | None:
-    """f(fn) with its p in full and its q as only its vertex terms (the
-    module docstring gives the sums), or None where that is not
-    certified.  fn.q need hold only its vertex terms.
+def vertex_step(f: SkewGerm, fn: SkewGerm, reads) -> SkewGerm | None:
+    """f(fn) with its p as only its lowest term and its q as only its
+    vertex terms (the module docstring gives the sums), or None where
+    that is not certified.  fn.p need hold only its lowest term and fn.q
+    only its vertex terms.
 
     None when a vertex sum is 0 or a point in `reads` is not at or below
     a vertex, and when a vertex sums int and Fraction terms: the full
     step may drop a partial sum that cancels there, which fixes the type
     of its coefficient.
     """
-    P, W = fn.p, fn.q
+    W = fn.q
     c_p, a_p = fn.delta, fn.a_delta
     w_polygon = newton_polygon(W)
     polygon = composed_polygon(f.q, c_p, w_polygon)
@@ -273,7 +277,10 @@ def vertex_step(f: SkewGerm, fn: SkewGerm, reads,
     # Certified: the hull is q's Newton polygon, so newton_polygon(q)
     # builds none.
     q._polygon = polygon
-    return SkewGerm(substitute(f.p, P, SparsePoly2.zero(), limits), q)
+    # The lowest term of p(P), whose coefficient the full step forms as
+    # one product: an int exactly when a_delta and a_P are both ints.
+    p = SparsePoly2._raw({(f.delta * c_p, 0): f.a_delta * a_p**f.delta})
+    return SkewGerm(p, q)
 
 
 def iterate_germ(f: SkewGerm, n: int,
@@ -290,9 +297,11 @@ def iterates(f: SkewGerm, n_max: int, limits: ResourceLimits | None = None,
 
     reads, when given, is a function of n >= 2 that gives the points
     whose coefficients a caller reads off Q^n.  Then f^n is
-    vertex_step's, whose Q^n holds only its vertex terms, wherever the
-    full step fits the caps by _horner_degree_bound, with deg Q^(n-1)
-    bounded by the bound of the step before.  It is compose_germ's
+    vertex_step's, whose p^n holds only its lowest term and Q^n only its
+    vertex terms, wherever the full step fits the caps: its q(P, W) by
+    _horner_degree_bound, with deg p^(n-1) = deg(p)^(n-1) and deg Q^(n-1)
+    bounded by the bound of the step before, and its p(P) by its degree
+    deg(p)^n, which also bounds its terms.  It is compose_germ's
     otherwise, on f^(n-1) iterated afresh if that holds vertex terms
     only.
     """
@@ -301,18 +310,26 @@ def iterates(f: SkewGerm, n_max: int, limits: ResourceLimits | None = None,
     yield 1, cur
     lim = limits or DEFAULT_LIMITS
     by_j = _layers(f.q)
+    deg_p = f.p.total_degree()
     deg_q = None  # a bound on deg Q^(n-1) when cur holds vertex terms only
     for n in range(2, n_max + 1):
         step = None
         if reads is not None:
+            # p is univariate, so deg p^(n-1) = deg(p)^(n-1) exactly,
+            # whatever cur.p holds.
+            deg_prev = deg_p ** (n - 1)
             bound = _horner_degree_bound(
-                by_j, cur.p.total_degree(),
+                by_j, deg_prev,
                 cur.q.total_degree() if deg_q is None else deg_q)
-            # No product of the full step has a degree past the bound,
-            # so none has more than (bound + 1)(bound + 2)/2 terms.
-            if (bound <= lim.max_total_degree
-                    and (bound + 1) * (bound + 2) // 2 <= lim.max_terms):
-                step = vertex_step(f, cur, reads(n), limits)
+            # No product of the full step's q(P, W) has a degree past the
+            # bound, so none has more than (bound + 1)(bound + 2)/2
+            # terms.  Its p(P) ends in a product of degree deg(p)^n, and
+            # each of its products holds only powers z^1 .. z^deg(p)^n.
+            deg_pn = deg_prev * deg_p
+            if (max(bound, deg_pn) <= lim.max_total_degree
+                    and (bound + 1) * (bound + 2) // 2 <= lim.max_terms
+                    and deg_pn <= lim.max_terms):
+                step = vertex_step(f, cur, reads(n))
         if step is None:
             if deg_q is not None:
                 cur = iterate_germ(f, n - 1, limits)

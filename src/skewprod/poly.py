@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels as kernels
-from .exact import ResourceCapError, as_coeff, format_exact
+from .exact import (ResourceCapError, as_coeff, format_exact,
+                    int_max_str_digits)
 
 # The one kernel there is; kept as a name because benchmark reports
 # record it.
@@ -289,7 +290,13 @@ def parse_poly(text: str, allowed_vars=("z", "w")) -> SparsePoly2:
         if not is_number:
             raise PolyParseError("expected a number", pos)
         k += 1
-        return int(tok)
+        try:
+            return int(tok)
+        except ValueError:  # a run of digits fails only on the limit
+            raise PolyParseError(
+                f"number has more than {int_max_str_digits()} digits, the "
+                "interpreter's limit for string-to-int conversion",
+                pos) from None
 
     if not end:
         raise PolyParseError("empty expression", len(text))

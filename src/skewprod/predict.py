@@ -22,14 +22,16 @@ gamma_n, d^n and delta^n off the reading's growth table
 (`CaseData.growth`), and l1 and l1 + l2 as (numerator, denominator),
 compared with 1 as ints; it checks each weight sample against the
 equality interval.  Every bracket, weight value and c(f^n) bound is
-computed on ints, with one Fraction per reported value.
+computed on ints, with one Fraction per reported value.  The records
+are NamedTuples, which are cheap to build and compare and hash as the
+tuples of their fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .classify import CASE1, CASE2, CASE3, CaseData, equality_interval
 from .exact import as_coeff, as_fraction, int_max_str_digits, is_inf
@@ -125,8 +127,7 @@ def critical_coeff_sequence(f: SkewGerm, n_max: int):
 # -- c(Q^n) brackets -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CqnBounds:
+class CqnBounds(NamedTuple):
     lower: Fraction
     upper: Fraction
     lower_strict: bool = False
@@ -208,8 +209,7 @@ def _cqn_bounds(case: CaseData, n: int, g_n: int, d_n: int,
 # -- adjacent polygon vertices ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class VertexClaim:
+class VertexClaim(NamedTuple):
     """A predicted Newton-polygon vertex adjacent to (gamma_n, d^n).
 
     The edge toward the dominant vertex has slope -1/edge_l, and
@@ -296,8 +296,7 @@ def m_n_claim(case: CaseData, n: int) -> str | None:
 # -- asymptotics -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AsymptoticRate:
+class AsymptoticRate(NamedTuple):
     c_infinity: int
     d_candidates: tuple
 
@@ -344,15 +343,13 @@ def asymptotic(f: SkewGerm, case: CaseData) -> AsymptoticRate:
 # -- assembled per-n record --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightClaim:
+class WeightClaim(NamedTuple):
     l: Fraction
     value: Fraction
     exact: bool = True
 
 
-@dataclass(frozen=True)
-class RatePrediction:
+class RatePrediction(NamedTuple):
     """Everything asserted about f^n for one case reading."""
 
     n: int

@@ -34,8 +34,11 @@ full_iterates=False), which fuzz uses, computes each Q^n from n = 2 on
 with germ.vertex_step: only its terms at the vertices of its polygon,
 summed from the vertex terms of Q^(n-1), and only where a certificate
 shows the polygon and every point read are those of the full Q^n, with
-the full step as the fallback.  Its oracle records may then hold only
-the vertex terms of Q^n, and the report is the one the default gives.
+the full step as the fallback.  The checks read p^n only through its
+order, so such a step keeps of p^n only its lowest term, and builds no
+polynomial product.  Its oracle records may then hold only the lowest
+term of p^n and the vertex terms of Q^n (OracleRecord), and the report
+is the one the default gives.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
 from operator import attrgetter
+from typing import NamedTuple
 
 from .classify import (
     CASE1,
@@ -133,9 +137,15 @@ class CheckResult:
                 f"detail={self.detail!r})")
 
 
-@dataclass(frozen=True)
-class OracleRecord:
-    """Exact data read off the n-th iterate."""
+class OracleRecord(NamedTuple):
+    """Exact data read off the n-th iterate, compared as a tuple.
+
+    germ is f^n in full, except under verify_germ(...,
+    full_iterates=False): there, from n = 2 on, germ.p may hold only the
+    lowest term of p^n and germ.q only the terms of Q^n at the vertices
+    of its Newton polygon (germ.vertex_step).  Every other field is the
+    full iterate's.
+    """
 
     n: int
     germ: SkewGerm
@@ -204,8 +214,8 @@ def oracle_records(f: SkewGerm, n_max: int,
     """Iterate the germ, keeping every n that fits in the resource caps.
 
     With cases, the readings whose checks will read the records, each
-    Q^n from n = 2 on may be germ.vertex_step's: only its terms at the
-    vertices of its Newton polygon.
+    f^n from n = 2 on may be germ.vertex_step's: only the lowest term of
+    p^n and the terms of Q^n at the vertices of its Newton polygon.
     """
     reads = None if cases is None else partial(_read_points, cases)
     records = []
@@ -292,9 +302,9 @@ def verify_germ(f: SkewGerm, n_max: int, extra_ls=(),
     and predictions fit, and resource_error says which cap tripped.
 
     With full_iterates=False the iterates come from germ.vertex_step
-    where it is certified, so each record's germ.q may be only the terms
-    of Q^n at the vertices of its Newton polygon; every check reads the
-    same values.
+    where it is certified, so each record's germ.p may be only the
+    lowest term of p^n and its germ.q only the terms of Q^n at the
+    vertices of its Newton polygon; every check reads the same values.
     """
     cases = case_variants(f)
     records, error = oracle_records(f, n_max, limits,

@@ -144,6 +144,19 @@ def test_fuzz_flag_defaults_are_the_config_defaults():
         cfg.boundary_bias_pct)
 
 
+def test_classify_coefficient_past_the_digit_limit(tmp_path):
+    """A 5,000-digit coefficient in a germ file, past the default limit
+    of 4,300 digits, is a parse error with its position: exit 2."""
+    path = tmp_path / "long.germ"
+    path.write_text("p = z^2\nq = w^2 + " + "9" * 5000 + "*z^3\n")
+    r = run_cli("classify", "--germ", str(path),
+                env=dict(os.environ, PYTHONINTMAXSTRDIGITS="4300"))
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == ""
+    assert ("line 2: q: number has more than 4300 digits, the interpreter's "
+            "limit for string-to-int conversion (at position 6)") in r.stderr
+
+
 @pytest.mark.parametrize("n,code", [("13", 0), ("14", 3)])
 def test_predict_coefficient_past_the_digit_limit(tmp_path, n, code):
     """Q^n's dominant coefficient is 3 * 2^(gamma_1 + ... + gamma_{n-1}):

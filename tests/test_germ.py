@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 
 from skewprod import (
@@ -12,8 +14,10 @@ from skewprod import (
     parse_germ_file,
     parse_poly,
 )
+from skewprod.fuzz import campaign_limits, generate_germs
 from skewprod.germ import iterates, vertex_step
-from conftest import germ
+from skewprod.verify import verify_germ
+from conftest import CRITERION_5, FIXTURES, germ
 
 
 def test_validation():
@@ -172,3 +176,80 @@ def test_vertex_step_leaves_mixed_types_to_the_full_step():
     full = compose_germ(f, fn)
     assert repr(full.q.coeff(2, 0)) == "1"
     assert vertex_step(f, fn, ()) is None
+
+
+def _vertex_record_germs():
+    """(f, n_max, limits) for g1-g8, oracle_rational's germ, the
+    mixed-type germ above and the binomial-p germs among the first 40
+    criterion-5 draws."""
+    for name in sorted(FIXTURES):
+        yield germ(*FIXTURES[name]), 3, None
+    yield germ("z^2 + 1/3*z^3", "2/3*w^3 - 5/7*z*w + 3/4*z^3"), 4, None
+    yield germ("z", "1/2*w^2 - 1/2*z*w + z^2"), 3, None
+    for f in islice(generate_germs(CRITERION_5), 40):
+        if len(f.p) > 1:
+            yield f, CRITERION_5.n_max, campaign_limits(CRITERION_5)
+
+
+def test_vertex_records_hold_the_lowest_term_of_p(monkeypatch):
+    """Every vertex step's p^n is one term: the order of the full p^n
+    and its lowest coefficient, with the type the full route gives it."""
+    made = []
+
+    def logged(*args):
+        step = vertex_step(*args)
+        if step is not None:
+            made.append(step)
+        return step
+
+    monkeypatch.setattr("skewprod.germ.vertex_step", logged)
+    checked = binomial = 0
+    for f, n_max, limits in _vertex_record_germs():
+        made.clear()
+        report = verify_germ(f, n_max, limits=limits, full_iterates=False)
+        # p^n does not depend on q, so a germ with q = w iterates it by
+        # the same full route, at a fraction of the cost.
+        p_only = SkewGerm(f.p, parse_poly("w"))
+        for rec in report.oracle:
+            if not any(rec.germ is step for step in made):
+                continue
+            full = iterate_germ(p_only, rec.n).p
+            order = min(full.column_minima())
+            low = full.coeff(order, 0)
+            (exponent, c), = rec.germ.p.items()
+            assert exponent == (order, 0), (f, rec.n)
+            assert (c, type(c)) == (low, type(low)), (f, rec.n)
+            checked += 1
+            binomial += len(full) > 1
+    assert checked == 34 and binomial == 17
+
+
+@pytest.mark.parametrize("limits", (
+    [ResourceLimits(max_total_degree=d) for d in range(1, 41)]
+    + [ResourceLimits(max_terms=t) for t in range(1, 13)]))
+def test_vertex_records_trip_caps_where_the_full_steps_do(limits):
+    # deg p^n = 3^n, while a vertex record holds only the term z^(2^n)
+    # of p^n.  With q = w^2 + z the full step's p(P), of degree 3^n,
+    # trips the degree cap first; with q = w^2 + z^4 its z^4(P), of
+    # degree 4 * 3^(n-1), does.  The cap rule must read neither degree
+    # off the held term.
+    for q in ("w^2 + z", "w^2 + z^4"):
+        f = germ("z^2 + z^3", q)
+        full, full_error = _reach(f, 5, limits)
+        cut, cut_error = _reach(f, 5, limits, lambda n: ())
+        assert cut_error == full_error, q
+        assert len(cut) == len(full), q
+
+
+def test_vertex_records_trip_the_term_cap_where_the_full_steps_do():
+    # p^2 = p(p) for p = z^2 + z^3 + z^4 + z^5 has the 22 terms z^4 ..
+    # z^25, while the full step's q(P, W) for q = w^2 + z stays within
+    # 21 terms.  At max_terms = 21 only p(P) trips the term cap, so the
+    # cap rule must bound the terms of p(P) as well.
+    f = germ("z^2 + z^3 + z^4 + z^5", "w^2 + z")
+    for max_terms in range(1, 41):
+        limits = ResourceLimits(max_terms=max_terms)
+        full, full_error = _reach(f, 3, limits)
+        cut, cut_error = _reach(f, 3, limits, lambda n: ())
+        assert cut_error == full_error, max_terms
+        assert len(cut) == len(full), max_terms

@@ -1,4 +1,5 @@
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,29 @@ def test_parse_errors_carry_position():
         parse_poly("z + z*w", allowed_vars=("z",))
     assert str(exc.value) == "variable 'w' not allowed here (at position 6)"
     assert exc.value.pos == 6
+
+
+def test_parse_number_past_the_digit_limit():
+    """A digit run longer than str-to-int conversion allows is a parse
+    error at that token, not int()'s bare ValueError."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter has no int-string digit limit")
+    text = "z + 2*w - " + "7" * (limit + 1) + "*z*w"
+    with pytest.raises(PolyParseError) as exc:
+        parse_poly(text)
+    assert exc.value.pos == 10
+    assert str(exc.value) == (
+        f"number has more than {limit} digits, the interpreter's limit for "
+        "string-to-int conversion (at position 10)")
+    # The denominator and the exponent are numbers too; the limit itself
+    # still parses.
+    for text, pos in (("1/" + "3" * (limit + 1), 2),
+                      ("z^" + "1" * (limit + 1), 2)):
+        with pytest.raises(PolyParseError) as exc:
+            parse_poly(text)
+        assert exc.value.pos == pos
+    assert parse_poly("7" * limit + "*z").coeff(1, 0) == int("7" * limit)
 
 
 def test_monomial_power():

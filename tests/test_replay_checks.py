@@ -39,8 +39,9 @@ def test_replay_small_campaign():
 
 
 def test_replay_phases():
-    """--phases times the check side's five phases apart, and prints the
-    best and the median of each over the passes."""
+    """--phases times the recorded oracle and the check side's five
+    phases apart, and prints the best and the median of each over the
+    passes."""
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "replay_checks.py"),
          "--count", "5", "--repeat", "3", "--phases"],
@@ -49,8 +50,8 @@ def test_replay_phases():
     summary = json.loads(done.stdout.splitlines()[-1])
     phases, medians = summary["phases_s"], summary["phases_median_s"]
     assert list(phases) == list(medians) == [
-        "case_variants", "weight_samples", "predictions", "per_n_checks",
-        "no_iterate_checks"]
+        "oracle_records", "case_variants", "weight_samples", "predictions",
+        "per_n_checks", "no_iterate_checks"]
     assert all(0 < phases[phase] <= medians[phase] for phase in phases)
     assert isinstance(summary["digest"], str)
     for phase in phases:

@@ -38,10 +38,10 @@ def test_replay_fuzz_campaign_products():
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     summary = json.loads(done.stdout.splitlines()[-1])
-    # The traced benchmark counts the same 412 products, each of two
-    # int operands with terms.
-    assert summary["products"] == 412
-    assert summary["by_kind"] == {"int": 412}
+    # The traced benchmark counts the same 88 products, each of two int
+    # operands with terms.
+    assert summary["products"] == 88
+    assert summary["by_kind"] == {"int": 88}
     assert summary["mismatches"] == 0
     assert set(summary["seconds_by_ratio"]) == {"int"}
 

@@ -15,6 +15,8 @@ With --phases it runs K more passes with these of verify's
 functions timed apart, and prints the best and the median of the K for
 each phase:
 
+    oracle_records     verify.oracle_records, the recorded calls run
+                       again (the other phases read their results)
     case_variants      verify.case_variants, the readings of each germ
     weight_samples     verify.weight_samples
     predictions        verify.predictions
@@ -58,18 +60,18 @@ verify = workloads.module("verify")
 
 
 def record(cfg) -> list:
-    """(args, kwargs, oracle_records result) of every verify_germ call
-    the campaign makes, in order."""
+    """(args, kwargs, oracle_records result, oracle_records (args,
+    kwargs)) of every verify_germ call the campaign makes, in order."""
     calls = []
     inner_verify, inner_records = fuzz.verify_germ, verify.oracle_records
 
     def recording_verify(*args, **kwargs):
-        calls.append([args, kwargs, None])
+        calls.append([args, kwargs, None, None])
         return inner_verify(*args, **kwargs)
 
     def recording_records(*args, **kwargs):
         result = inner_records(*args, **kwargs)
-        calls[-1][2] = result
+        calls[-1][2:] = result, (args, kwargs)
         return result
 
     fuzz.verify_germ = recording_verify
@@ -92,7 +94,7 @@ def replay(calls) -> tuple:
     seconds = 0.0
     gc.collect()
     try:
-        for args, kwargs, result in calls:
+        for args, kwargs, result, _ in calls:
             verify.oracle_records = lambda *a, _r=result, **k: _r
             start = time.perf_counter()
             report = verify.verify_germ(*args, **kwargs)
@@ -103,8 +105,10 @@ def replay(calls) -> tuple:
     return seconds, reports
 
 
-# Each phase and the functions of skewprod.verify whose time it sums.
+# Each phase and the functions of skewprod.verify whose time it sums;
+# oracle_pass times oracle_records, which replay does not run.
 PHASES = {
+    "oracle_records": (),
     "case_variants": ("case_variants",),
     "weight_samples": ("weight_samples",),
     "predictions": ("predictions",),
@@ -114,9 +118,23 @@ PHASES = {
 }
 
 
+def oracle_pass(calls) -> float:
+    """The seconds of one pass of the recorded oracle_records calls, run
+    again from a full collection."""
+    seconds = 0.0
+    gc.collect()
+    for *_, (args, kwargs) in calls:
+        start = time.perf_counter()
+        verify.oracle_records(*args, **kwargs)
+        seconds += time.perf_counter() - start
+    return seconds
+
+
 def phase_pass(calls) -> dict:
-    """The seconds of each phase over one pass of replay(calls)."""
+    """The seconds of each phase over one pass of replay(calls), and of
+    oracle_pass(calls) for oracle_records."""
     seconds = dict.fromkeys(PHASES, 0.0)
+    seconds["oracle_records"] = oracle_pass(calls)
 
     def timed(phase, fn):
         def wrapper(*args, **kwargs):
