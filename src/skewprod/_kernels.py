@@ -4,8 +4,11 @@ A polynomial is a dict mapping exponent pairs (i, j) to nonzero exact
 coefficients (int or Fraction).  add_terms, scale_terms and mul_terms
 are the hot loops of the iteration oracle.
 
-mul_terms has two paths.  The dict loop multiplies term by term through
-the coefficient objects themselves.  Kronecker substitution (Kronecker
+mul_terms has two paths.  The dict loop multiplies term by term.  When
+an operand holds a Fraction and neither has a single term, it runs on
+the operands' integer numerators and divides each output coefficient
+by the product of the two denominators once, at the end; otherwise it
+runs on the coefficients themselves.  Kronecker substitution (Kronecker
 1882; Harvey, J. Symbolic Comput. 44, 2009) packs each operand into one
 big number with a fixed-width signed slot of decimal digits per cell of
 the product's bounding box, multiplies the two numbers once, and reads
@@ -16,9 +19,15 @@ quasi-linear time, where CPython's ints use Karatsuba.  Decimal <-> str
 is linear; int <-> Decimal is not, so no int is converted whole.  A slot
 is read with int(str), so a product whose slots would need more digits
 than sys.get_int_max_str_digits() allows goes to the dict loop.
-mul_terms picks the path from the operands alone; both give the same
-dict, coefficient types included.  Every step is exact integer or
-exact decimal arithmetic.
+
+mul_terms picks the path from the operands' shape alone, whatever their
+coefficient types, and falls back to the dict loop where Kronecker
+cannot fix the coefficient types.  Both paths give the same dict,
+coefficient types included: a product coefficient is an int exactly
+when every product that reached its key since the key was last
+inserted was int * int.  A key whose partial sum cancels is dropped,
+and the next product to reach it inserts it afresh.  Every step is
+exact integer or exact decimal arithmetic.
 """
 
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, DivisionByZero,
@@ -38,21 +47,17 @@ BACKEND = "pure"
 # a floor on the multiply-adds changed it by under 0.1%.  The transform
 # keeps the bound flat in size: a 2,802 x 2,801-term product spread to
 # 5.3 multiply-adds per cell took 3.9 s against the dict loop's 5.0 s.
+# The bound holds for Fraction products too, since both paths do int
+# arithmetic on the cleared numerators and build one Fraction per output
+# term: over oracle_rational's 18 Fraction products the total was flat
+# from 2 to 12 per cell, and below the bound the dict loop won (17 x 17
+# terms at 0.80 per cell: 0.27 ms against 0.60 ms by Kronecker; 87 x 17
+# at 1.89: 1.13 ms against 1.76 ms).
 KRONECKER_MIN_WORK_PER_CELL = 5
-# A dict-loop multiply-add costs about 14x more on Fractions, so a
-# product with an all-Fraction operand goes to Kronecker from half a
-# multiply-add per cell, that is, at most this many cells per
-# multiply-add.  Timed one by one, Fraction products broke even at
-# 0.35-0.5 per cell (17 x 17 terms at 0.34: 0.93 ms dict loop, 1.07 ms
-# Kronecker; 39 x 39 at 0.40: 5.7 ms, 5.1 ms), and over oracle_rational's
-# products the total was flat from 0 to 3/4 per cell (38.7 ms), and
-# 39.5 ms at 1 and 46.2 ms at 2 to 5.
-KRONECKER_FRACTION_CELLS_PER_WORK = 2
-# Below this many terms in the smaller operand every product stays in
-# the dict loop: cells >= the larger operand's terms, so an int product
-# cannot reach its bound, and a Fraction one timed slower by Kronecker
-# (4 x 5 terms at 0.48 per cell: 0.06 ms dict loop, 0.11 ms Kronecker).
-KRONECKER_MIN_TERMS = 5
+# The box has at least as many cells as the larger operand has terms,
+# so a product whose smaller operand has fewer terms than this cannot
+# reach KRONECKER_MIN_WORK_PER_CELL, and mul_terms skips its box.
+KRONECKER_MIN_TERMS = KRONECKER_MIN_WORK_PER_CELL
 
 # Decimal arithmetic that never rounds: an inexact result raises.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
@@ -89,20 +94,15 @@ def scale_terms(a, c):
 def mul_terms(a, b):
     """Product of two term dicts; cancellations are dropped.
 
-    Products whose smaller operand has at least KRONECKER_MIN_TERMS
-    terms and whose multiply-adds reach KRONECKER_MIN_WORK_PER_CELL per
-    cell of their bounding box (with an all-Fraction operand: whose
-    cells are at most KRONECKER_FRACTION_CELLS_PER_WORK per multiply-add)
-    go through mul_kronecker when it takes them, all others through
+    Products whose multiply-adds reach KRONECKER_MIN_WORK_PER_CELL per
+    cell of their bounding box go through mul_kronecker when it takes
+    them, whatever their coefficient types; all others go through
     mul_dict.
     """
     if min(len(a), len(b)) >= KRONECKER_MIN_TERMS:
         box_a, box_b = _box(a), _box(b)
         rows, width = _product_shape(box_a, box_b)
-        cells, work = rows * width, len(a) * len(b)
-        if (cells * KRONECKER_MIN_WORK_PER_CELL <= work
-                or (cells <= KRONECKER_FRACTION_CELLS_PER_WORK * work
-                    and (_all_fraction(a) or _all_fraction(b)))):
+        if rows * width * KRONECKER_MIN_WORK_PER_CELL <= len(a) * len(b):
             out = mul_kronecker(a, b, box_a, box_b)
             if out is not None:
                 return out
@@ -112,11 +112,32 @@ def mul_terms(a, b):
 def mul_dict(a, b):
     """Product of two term dicts by the term-by-term dict loop.
 
-    A coefficient of the product is an int exactly when every product
-    that contributed to it was int * int.
+    The loop runs over the larger operand's terms within each of the
+    smaller one's and drops a key whose partial sum cancels, so the next
+    product to reach that key inserts it afresh.  A coefficient of the
+    product is an int exactly when every product that reached its key
+    since it was last inserted was int * int: a Fraction sum never turns
+    back into an int, even where its value is integral.
+
+    When an operand holds a Fraction and neither has a single term, the
+    loop runs on the operands' integer numerators (_clear_denominators)
+    and divides each coefficient by the product of the two denominators
+    once, at the end.  The result is the dict the loop on the
+    coefficients themselves gives, key order and types included.
     """
     if len(a) > len(b):
         a, b = b, a
+    if len(a) > 1:
+        types_a = set(map(type, a.values()))
+        types_b = types_a if b is a else set(map(type, b.values()))
+        if (Fraction in types_a or Fraction in types_b) and (
+                types_a | types_b <= {int, Fraction}):
+            return _mul_cleared(a, b, int in types_a and int in types_b)
+    return _mul_loop(a, b)
+
+
+def _mul_loop(a, b):
+    """The dict loop, b's terms within each of a's."""
     out = {}
     get = out.get
     for (i1, j1), c1 in a.items():
@@ -132,6 +153,47 @@ def mul_dict(a, b):
                 else:
                     del out[key]
     return out
+
+
+def _mul_cleared(a, b, int_products):
+    """mul_dict's product of two int-or-Fraction term dicts, run on
+    their integer numerators.
+
+    With int_products (both operands hold an int) the loop keeps the
+    set of keys whose partial sum some Fraction product reached; a key
+    leaves it when its sum cancels.  Those keys, and all keys without
+    int_products, get Fraction(v, den); the others are ints, v // den.
+    """
+    den_a, num_a = _clear_denominators(a)
+    den_b, num_b = (den_a, num_a) if b is a else _clear_denominators(b)
+    den = den_a * den_b
+    if not int_products:
+        return {key: Fraction(v, den)
+                for key, v in _mul_loop(num_a, num_b).items()}
+    out = {}
+    get = out.get
+    fraction_keys = set()
+    mark, unmark = fraction_keys.add, fraction_keys.discard
+    inner = [(i2, j2, n2, type(c2) is Fraction)
+             for ((i2, j2), n2), c2 in zip(num_b.items(), b.values())]
+    for ((i1, j1), n1), c1 in zip(num_a.items(), a.values()):
+        outer = type(c1) is Fraction
+        for i2, j2, n2, frac in inner:
+            key = (i1 + i2, j1 + j2)
+            v = get(key)
+            if v is None:
+                out[key] = n1 * n2
+            else:
+                v = v + n1 * n2
+                if not v:
+                    del out[key]
+                    unmark(key)
+                    continue
+                out[key] = v
+            if outer or frac:
+                mark(key)
+    return {key: Fraction(v, den) if key in fraction_keys else v // den
+            for key, v in out.items()}
 
 
 def mul_kronecker(a, b, box_a=None, box_b=None):
@@ -210,10 +272,6 @@ def mul_kronecker(a, b, box_a=None, box_b=None):
                     out[(i, j)] = v if den is None else Fraction(v, den)
         i += 1
     return out
-
-
-def _all_fraction(a):
-    return all(type(c) is Fraction for c in a.values())
 
 
 def _box(a):

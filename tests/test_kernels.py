@@ -81,6 +81,19 @@ def test_mixed_operands_take_the_dict_path():
     assert {type(c) for c in out.values()} == {int, Fraction}
 
 
+def test_a_cancelled_key_restarts_its_type():
+    # (2, 0) is reached first by Fraction(2) * 1, then cancelled by
+    # 1 * -2, then inserted afresh by 1 * 3: the coefficient is the int
+    # 3, as summing the Fractions and ints themselves gives it.
+    a = {(0, 0): Fraction(2), (1, 0): 1, (2, 0): 1}
+    b = {(2, 0): 1, (1, 0): -2, (0, 0): 3}
+    expected = {(1, 0): Fraction(-1), (0, 0): Fraction(6), (3, 0): -1,
+                (4, 0): 1, (2, 0): 3}
+    for out in (mul_dict(a, b), mul_terms(a, b), mul_pair(a, b)):
+        assert repr(list(out.items())) == repr(list(expected.items()))
+        assert type(out[(2, 0)]) is int
+
+
 def test_cancellation_drops_terms():
     a = {(0, 0): 1, (1, 0): 1}
     b = {(0, 0): 1, (1, 0): -1}
@@ -336,38 +349,51 @@ def shape_of(a, b):
     return rows * width, len(a) * len(b)
 
 
-def test_fraction_products_have_their_own_bound(monkeypatch):
+def test_fraction_products_share_the_int_bound(monkeypatch):
     # 6 x 6 terms spread over a 7 x 7 box of cells: 36 multiply-adds in
-    # 49 cells, under the int bound but over the Fraction one.
+    # 49 cells, under the bound, so the dict loop whatever the types.
     a = {(i, i % 3): i + 1 for i in range(6)}
     b = {(i, 3 - i % 4): 2 * i - 5 for i in range(6)}
     cells, work = shape_of(a, b)
     assert cells * _kernels.KRONECKER_MIN_WORK_PER_CELL > work
-    assert cells <= _kernels.KRONECKER_FRACTION_CELLS_PER_WORK * work
     fa = {key: Fraction(c, 7) for key, c in a.items()}
     mixed = {**a, (0, 0): Fraction(1, 2)}
-    expected = {name: exact(mul_dict(x, y)) for name, (x, y) in {
-        "int": (a, b), "fraction": (fa, b), "both": (fa, fa),
-        "mixed": (mixed, mixed)}.items()}
-    with monkeypatch.context() as m:
-        m.setattr(_kernels, "mul_dict", refuse("mul_dict"))
-        assert exact(mul_terms(fa, b)) == expected["fraction"]
-        assert exact(mul_terms(b, fa)) == expected["fraction"]
-        assert exact(mul_terms(fa, fa)) == expected["both"]
+    # 8 x 8 terms filling their 8 x 8 box: 4,096 multiply-adds in 225
+    # cells, over the bound.
+    dense = {(i, j): Fraction(i - j, 3) or Fraction(1, 5)
+             for i in range(8) for j in range(8)}
+    dense_mixed = {key: c.numerator if (key[0] + key[1]) % 2 else c
+                   for key, c in dense.items()}
+    cells, work = shape_of(dense, dense)
+    assert cells * _kernels.KRONECKER_MIN_WORK_PER_CELL <= work
+    pairs = {"int": (a, b), "fraction": (fa, b), "both": (fa, fa),
+             "mixed": (mixed, mixed), "dense": (dense, dense),
+             "dense_int": (dense, dense_mixed),
+             "dense_mixed": (dense_mixed, dense_mixed)}
+    expected = {name: exact(mul_dict(x, y)) for name, (x, y) in pairs.items()}
     with monkeypatch.context() as m:
         m.setattr(_kernels, "mul_kronecker", refuse("mul_kronecker"))
-        assert exact(mul_terms(a, b)) == expected["int"]
+        for name in ("int", "fraction", "both", "mixed"):
+            x, y = pairs[name]
+            assert exact(mul_terms(x, y)) == expected[name]
+            assert exact(mul_terms(y, x)) == expected[name]
+    with monkeypatch.context() as m:
+        m.setattr(_kernels, "mul_dict", refuse("mul_dict"))
+        for name in ("dense", "dense_int"):
+            x, y = pairs[name]
+            assert exact(mul_terms(x, y)) == expected[name]
+            assert exact(mul_terms(y, x)) == expected[name]
     # Mixed x mixed: Kronecker cannot fix the types, so the dict loop.
-    assert mul_kronecker(mixed, mixed) is None
-    assert exact(mul_terms(mixed, mixed)) == expected["mixed"]
+    assert mul_kronecker(dense_mixed, dense_mixed) is None
+    assert exact(mul_terms(dense_mixed, dense_mixed)) == expected["dense_mixed"]
 
 
 def test_sparse_fraction_products_take_the_dict_path(monkeypatch):
     # 5 x 5 terms over 9 x 9 cells: 25 multiply-adds in 81 cells, under
-    # the Fraction bound; and 4 terms, under the floor, however dense.
+    # the bound; and 4 terms, under the floor, however dense.
     a = {(2 * i, 2 * i): Fraction(i + 1, 3) for i in range(5)}
     cells, work = shape_of(a, a)
-    assert cells > _kernels.KRONECKER_FRACTION_CELLS_PER_WORK * work
+    assert cells * _kernels.KRONECKER_MIN_WORK_PER_CELL > work
     four = {(i, j): Fraction(i - j, 5) or Fraction(1) for i in (0, 1)
             for j in (0, 1)}
     dense = {(i, j): Fraction(i + j + 1, 2) for i in range(3) for j in range(3)}
@@ -433,6 +459,60 @@ def add_pair(a, b):
         else:
             out[key] = c
     return out
+
+
+def mul_pair(a, b):
+    """The product, written out on the coefficients themselves: the
+    larger operand's terms within each of the smaller one's, zeros
+    dropped."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            key = (i1 + i2, j1 + j2)
+            if key in out:
+                v = out[key] + c1 * c2
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
+            else:
+                out[key] = c1 * c2
+    return out
+
+
+# Few keys and small coefficients of three kinds (ints, integral
+# Fractions, Fractions over 2 or 3), so partial sums cancel and keys
+# restart often: about one product in 30 of these operands has a key
+# that a Fraction product reached, a sum cancelled and int * int
+# inserted afresh.
+small_ints = st.sampled_from((-3, -2, -1, 1, 2, 3))
+small_terms = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.one_of(small_ints, small_ints.map(Fraction),
+              st.builds(Fraction, small_ints, st.sampled_from((2, 3)))),
+    min_size=6, max_size=16)
+
+
+def assert_matches_mul_pair(a, b):
+    expected = repr(list(mul_pair(a, b).items()))
+    assert repr(list(mul_dict(a, b).items())) == expected
+
+
+@given(small_terms, small_terms, st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_mul_dict_matches_fraction_arithmetic(a, b, square):
+    """Same terms, coefficient types and key order as the loop on the
+    coefficients themselves."""
+    assert_matches_mul_pair(a, a if square else b)
+
+
+@given(st.one_of(int_terms, fraction_terms, mixed_terms),
+       st.one_of(int_terms, fraction_terms, mixed_terms))
+@settings(max_examples=150, deadline=None)
+def test_mul_dict_matches_fraction_arithmetic_on_wide_coefficients(a, b):
+    assert_matches_mul_pair(a, b)
 
 
 @given(st.lists(st.one_of(int_terms, fraction_terms, mixed_terms),

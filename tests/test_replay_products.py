@@ -29,6 +29,9 @@ def test_replay_oracle_rational():
     assert set(summary["seconds_by_ratio"]["fraction"]) == {"1/2", "5"}
     assert all(summary["seconds"][path] > 0
                for path in ("dispatch", "dict", "kronecker"))
+    assert set(summary["seconds_by_kind"]) == {"fraction", "mixed"}
+    assert all(seconds > 0 for paths in summary["seconds_by_kind"].values()
+               for seconds in paths.values())
 
 
 def test_replay_fuzz_campaign_products():
@@ -44,6 +47,8 @@ def test_replay_fuzz_campaign_products():
     assert summary["by_kind"] == {"int": 88}
     assert summary["mismatches"] == 0
     assert set(summary["seconds_by_ratio"]) == {"int"}
+    assert set(summary["seconds_by_kind"]) == {"int"}
+    assert set(summary["seconds_by_kind"]["int"]) == {"dispatch", "dict"}
 
 
 def _load_tool():

@@ -13,13 +13,15 @@ included.
 
 Products fall in four classes: "empty" (an operand with no terms),
 "int" (both operands all-int), "fraction" (an all-Fraction operand) and
-"mixed" (all others, which only the dict loop takes).  For each ratio R
-(an int or a/b) it prints the total the int and the fraction products
-would take if those whose smaller operand has at least
-KRONECKER_MIN_TERMS terms and whose multiply-adds reach R per cell of
-the bounding box went to Kronecker and all others to the dict loop.  That is how the kernel's dispatch
-bounds are chosen.  The last line is one JSON object; the exit code is
-1 when two paths disagree.
+"mixed" (all others, which only the dict loop takes).  It prints the
+dispatch and dict-loop seconds of each class.  For each ratio R (an int
+or a/b) it prints the total the int and the fraction products would
+take if those whose smaller operand has at least KRONECKER_MIN_TERMS
+terms and whose multiply-adds reach R per cell of the bounding box went
+to Kronecker and all others to the dict loop.  The kernel has one such
+bound, KRONECKER_MIN_WORK_PER_CELL, for every coefficient type: it is
+chosen where the int and the fraction totals are both least.  The last
+line is one JSON object; the exit code is 1 when two paths disagree.
 """
 
 from __future__ import annotations
@@ -139,6 +141,10 @@ def summarize(rows, ratios) -> dict:
                     for k in kinds},
         "seconds": {path: sum(row[path] or 0.0 for row in rows)
                     for path in ("dispatch", "dict", "kronecker")},
+        "seconds_by_kind": {
+            k: {path: sum(row[path] for row in rows if row["kind"] == k)
+                for path in ("dispatch", "dict")}
+            for k in kinds},
         "seconds_by_ratio": {
             k: {str(r): total_at(rows, r, k) for r in ratios}
             for k in kinds if k in ("int", "fraction")},
@@ -161,6 +167,9 @@ def main(argv=None) -> int:
           f"{summary['mismatches']} mismatches")
     for path, seconds in summary["seconds"].items():
         print(f"{path:>24} {seconds:10.4f} s")
+    for k, paths in summary["seconds_by_kind"].items():
+        for path, seconds in paths.items():
+            print(f"{k + ' ' + path:>24} {seconds:10.4f} s")
     for k, totals in summary["seconds_by_ratio"].items():
         for r, seconds in totals.items():
             print(f"{k:>12} at {r:>9} per cell {seconds:10.4f} s")
