@@ -4,11 +4,16 @@ A polynomial is a dict mapping exponent pairs (i, j) to nonzero exact
 coefficients (int or Fraction).  add_terms, scale_terms and mul_terms
 are the hot loops of the iteration oracle.
 
-mul_terms has two paths.  The dict loop multiplies term by term.  When
-an operand holds a Fraction and neither has a single term, it runs on
-the operands' integer numerators and divides each output coefficient
-by the product of the two denominators once, at the end; otherwise it
-runs on the coefficients themselves.  Kronecker substitution (Kronecker
+Every coefficient a kernel returns is canonical, by exact.as_coeff's
+one rule: an int when its value is integral, a Fraction otherwise.  The
+value alone fixes the type, so any two routes to the same polynomial
+give the same dict up to key order.
+
+mul_terms has two paths.  Both run on the operands' integer numerators
+(_clear_denominators; an all-int operand is its own) and divide each
+output coefficient by the product of the two denominators once, at the
+end, except where the dict loop scales by a one-term operand.  The dict
+loop multiplies term by term.  Kronecker substitution (Kronecker
 1882; Harvey, J. Symbolic Comput. 44, 2009) packs each operand into one
 big number with a fixed-width signed slot of decimal digits per cell of
 the product's bounding box, multiplies the two numbers once, and reads
@@ -19,14 +24,7 @@ quasi-linear time, where CPython's ints use Karatsuba.  Decimal <-> str
 is linear; int <-> Decimal is not, so no int is converted whole.  A slot
 is read with int(str), so a product whose slots would need more digits
 than sys.get_int_max_str_digits() allows goes to the dict loop.
-
-mul_terms picks the path from the operands' shape alone, whatever their
-coefficient types, and falls back to the dict loop where Kronecker
-cannot fix the coefficient types.  Both paths give the same dict,
-coefficient types included: a product coefficient is an int exactly
-when every product that reached its key since the key was last
-inserted was int * int.  A key whose partial sum cancels is dropped,
-and the next product to reach it inserts it afresh.  Every step is
+mul_terms picks the path from the operands' shape alone.  Every step is
 exact integer or exact decimal arithmetic.
 """
 
@@ -35,7 +33,7 @@ from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, DivisionByZero,
 from fractions import Fraction
 from math import lcm
 
-from .exact import int_max_str_digits
+from .exact import as_coeff, int_max_str_digits
 
 BACKEND = "pure"
 
@@ -48,11 +46,11 @@ BACKEND = "pure"
 # keeps the bound flat in size: a 2,802 x 2,801-term product spread to
 # 5.3 multiply-adds per cell took 3.9 s against the dict loop's 5.0 s.
 # The bound holds for Fraction products too, since both paths do int
-# arithmetic on the cleared numerators and build one Fraction per output
-# term: over oracle_rational's 18 Fraction products the total was flat
-# from 2 to 12 per cell, and below the bound the dict loop won (17 x 17
-# terms at 0.80 per cell: 0.27 ms against 0.60 ms by Kronecker; 87 x 17
-# at 1.89: 1.13 ms against 1.76 ms).
+# arithmetic on the cleared numerators and build one coefficient per
+# output term: over oracle_rational's 18 Fraction products the total
+# was flat from 2 to 12 per cell, and below the bound the dict loop won
+# (17 x 17 terms at 0.80 per cell: 0.27 ms against 0.60 ms by
+# Kronecker; 87 x 17 at 1.89: 1.13 ms against 1.76 ms).
 KRONECKER_MIN_WORK_PER_CELL = 5
 # The box has at least as many cells as the larger operand has terms,
 # so a product whose smaller operand has fewer terms than this cannot
@@ -65,30 +63,34 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
 
 
 def add_terms(a, *rest):
-    """Sum of term dicts in one pass; zero coefficients are dropped.
+    """Sum of term dicts in one pass, canonical; zero coefficients are
+    dropped.
 
     Only the first operand is copied, and every further one is added
     into that copy in turn, so the largest should come first.
     """
     out = dict(a)
+    for key, c in a.items():  # as_coeff inlined: most terms are a's
+        if type(c) is not int and c.denominator == 1:
+            out[key] = c.numerator
     get = out.get
     for b in rest:
         for key, c in b.items():
             v = get(key)
             if v is None:
-                out[key] = c
+                out[key] = c if type(c) is int else as_coeff(c)
             else:
                 v = v + c
                 if v:
-                    out[key] = v
+                    out[key] = v if type(v) is int else as_coeff(v)
                 else:
                     del out[key]
     return out
 
 
 def scale_terms(a, c):
-    """Term dict scaled by a nonzero coefficient."""
-    return {key: v * c for key, v in a.items()}
+    """Term dict scaled by a nonzero coefficient, canonical."""
+    return {key: as_coeff(v * c) for key, v in a.items()}
 
 
 def mul_terms(a, b):
@@ -96,8 +98,7 @@ def mul_terms(a, b):
 
     Products whose multiply-adds reach KRONECKER_MIN_WORK_PER_CELL per
     cell of their bounding box go through mul_kronecker when it takes
-    them, whatever their coefficient types; all others go through
-    mul_dict.
+    them; all others go through mul_dict.
     """
     if min(len(a), len(b)) >= KRONECKER_MIN_TERMS:
         box_a, box_b = _box(a), _box(b)
@@ -113,115 +114,58 @@ def mul_dict(a, b):
     """Product of two term dicts by the term-by-term dict loop.
 
     The loop runs over the larger operand's terms within each of the
-    smaller one's and drops a key whose partial sum cancels, so the next
-    product to reach that key inserts it afresh.  A coefficient of the
-    product is an int exactly when every product that reached its key
-    since it was last inserted was int * int: a Fraction sum never turns
-    back into an int, even where its value is integral.
-
-    When an operand holds a Fraction and neither has a single term, the
-    loop runs on the operands' integer numerators (_clear_denominators)
-    and divides each coefficient by the product of the two denominators
-    once, at the end.  The result is the dict the loop on the
-    coefficients themselves gives, key order and types included.
+    smaller one's and drops a key whose partial sum cancels.  A
+    one-term operand scales the other.  Otherwise the loop runs on the
+    operands' integer numerators (_clear_denominators) and divides each
+    coefficient by the product of the two denominators once, at the
+    end.  Either way every coefficient is canonical (exact.as_coeff).
     """
     if len(a) > len(b):
         a, b = b, a
-    if len(a) > 1:
-        types_a = set(map(type, a.values()))
-        types_b = types_a if b is a else set(map(type, b.values()))
-        if (Fraction in types_a or Fraction in types_b) and (
-                types_a | types_b <= {int, Fraction}):
-            return _mul_cleared(a, b, int in types_a and int in types_b)
-    return _mul_loop(a, b)
-
-
-def _mul_loop(a, b):
-    """The dict loop, b's terms within each of a's."""
-    out = {}
-    get = out.get
-    for (i1, j1), c1 in a.items():
+    if len(a) == 1:
+        ((i1, j1), c1), = a.items()
+        out = {}
         for (i2, j2), c2 in b.items():
-            key = (i1 + i2, j1 + j2)
-            v = get(key)
-            if v is None:
-                out[key] = c1 * c2
-            else:
-                v = v + c1 * c2
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
-    return out
-
-
-def _mul_cleared(a, b, int_products):
-    """mul_dict's product of two int-or-Fraction term dicts, run on
-    their integer numerators.
-
-    With int_products (both operands hold an int) the loop keeps the
-    set of keys whose partial sum some Fraction product reached; a key
-    leaves it when its sum cancels.  Those keys, and all keys without
-    int_products, get Fraction(v, den); the others are ints, v // den.
-    """
+            c = c1 * c2
+            out[(i1 + i2, j1 + j2)] = c if type(c) is int else as_coeff(c)
+        return out
     den_a, num_a = _clear_denominators(a)
     den_b, num_b = (den_a, num_a) if b is a else _clear_denominators(b)
-    den = den_a * den_b
-    if not int_products:
-        return {key: Fraction(v, den)
-                for key, v in _mul_loop(num_a, num_b).items()}
     out = {}
     get = out.get
-    fraction_keys = set()
-    mark, unmark = fraction_keys.add, fraction_keys.discard
-    inner = [(i2, j2, n2, type(c2) is Fraction)
-             for ((i2, j2), n2), c2 in zip(num_b.items(), b.values())]
-    for ((i1, j1), n1), c1 in zip(num_a.items(), a.values()):
-        outer = type(c1) is Fraction
-        for i2, j2, n2, frac in inner:
+    for (i1, j1), n1 in num_a.items():
+        for (i2, j2), n2 in num_b.items():
             key = (i1 + i2, j1 + j2)
             v = get(key)
             if v is None:
                 out[key] = n1 * n2
             else:
                 v = v + n1 * n2
-                if not v:
+                if v:
+                    out[key] = v
+                else:
                     del out[key]
-                    unmark(key)
-                    continue
-                out[key] = v
-            if outer or frac:
-                mark(key)
-    return {key: Fraction(v, den) if key in fraction_keys else v // den
+    den = den_a * den_b
+    if den == 1:
+        return out
+    return {key: Fraction(v, den) if v % den else v // den
             for key, v in out.items()}
 
 
 def mul_kronecker(a, b, box_a=None, box_b=None):
     """Product of two term dicts by Kronecker substitution.
 
-    Returns the dict mul_dict returns, coefficient types included, or
-    None when the types of the operands' coefficients do not fix the
-    type of every product coefficient, or when a slot would need more
-    decimal digits than int <-> str conversion allows
-    (exact.int_max_str_digits).  The types fix it in two cases: both
-    operands all-int (the product is all-int) and one operand
-    all-Fraction (the product is all-Fraction; Fraction arithmetic
-    never turns back into int).  box_a and box_b, when given, are the
-    operands' _box.
+    Runs on the operands' integer numerators, like mul_dict, and returns
+    the dict mul_dict returns, canonical coefficients included, or None
+    when a slot would need more decimal digits than int <-> str
+    conversion allows (exact.int_max_str_digits).  box_a and box_b, when
+    given, are the operands' _box.
     """
     if not a or not b:
         return {}
-    types_a, types_b = set(map(type, a.values())), set(map(type, b.values()))
-    if types_a == types_b == {int}:
-        den = None
-        num_a, num_b = a, b
-    elif ({Fraction} in (types_a, types_b)
-          and types_a | types_b <= {int, Fraction}):
-        den_a, num_a = _clear_denominators(a)
-        den_b, num_b = (den_a, num_a) if b is a else _clear_denominators(b)
-        den = den_a * den_b
-    else:
-        return None
+    den_a, num_a = _clear_denominators(a)
+    den_b, num_b = (den_a, num_a) if b is a else _clear_denominators(b)
+    den = den_a * den_b
 
     # No product coefficient exceeds sum|a| * max|b| or max|a| * sum|b|
     # in absolute value, so a slot of `digits` digits holds each one,
@@ -269,7 +213,9 @@ def mul_kronecker(a, b, box_a=None, box_b=None):
                 slot = row[start:start + digits]
                 if slot != zero:
                     v = int(slot) - half
-                    out[(i, j)] = v if den is None else Fraction(v, den)
+                    if den != 1:
+                        v = Fraction(v, den) if v % den else v // den
+                    out[(i, j)] = v
         i += 1
     return out
 
@@ -288,7 +234,10 @@ def _product_shape(box_a, box_b):
 
 def _clear_denominators(a):
     """(den, numerators): den is the lcm of the coefficients'
-    denominators and numerators[key] = a[key] * den, an int."""
+    denominators and numerators[key] = a[key] * den, an int.  An
+    all-int operand is its own numerators, with den 1."""
+    if all(type(c) is int for c in a.values()):
+        return 1, a
     den = lcm(*(c.denominator for c in a.values()))
     return den, {key: c.numerator * (den // c.denominator)
                  for key, c in a.items()}

@@ -59,7 +59,9 @@ def as_fraction(x) -> Fraction:
 
 
 def as_coeff(x):
-    """Canonical coefficient: int when integral, Fraction otherwise."""
+    """Canonical coefficient: int when integral, Fraction otherwise.
+
+    The one rule for every coefficient a polynomial stores."""
     if isinstance(x, int):
         return x
     if isinstance(x, Fraction):

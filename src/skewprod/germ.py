@@ -6,11 +6,11 @@ schedules for poly(P, W) = sum_j (sum_i c_ij P^i) W^j, which give the
 same polynomial (Horner 1819; Paterson & Stockmeyer, SIAM J. Comput. 2,
 1973, for the trade-off):
 
-* Power table, when P is one term a*z^m*w^k and every coefficient of
-  poly, P and W is an int.  P^i = a^i z^(i*m) w^(i*k) needs no product,
-  so each layer sum_i c_ij P^i is written down term by term.  W^j is
-  built by squaring, once per needed j, and the result is the sum of
-  the products layer_j * W^j.  Each large product then has a few-term
+* Power table, when P is one term a*z^m*w^k, whatever the coefficient
+  types.  P^i = a^i z^(i*m) w^(i*k) needs no product, so each layer
+  sum_i c_ij P^i is written down term by term.  W^j is built by
+  squaring, once per needed j, and the result is the sum of the
+  products layer_j * W^j.  Each large product then has a few-term
   layer as one operand.  Every p^k is a monomial when p is, as for
   every fixture germ.
 * Horner in w, with a Horner in P per layer, for every other call: one
@@ -49,6 +49,7 @@ so vertex_step keeps only that term.
 
 from __future__ import annotations
 
+from .exact import as_coeff
 from .growth import check_depth
 from .newton import composed_polygon, newton_polygon
 from .poly import (
@@ -139,7 +140,7 @@ def substitute(poly: SparsePoly2, P: SparsePoly2, W: SparsePoly2,
         return SparsePoly2.zero()
     by_j = _layers(poly)
     max_degree = (limits or DEFAULT_LIMITS).max_total_degree
-    table = (len(P) == 1 and not P.coeff(0, 0) and _all_int(poly, P, W)
+    table = (len(P) == 1 and not P.coeff(0, 0)
              and _horner_degree_bound(
                  by_j, P.total_degree(),
                  None if W.is_zero else W.total_degree()) <= max_degree)
@@ -192,10 +193,6 @@ def _horner_degree_bound(by_j: dict, deg_p: int, deg_w: int | None) -> int:
     return bound
 
 
-def _all_int(*polys: SparsePoly2) -> bool:
-    return all(type(c) is int for poly in polys for _, c in poly.items())
-
-
 def _substitute_power_table(by_j: dict, P: SparsePoly2, W: SparsePoly2,
                             limits: ResourceLimits | None) -> SparsePoly2:
     # P = a z^m w^k with (m, k) != (0, 0), so distinct i give distinct
@@ -246,9 +243,7 @@ def vertex_step(f: SkewGerm, fn: SkewGerm, reads) -> SkewGerm | None:
     only its vertex terms.
 
     None when a vertex sum is 0 or a point in `reads` is not at or below
-    a vertex, and when a vertex sums int and Fraction terms: the full
-    step may drop a partial sum that cancels there, which fixes the type
-    of its coefficient.
+    a vertex.
     """
     W = fn.q
     c_p, a_p = fn.delta, fn.a_delta
@@ -270,16 +265,17 @@ def vertex_step(f: SkewGerm, fn: SkewGerm, reads) -> SkewGerm | None:
     terms = {}
     for v, part in parts.items():
         total = sum(part)
-        if not total or len(set(map(type, part))) > 1:
+        if not total:
             return None
-        terms[v] = total
+        terms[v] = as_coeff(total)
     q = SparsePoly2._raw(terms)
     # Certified: the hull is q's Newton polygon, so newton_polygon(q)
     # builds none.
     q._polygon = polygon
     # The lowest term of p(P), whose coefficient the full step forms as
-    # one product: an int exactly when a_delta and a_P are both ints.
-    p = SparsePoly2._raw({(f.delta * c_p, 0): f.a_delta * a_p**f.delta})
+    # one product.
+    p = SparsePoly2._raw(
+        {(f.delta * c_p, 0): as_coeff(f.a_delta * a_p**f.delta)})
     return SkewGerm(p, q)
 
 

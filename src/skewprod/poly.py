@@ -66,8 +66,11 @@ def _precheck_mul(a: dict, b: dict, limits: ResourceLimits | None) -> None:
 class SparsePoly2:
     """Immutable exact polynomial in two variables.
 
-    Invariants: no stored coefficient is zero, exponents are
-    non-negative ints, and the zero polynomial has empty support.
+    Invariants: no stored coefficient is zero, every one is canonical
+    by exact.as_coeff (an int when integral, a Fraction otherwise, so
+    its value alone fixes its type), exponents are non-negative ints,
+    and the zero polynomial has empty support.  The kernels keep the
+    coefficients canonical.
     """
 
     # _columns caches column_minima() and _polygon the Newton polygon
@@ -91,7 +94,7 @@ class SparsePoly2:
 
     @classmethod
     def _raw(cls, terms: dict) -> "SparsePoly2":
-        # internal: terms already normalized by a kernel
+        # internal: terms already canonical, as every kernel returns them
         p = object.__new__(cls)
         p._terms = terms
         p._columns = None

@@ -166,16 +166,19 @@ def test_truncated_step_drops_only_interior_terms():
     assert vertex_step(f, fn, [(0, 2), (4, 0), (2, 0), (0, 1)]) == cut
 
 
-def test_vertex_step_leaves_mixed_types_to_the_full_step():
+def test_vertex_step_takes_mixed_sums():
     # At z^2 the terms of q give 1/2 (from w^2), -1/2 (from z*w) and the
     # int 1 (from z^2).  Horner cancels the first two before it adds
-    # z^2, so the full step's coefficient is the int 1, where the sum
-    # would be Fraction(1).
+    # z^2, and the vertex sum adds all three; both hold the value 1 as
+    # the int 1.
     f = germ("z", "1/2*w^2 - 1/2*z*w + z^2")
     fn = germ("z", "w + z")
     full = compose_germ(f, fn)
-    assert repr(full.q.coeff(2, 0)) == "1"
-    assert vertex_step(f, fn, ()) is None
+    cut = vertex_step(f, fn, ())
+    assert full.q == parse_poly("1/2*w^2 + 1/2*z*w + z^2")
+    assert cut.q == parse_poly("1/2*w^2 + z^2")
+    assert repr(full.q.coeff(2, 0)) == repr(cut.q.coeff(2, 0)) == "1"
+    assert cut.p == full.p
 
 
 def _vertex_record_germs():

@@ -1,5 +1,6 @@
 """The two product paths, Kronecker substitution and the dict loop, must
-agree exactly: same terms, same coefficient types."""
+agree exactly: same terms, same coefficient types, every coefficient
+canonical (an int when integral, a Fraction otherwise)."""
 
 import decimal
 import random
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from skewprod import _kernels
 from skewprod._kernels import mul_dict, mul_kronecker, mul_terms
+from skewprod.exact import as_coeff
 from skewprod.poly import KERNEL_BACKEND, SparsePoly2, poly_sum
 
 
@@ -45,15 +47,13 @@ def random_terms(rng, size, kind, span, cmax):
     return terms
 
 
-# Kind pairs whose product types Kronecker reproduces: all-int with
-# all-int, and anything int or Fraction with all-Fraction.
-AGREEING_KINDS = [("int", "int"), ("fraction", "fraction"),
-                  ("int", "fraction"), ("mixed", "fraction")]
+KIND_PAIRS = [("int", "int"), ("fraction", "fraction"), ("int", "fraction"),
+              ("mixed", "fraction"), ("mixed", "int"), ("mixed", "mixed")]
 
 
 def test_paths_agree_seeded():
     rng = random.Random(20260809)
-    for kind_a, kind_b in AGREEING_KINDS:
+    for kind_a, kind_b in KIND_PAIRS:
         for _ in range(40):
             span = rng.choice((0, 3, 12, 40))
             cmax = rng.choice((1, 20, 2**64))
@@ -63,35 +63,36 @@ def test_paths_agree_seeded():
             assert_paths_agree(b, b)  # packs one operand for both sides
 
 
-def test_mixed_operands_take_the_dict_path():
-    # In the dict loop a coefficient is an int only if every product that
-    # reached it was int * int, so its type depends on the support.
+def test_mixed_operands_take_the_kronecker_path(monkeypatch):
+    # The value alone fixes a coefficient's type, so Kronecker gives the
+    # dict loop's coefficients whatever the operands' types.
     rng = random.Random(5)
     for kind_a, kind_b in (("mixed", "mixed"), ("mixed", "int")):
         for _ in range(20):
             a = random_terms(rng, rng.randint(1, 30), kind_a, 6, 20)
             b = random_terms(rng, rng.randint(1, 30), kind_b, 6, 20)
-            assert mul_kronecker(a, b) is None
-            assert exact(mul_terms(a, b)) == exact(mul_dict(a, b))
-    # Large and dense enough for Kronecker, but mixed: falls back.
+            assert_paths_agree(a, b)
+    # Large and dense enough for Kronecker, and mixed.
     a = {(i, j): (1 if (i + j) % 2 else Fraction(1, 3))
          for i in range(8) for j in range(8)}
+    expected = exact(mul_dict(a, a))
+    monkeypatch.setattr(_kernels, "mul_dict", refuse("mul_dict"))
     out = mul_terms(a, a)
-    assert exact(out) == exact(mul_dict(a, a))
+    assert exact(out) == expected
     assert {type(c) for c in out.values()} == {int, Fraction}
 
 
 def test_a_cancelled_key_restarts_its_type():
     # (2, 0) is reached first by Fraction(2) * 1, then cancelled by
-    # 1 * -2, then inserted afresh by 1 * 3: the coefficient is the int
-    # 3, as summing the Fractions and ints themselves gives it.
+    # 1 * -2, then inserted afresh by 1 * 3.  Every coefficient is
+    # canonical, so the type follows the value: Fraction(2) * 3 at
+    # (0, 0) is the int 6 as much as 1 * 3 at (2, 0) is the int 3.
     a = {(0, 0): Fraction(2), (1, 0): 1, (2, 0): 1}
     b = {(2, 0): 1, (1, 0): -2, (0, 0): 3}
-    expected = {(1, 0): Fraction(-1), (0, 0): Fraction(6), (3, 0): -1,
-                (4, 0): 1, (2, 0): 3}
-    for out in (mul_dict(a, b), mul_terms(a, b), mul_pair(a, b)):
+    expected = {(1, 0): -1, (0, 0): 6, (3, 0): -1, (4, 0): 1, (2, 0): 3}
+    for out in (mul_dict(a, b), mul_terms(a, b), canonical(mul_pair(a, b))):
         assert repr(list(out.items())) == repr(list(expected.items()))
-        assert type(out[(2, 0)]) is int
+    assert exact(mul_kronecker(a, b)) == exact(expected)
 
 
 def test_cancellation_drops_terms():
@@ -379,13 +380,10 @@ def test_fraction_products_share_the_int_bound(monkeypatch):
             assert exact(mul_terms(y, x)) == expected[name]
     with monkeypatch.context() as m:
         m.setattr(_kernels, "mul_dict", refuse("mul_dict"))
-        for name in ("dense", "dense_int"):
+        for name in ("dense", "dense_int", "dense_mixed"):
             x, y = pairs[name]
             assert exact(mul_terms(x, y)) == expected[name]
             assert exact(mul_terms(y, x)) == expected[name]
-    # Mixed x mixed: Kronecker cannot fix the types, so the dict loop.
-    assert mul_kronecker(dense_mixed, dense_mixed) is None
-    assert exact(mul_terms(dense_mixed, dense_mixed)) == expected["dense_mixed"]
 
 
 def test_sparse_fraction_products_take_the_dict_path(monkeypatch):
@@ -437,12 +435,7 @@ def test_paths_agree_with_a_fraction_operand(a, b):
 @given(mixed_terms, mixed_terms)
 @settings(max_examples=100, deadline=None)
 def test_mixed_products_match_the_dict_loop(a, b):
-    out = mul_kronecker(a, b)
-    kinds = {frozenset(map(type, t.values())) for t in (a, b)}
-    if kinds <= {frozenset({int})} or frozenset({Fraction}) in kinds:
-        assert exact(out) == exact(mul_dict(a, b))
-    else:
-        assert out is None
+    assert exact(mul_kronecker(a, b)) == exact(mul_dict(a, b))
     assert exact(mul_terms(a, b)) == exact(mul_dict(a, b))
 
 
@@ -459,6 +452,12 @@ def add_pair(a, b):
         else:
             out[key] = c
     return out
+
+
+def canonical(terms):
+    """The terms with each coefficient as exact.as_coeff gives it, in
+    the same order."""
+    return {key: as_coeff(c) for key, c in terms.items()}
 
 
 def mul_pair(a, b):
@@ -483,10 +482,8 @@ def mul_pair(a, b):
 
 
 # Few keys and small coefficients of three kinds (ints, integral
-# Fractions, Fractions over 2 or 3), so partial sums cancel and keys
-# restart often: about one product in 30 of these operands has a key
-# that a Fraction product reached, a sum cancelled and int * int
-# inserted afresh.
+# Fractions, Fractions over 2 or 3), so partial sums cancel, keys
+# restart and sums of Fractions come out integral often.
 small_ints = st.sampled_from((-3, -2, -1, 1, 2, 3))
 small_terms = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3)),
@@ -496,15 +493,16 @@ small_terms = st.dictionaries(
 
 
 def assert_matches_mul_pair(a, b):
-    expected = repr(list(mul_pair(a, b).items()))
+    expected = repr(list(canonical(mul_pair(a, b)).items()))
     assert repr(list(mul_dict(a, b).items())) == expected
 
 
 @given(small_terms, small_terms, st.booleans())
 @settings(max_examples=500, deadline=None)
 def test_mul_dict_matches_fraction_arithmetic(a, b, square):
-    """Same terms, coefficient types and key order as the loop on the
-    coefficients themselves."""
+    """Same terms and key order as the loop on the coefficients
+    themselves, and each coefficient as exact.as_coeff gives its
+    value."""
     assert_matches_mul_pair(a, a if square else b)
 
 
@@ -519,8 +517,9 @@ def test_mul_dict_matches_fraction_arithmetic_on_wide_coefficients(a, b):
                 min_size=1, max_size=5))
 @settings(max_examples=150, deadline=None)
 def test_add_terms_in_one_pass_matches_pairwise_sums(parts):
-    """Same terms, coefficient types and key order as summing in pairs,
-    cancellations included; no operand is modified."""
+    """Same terms and key order as summing in pairs, cancellations
+    included, and each coefficient as exact.as_coeff gives its value;
+    no operand is modified."""
     # Negated copies make terms cancel and come back.
     parts = parts + [{k: -c for k, c in parts[0].items()}, parts[-1]]
     before = [repr(list(p.items())) for p in parts]
@@ -528,7 +527,8 @@ def test_add_terms_in_one_pass_matches_pairwise_sums(parts):
     for part in parts[1:]:
         expected = add_pair(expected, part)
     out = _kernels.add_terms(*parts)
-    assert repr(list(out.items())) == repr(list(expected.items()))
+    assert (repr(list(out.items()))
+            == repr(list(canonical(expected).items())))
     assert [repr(list(p.items())) for p in parts] == before
 
 

@@ -25,8 +25,9 @@ def test_replay_oracle_rational():
     assert summary["products"] == 30
     assert summary["mismatches"] == 0
     assert summary["by_kind"] == {"fraction": 18, "mixed": 12}
-    assert set(summary["seconds_by_ratio"]) == {"fraction"}
-    assert set(summary["seconds_by_ratio"]["fraction"]) == {"1/2", "5"}
+    assert set(summary["seconds_by_ratio"]) == {"fraction", "mixed"}
+    assert all(set(totals) == {"1/2", "5"}
+               for totals in summary["seconds_by_ratio"].values())
     assert all(summary["seconds"][path] > 0
                for path in ("dispatch", "dict", "kronecker"))
     assert set(summary["seconds_by_kind"]) == {"fraction", "mixed"}
@@ -80,3 +81,24 @@ def test_kind_labels_an_empty_operand():
     assert tool.kind({(0, 1): 1}, {(1, 0): 2}) == "int"
     assert tool.kind({(0, 1): 1}, {(1, 0): half}) == "fraction"
     assert tool.kind(both, both) == "mixed"
+
+
+def test_paths_take_turns_in_each_round(monkeypatch):
+    tool = _load_tool()
+    order = []
+
+    def path(name, out):
+        def fn(a, b):
+            order.append(name)
+            return out
+        return fn
+
+    monkeypatch.setattr(tool, "PATHS", {
+        "dispatch": path("dispatch", {(0, 0): 1}),
+        "dict": path("dict", {(0, 0): 1}),
+        "kronecker": path("kronecker", None)})
+    seconds, outputs = tool.best_of({}, {}, 3)
+    assert order == ["dispatch", "dict", "kronecker"] * 3
+    assert set(seconds) == {"dispatch", "dict", "kronecker"}
+    assert outputs == {"dispatch": "[((0, 0), 1)]", "dict": "[((0, 0), 1)]",
+                       "kronecker": None}

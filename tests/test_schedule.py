@@ -27,10 +27,13 @@ def both_schedules(poly, P, W, limits=None):
 
 
 small = st.integers(1, 3).flatmap(lambda c: st.sampled_from((c, -c)))
+# ints and Fractions over 2 or 3, so products and sums of Fractions
+# come out integral.
+coeffs = st.one_of(small, st.builds(Fraction, small, st.sampled_from((2, 3))))
 # Exponents up to 6, so the w-exponents of q leave gaps.
 q_terms = st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)),
-                          small, min_size=1, max_size=7)
-monomials = st.tuples(small, st.integers(1, 3), st.integers(0, 1))
+                          coeffs, min_size=1, max_size=7)
+monomials = st.tuples(coeffs, st.integers(1, 3), st.integers(0, 1))
 
 
 @st.composite
@@ -43,10 +46,10 @@ def substitutions(draw):
         W = SparsePoly2.zero()
     elif shape == "poly":
         W = SparsePoly2(draw(st.dictionaries(
-            st.tuples(st.integers(0, 4), st.integers(0, 3)), small,
+            st.tuples(st.integers(0, 4), st.integers(0, 3)), coeffs,
             min_size=1, max_size=6)))
     else:  # W = c P^e, so different layers land on the same terms
-        c, e = draw(small), draw(st.integers(1, 3))
+        c, e = draw(coeffs), draw(st.integers(1, 3))
         W = SparsePoly2.monomial(c * a**e, m * e, k * e)
     return q, P, W
 
@@ -90,9 +93,7 @@ def refuse(name):
 
 @pytest.mark.parametrize("q_src, P_src, W_src", [
     ("w^2 + z*w", "z^2 + z^3", "z*w"),  # P has two terms
-    ("w^2 + 1/2*z*w", "z^2", "z*w"),  # a Fraction in poly
-    ("w^2 + z*w", "1/2*z^2", "z*w"),  # a Fraction in P
-    ("w^2 + z*w", "z^2", "z*w + 3/2*w^2"),  # a Fraction in W
+    ("w^2 + 1/2*z*w", "z^2 - 1/2*z^3", "z*w"),  # and Fractions
 ])
 def test_other_calls_take_horner(monkeypatch, q_src, P_src, W_src):
     q, P, W = (parse_poly(s) for s in (q_src, P_src, W_src))
@@ -103,19 +104,33 @@ def test_other_calls_take_horner(monkeypatch, q_src, P_src, W_src):
     assert exact(substitute(q, P, W)) == expected
 
 
-def test_integral_fractions_take_horner(monkeypatch):
-    # A product of Fractions may hold Fraction(2, 1), which prints like 2
-    # but is another type; the power table runs on ints only.
+@pytest.mark.parametrize("q_src, P_src, W_src", [
+    ("w^2 + 1/2*z*w", "z^2", "z*w"),  # a Fraction in poly
+    ("w^2 + z*w", "1/2*z^2", "z*w"),  # a Fraction in P
+    ("w^2 + z*w", "z^2", "z*w + 3/2*w^2"),  # a Fraction in W
+])
+def test_fraction_monomials_take_the_power_table(monkeypatch, q_src, P_src,
+                                                 W_src):
+    q, P, W = (parse_poly(s) for s in (q_src, P_src, W_src))
+    expected = exact(germ_module._substitute_horner(
+        germ_module._layers(q), P, W, None))
+    monkeypatch.setattr(germ_module, "_substitute_horner", refuse("Horner"))
+    assert exact(substitute(q, P, W)) == expected
+
+
+def test_integral_fractions_take_the_power_table(monkeypatch):
+    # Fraction(2, 1) prints like 2 but is another type.  Whatever types
+    # the operands hold, the power table runs on a one-term P, and its
+    # result holds each coefficient as exact.as_coeff gives it.
     q = SparsePoly2._raw({(0, 2): Fraction(2), (1, 1): Fraction(-1)})
     P = SparsePoly2._raw({(2, 0): Fraction(3)})
     W = SparsePoly2._raw({(1, 1): Fraction(1)})
     expected = exact(germ_module._substitute_horner(
         germ_module._layers(q), P, W, None))
-    monkeypatch.setattr(germ_module, "_substitute_power_table",
-                        refuse("the power table"))
+    monkeypatch.setattr(germ_module, "_substitute_horner", refuse("Horner"))
     out = substitute(q, P, W)
     assert exact(out) == expected
-    assert {type(c) for _, c in out.items()} == {Fraction}
+    assert {type(c) for _, c in out.items()} == {int}
 
 
 def test_int_monomial_takes_the_power_table(monkeypatch):
@@ -141,7 +156,11 @@ def reach(f, n_max, limits):
 
 
 def horner_only(m):
-    m.setattr(germ_module, "_all_int", lambda *polys: False)
+    # substitute hands a power table that trips a cap to Horner.
+    def trip(*args):
+        raise ResourceCapError("the power table is off")
+
+    m.setattr(germ_module, "_substitute_power_table", trip)
 
 
 @pytest.mark.parametrize("name, n_max", [("g2", 7), ("g7", 4), ("g8", 3)])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -18,6 +19,7 @@ from skewprod.growth import GrowthTable
 from skewprod.jsonio import verification_json
 from skewprod.newton import NewtonPolygon, composed_polygon, weight
 from skewprod.verify import CheckResult, oracle_records
+from conftest import germ
 
 
 @pytest.mark.parametrize("name", ["g1", "g2", "g3", "g4", "g5"])
@@ -331,3 +333,23 @@ def test_truncated_last_step_trips_caps_as_full(name, n, limits, germs):
     # Every record is full or its vertex terms.
     for rec, want in zip(cut.oracle, full.oracle):
         assert (rec.germ.q == want.germ.q) or _vertex_terms(rec, want)
+
+
+# g6 with 1/2 and 3/7 for two of its coefficients: its iterates mix int
+# and Fraction coefficients, and its products mix them in one operand.
+MIXED_GERM = ("z^2", "w^4 + 1/2*z*w^2 + z^3*w + 3/7*z^7")
+ORACLE_RATIONAL_GERM = ("z^2 + 1/3*z^3", "2/3*w^3 - 5/7*z*w + 3/4*z^3")
+
+
+def test_mixed_germ_iterate():
+    q = iterate_germ(germ(*MIXED_GERM), 4).q
+    assert len(q) == 50_389
+    digest = hashlib.sha256(repr(sorted(q.items())).encode()).hexdigest()
+    assert digest[:16] == "9a2f64fbb723a988"
+
+
+@pytest.mark.parametrize("p_src, q_src", [MIXED_GERM, ORACLE_RATIONAL_GERM])
+def test_vertex_steps_match_full_on_rational_germs(p_src, q_src):
+    f = germ(p_src, q_src)
+    assert _json(verify_germ(f, 4, full_iterates=False)) == _json(
+        verify_germ(f, 4))

@@ -7,21 +7,23 @@ The script runs one operation with skewprod._kernels.mul_terms wrapped
 and keeps the operands of every call; the operation is one operation
 of a perfbench workload (perfbench/workloads.py).  It then times each
 recorded product best-of-K through mul_terms as dispatched, through
-mul_dict, and through mul_kronecker where that path takes it, and
-checks that the outputs agree by repr(sorted(...)), coefficient types
-included.
+mul_dict, and through mul_kronecker where that path takes it, the three
+in turn in each of K rounds, and checks that the outputs agree by
+repr(sorted(...)), coefficient types included.  Only the last output
+of each path is kept, and only as that string, so no product is alive
+while the next one is timed.
 
 Products fall in four classes: "empty" (an operand with no terms),
 "int" (both operands all-int), "fraction" (an all-Fraction operand) and
-"mixed" (all others, which only the dict loop takes).  It prints the
-dispatch and dict-loop seconds of each class.  For each ratio R (an int
-or a/b) it prints the total the int and the fraction products would
-take if those whose smaller operand has at least KRONECKER_MIN_TERMS
-terms and whose multiply-adds reach R per cell of the bounding box went
-to Kronecker and all others to the dict loop.  The kernel has one such
-bound, KRONECKER_MIN_WORK_PER_CELL, for every coefficient type: it is
-chosen where the int and the fraction totals are both least.  The last
-line is one JSON object; the exit code is 1 when two paths disagree.
+"mixed" (all others).  It prints the dispatch and dict-loop seconds of
+each class.  For each ratio R (an int or a/b) it prints the total the
+products of each class but "empty" would take if those whose smaller
+operand has at least KRONECKER_MIN_TERMS terms and whose multiply-adds
+reach R per cell of the bounding box went to Kronecker and all others
+to the dict loop.  The kernel has one such bound,
+KRONECKER_MIN_WORK_PER_CELL, for every coefficient type: it is chosen
+where the totals of the classes are all least.  The last line is one
+JSON object; the exit code is 1 when two paths disagree.
 """
 
 from __future__ import annotations
@@ -72,16 +74,29 @@ def workload_operation(name: str):
     return lambda: workload.run(inputs, [])
 
 
-def best_of(fn, a, b, repeat: int):
-    """(least seconds over `repeat` calls, the last output)."""
-    best = out = None
-    for _ in range(repeat):
-        out = None  # free the last output outside the timed call
-        start = time.perf_counter()
-        out = fn(a, b)
-        took = time.perf_counter() - start
-        best = took if best is None else min(best, took)
-    return best, out
+PATHS = {"dispatch": _kernels.mul_terms, "dict": _kernels.mul_dict,
+         "kronecker": _kernels.mul_kronecker}
+
+
+def best_of(a, b, repeat: int):
+    """({path: least seconds over `repeat` rounds}, {path: the exact()
+    string of its last output, or None where it returned None}).
+
+    Each round calls every path once, in turn, so a change in the
+    machine's load reaches all of them alike.  Each output is freed
+    before the next call is timed.
+    """
+    best, text = {}, {}
+    for last in [False] * (repeat - 1) + [True]:
+        for path, fn in PATHS.items():
+            start = time.perf_counter()
+            out = fn(a, b)
+            took = time.perf_counter() - start
+            best[path] = min(took, best.get(path, took))
+            if last:
+                text[path] = None if out is None else exact(out)
+            out = None
+    return best, text
 
 
 def kind(a, b) -> str:
@@ -105,15 +120,12 @@ def replay(calls, repeat: int) -> list:
         if a and b:
             shape = _kernels._product_shape(_kernels._box(a), _kernels._box(b))
             row["cells"] = shape[0] * shape[1]
-        row["dispatch"], out = best_of(_kernels.mul_terms, a, b, repeat)
-        row["dict"], expected = best_of(_kernels.mul_dict, a, b, repeat)
-        outputs = [exact(out), exact(expected)]
-        row["kronecker"], kron = best_of(_kernels.mul_kronecker, a, b, repeat)
-        if kron is None:
+        seconds, outputs = best_of(a, b, repeat)
+        row.update(seconds)
+        if outputs["kronecker"] is None:
             row["kronecker"] = None
-        else:
-            outputs.append(exact(kron))
-        row["agree"] = len(set(outputs)) == 1
+            del outputs["kronecker"]
+        row["agree"] = len(set(outputs.values())) == 1
         rows.append(row)
     return rows
 
@@ -147,7 +159,7 @@ def summarize(rows, ratios) -> dict:
             for k in kinds},
         "seconds_by_ratio": {
             k: {str(r): total_at(rows, r, k) for r in ratios}
-            for k in kinds if k in ("int", "fraction")},
+            for k in kinds if k != "empty"},
     }
 
 
