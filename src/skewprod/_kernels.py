@@ -26,6 +26,12 @@ is read with int(str), so a product whose slots would need more digits
 than sys.get_int_max_str_digits() allows goes to the dict loop.
 mul_terms picks the path from the operands' shape alone.  Every step is
 exact integer or exact decimal arithmetic.
+
+The oracle's products never reach the rational paths: germ.substitute
+clears the denominators of its operands once per call and hands every
+product int operands.  A Fraction operand comes only from a direct
+product of rational polynomials: poly.poly_mul, poly.poly_pow and
+SparsePoly2's `*` and `**`.
 """
 
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, DivisionByZero,
@@ -47,8 +53,9 @@ BACKEND = "pure"
 # 5.3 multiply-adds per cell took 3.9 s against the dict loop's 5.0 s.
 # The bound holds for Fraction products too, since both paths do int
 # arithmetic on the cleared numerators and build one coefficient per
-# output term: over oracle_rational's 18 Fraction products the total
-# was flat from 2 to 12 per cell, and below the bound the dict loop won
+# output term: over the 18 Fraction products oracle_rational made
+# before germ.substitute cleared denominators, the total was flat from 2
+# to 12 per cell, and below the bound the dict loop won
 # (17 x 17 terms at 0.80 per cell: 0.27 ms against 0.60 ms by
 # Kronecker; 87 x 17 at 1.89: 1.13 ms against 1.76 ms).
 KRONECKER_MIN_WORK_PER_CELL = 5

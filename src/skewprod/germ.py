@@ -18,6 +18,18 @@ same polynomial (Horner 1819; Paterson & Stockmeyer, SIAM J. Comput. 2,
   of multiplications by the large iterate Q^k is bounded by the
   w-degree of q, but each multiplies the whole accumulator.
 
+substitute clears denominators once per call, not once per product:
+with P = P'/d_P and W = W'/d_W for integer P' and W'
+(_kernels._clear_denominators), poly(P, W) = poly'(P', W') / D, where
+D is the lcm of den(c_ij) * d_P^i * d_W^j over the terms of poly and
+poly' has the int coefficients c_ij * D / (d_P^i * d_W^j).  Either
+schedule runs on poly', P' and W', so every product it makes has int
+operands, and each output coefficient is divided by D once, at the end.
+Every intermediate polynomial is a nonzero constant multiple of the one
+the rational operands give, so each product has the same terms and the
+caps trip at the same point with the same message.  When every
+coefficient is an int, D is 1 and the operands are used as they are.
+
 Both schedules make every product through poly_mul, so the resource
 caps see each one, and both check the term cap on their result, so no
 substitute returns more terms than the cap allows.  The caps trip where
@@ -49,6 +61,10 @@ so vertex_step keeps only that term.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+
+from ._kernels import _clear_denominators
 from .exact import as_coeff
 from .growth import check_depth
 from .newton import composed_polygon, newton_polygon
@@ -135,9 +151,10 @@ def _horner(by_e: dict, X: SparsePoly2, part,
 def substitute(poly: SparsePoly2, P: SparsePoly2, W: SparsePoly2,
                limits: ResourceLimits | None = None) -> SparsePoly2:
     """Exact value of poly(P, W); the module docstring gives the two
-    schedules."""
+    schedules, run on integer numerators."""
     if poly.is_zero:
         return SparsePoly2.zero()
+    den, poly, P, W = _cleared(poly, P, W)
     by_j = _layers(poly)
     max_degree = (limits or DEFAULT_LIMITS).max_total_degree
     table = (len(P) == 1 and not P.coeff(0, 0)
@@ -152,7 +169,27 @@ def substitute(poly: SparsePoly2, P: SparsePoly2, W: SparsePoly2,
             table = False  # Horner, the reference, decides where it trips
     if not table:
         out = _substitute_horner(by_j, P, W, limits)
-    return out
+    if den == 1:
+        return out
+    return SparsePoly2._raw({key: Fraction(v, den) if v % den else v // den
+                             for key, v in out.items()})
+
+
+def _cleared(poly: SparsePoly2, P: SparsePoly2, W: SparsePoly2):
+    """(D, poly', P', W'): polynomials with int coefficients and
+    poly'(P', W') = D * poly(P, W), as the module docstring derives
+    them; the operands as they are when D is 1."""
+    d_p, p_nums = _clear_denominators(P._terms)
+    d_w, w_nums = _clear_denominators(W._terms)
+    scales = {(i, j): c.denominator * d_p**i * d_w**j
+              for (i, j), c in poly.items()}
+    den = lcm(*scales.values())
+    if den == 1:
+        return 1, poly, P, W
+    return (den,
+            SparsePoly2._raw({key: c.numerator * (den // scales[key])
+                              for key, c in poly.items()}),
+            SparsePoly2._raw(p_nums), SparsePoly2._raw(w_nums))
 
 
 def _layers(poly: SparsePoly2) -> dict:

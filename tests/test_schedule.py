@@ -1,6 +1,8 @@
 """substitute's two schedules, the power table and Horner, must give the
 same polynomial with the same coefficient types, and trip the resource
-caps at the same iterate with Horner's message."""
+caps at the same iterate with Horner's message.  On rational operands
+substitute runs either schedule on integer numerators, and must still
+give what Horner gives on the operands as they are."""
 
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewprod import ResourceCapError, ResourceLimits, SparsePoly2, parse_poly
+from skewprod import _kernels
 from skewprod import germ as germ_module
 from skewprod import poly as poly_module
 from skewprod.germ import iterates, substitute
@@ -83,6 +86,75 @@ def test_cancelling_layers():
     table, horner = both_schedules(parse_poly("w + z*w^2"), parse_poly("z"),
                                    SparsePoly2.zero())
     assert table.is_zero and horner.is_zero
+
+
+# ints, Fractions over 2, 3 and 7, and integral Fractions, which only
+# SparsePoly2._raw can store.
+any_coeffs = st.one_of(
+    small, st.builds(Fraction, small, st.sampled_from((2, 3, 7))),
+    st.builds(Fraction, small))
+
+
+@st.composite
+def rational_substitutions(draw):
+    """(q, P, W): P one term (the power table) or several (Horner); W
+    zero, a polynomial, or a multiple of a power of P, so that layers
+    cancel; every coefficient an int in the all-int case."""
+    coeff = small if draw(st.booleans()) else any_coeffs
+    q = SparsePoly2._raw(draw(st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)), coeff,
+        min_size=1, max_size=6)))
+    P = SparsePoly2._raw(draw(st.dictionaries(
+        st.tuples(st.integers(1, 3), st.integers(0, 1)), coeff,
+        min_size=1, max_size=draw(st.sampled_from((1, 3))))))
+    shape = draw(st.sampled_from(("zero", "poly", "power of P")))
+    if shape == "zero":
+        W = SparsePoly2.zero()
+    elif shape == "poly":
+        W = SparsePoly2._raw(draw(st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 2)), coeff,
+            min_size=1, max_size=4)))
+    else:
+        W = draw(coeff) * P ** draw(st.integers(1, 2))
+    return q, P, W
+
+
+def canonical(poly):
+    return all(type(c) is int or c.denominator > 1 for _, c in poly.items())
+
+
+@given(rational_substitutions())
+@settings(max_examples=300, deadline=None)
+def test_cleared_substitute_equals_horner_on_the_operands(args):
+    q, P, W = args
+    out = substitute(q, P, W)
+    horner = germ_module._substitute_horner(germ_module._layers(q), P, W,
+                                            None)
+    assert out == horner
+    assert exact(out) == exact(horner)
+    assert canonical(out)
+
+
+@pytest.mark.parametrize("p_src, q_src, n", [
+    ("z^2 + 1/3*z^3", "2/3*w^3 - 5/7*z*w + 3/4*z^3", 3),  # Horner
+    ("z^2", "w^4 + 1/2*z*w^2 + z^3*w + 3/7*z^7", 2),  # the power table
+])
+def test_rational_substitute_multiplies_ints(monkeypatch, p_src, q_src, n):
+    f = germ(p_src, q_src)
+    fn = germ_module.iterate_germ(f, n)
+    expected = exact(germ_module._substitute_horner(
+        germ_module._layers(f.q), fn.p, fn.q, None))
+    operands = []
+    inner = _kernels.mul_terms
+
+    def recording(a, b):
+        operands.extend((a, b))
+        return inner(a, b)
+
+    monkeypatch.setattr(_kernels, "mul_terms", recording)
+    assert exact(substitute(f.q, fn.p, fn.q)) == expected
+    assert operands
+    assert all(type(c) is int for a in operands for c in a.values())
 
 
 def refuse(name):
@@ -226,3 +298,39 @@ def test_degree_cap_on_g8():
     f = germ(*FIXTURES["g8"])
     assert reach(f, 2, ResourceLimits(max_total_degree=42)) == (
         1, "product degree 60 exceeds cap 42")
+
+
+# (p, q, n_max, cap, runs): under the cap at each value from a run's
+# first to the next run's first minus one, iterates reaches the run's n,
+# and trips on the product degree or term count it names (None: no
+# trip).  These are the trips of the same schedules run with every
+# product on the rational coefficients themselves, so clearing once per
+# substitute must leave every one where it was.
+RATIONAL_CAP_RUNS = [
+    ("z^2 + 1/3*z^3", "2/3*w^3 - 5/7*z*w + 3/4*z^3", 4, "max_total_degree",
+     [(1, 1, 3), (3, 1, 6), (6, 1, 9), (9, 2, 18), (18, 2, 27), (27, 3, 54),
+      (54, 3, 81), (81, 4, None)]),
+    ("z^2 + 1/3*z^3", "2/3*w^3 - 5/7*z*w + 3/4*z^3", 4, "max_terms",
+     [(1, 1, 2), (2, 1, 3), (3, 1, 6), (6, 1, 15), (15, 1, 17), (17, 2, 20),
+      (20, 2, 81), (81, 2, 228), (228, 3, 1017), (1017, 3, 2496),
+      (2496, 4, None)]),
+    ("z^2", "w^4 + 1/2*z*w^2 + z^3*w + 3/7*z^7", 3, "max_total_degree",
+     [(1, 1, 4), (4, 1, 14), (14, 1, 21), (21, 1, 28), (28, 2, 56),
+      (56, 2, 84), (84, 2, 112), (112, 3, None)]),
+    ("z^2", "w^4 + 1/2*z*w^2 + z^3*w + 3/7*z^7", 3, "max_terms",
+     [(1, 1, 10), (10, 1, 24), (24, 1, 49), (49, 1, 50), (50, 2, 338),
+      (338, 2, 1076), (1076, 2, 2301), (2301, 3, None)]),
+]
+
+
+@pytest.mark.parametrize("p_src, q_src, n_max, cap, runs", RATIONAL_CAP_RUNS)
+def test_rational_caps_trip_where_they_did(p_src, q_src, n_max, cap, runs):
+    f = germ(p_src, q_src)
+    what = "product degree" if cap == "max_total_degree" else "term count"
+    ends = [first - 1 for first, _, _ in runs[1:]] + [runs[-1][0] + 1]
+    for (first, n, value), last in zip(runs, ends):
+        for limit in sorted({first, last}):
+            message = (None if value is None
+                       else f"{what} {value} exceeds cap {limit}")
+            assert reach(f, n_max, ResourceLimits(**{cap: limit})) == (
+                n, message)

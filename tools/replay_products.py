@@ -15,12 +15,16 @@ while the next one is timed.
 
 Products fall in four classes: "empty" (an operand with no terms),
 "int" (both operands all-int), "fraction" (an all-Fraction operand) and
-"mixed" (all others).  It prints the dispatch and dict-loop seconds of
-each class.  For each ratio R (an int or a/b) it prints the total the
-products of each class but "empty" would take if those whose smaller
-operand has at least KRONECKER_MIN_TERMS terms and whose multiply-adds
-reach R per cell of the bounding box went to Kronecker and all others
-to the dict loop.  The kernel has one such bound,
+"mixed" (all others).  Every benchmark workload makes int products
+only: germ.substitute clears the denominators of a rational germ's
+iterates once per call, so oracle_rational's products are the
+integer-numerator ones.  The fraction and mixed classes come only from
+a direct product of rational polynomials.  It prints the dispatch and
+dict-loop seconds of each class.  For each ratio R (an int or a/b) it
+prints the total the products of each class but "empty" would take if
+those whose smaller operand has at least KRONECKER_MIN_TERMS terms and
+whose multiply-adds reach R per cell of the bounding box went to
+Kronecker and all others to the dict loop.  The kernel has one such bound,
 KRONECKER_MIN_WORK_PER_CELL, for every coefficient type: it is chosen
 where the totals of the classes are all least.  The last line is one
 JSON object; the exit code is 1 when two paths disagree.
