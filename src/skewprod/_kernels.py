@@ -9,29 +9,24 @@ one rule: an int when its value is integral, a Fraction otherwise.  The
 value alone fixes the type, so any two routes to the same polynomial
 give the same dict up to key order.
 
-mul_terms has two paths.  Both run on the operands' integer numerators
-(_clear_denominators; an all-int operand is its own) and divide each
-output coefficient by the product of the two denominators once, at the
-end, except where the dict loop scales by a one-term operand.  The dict
-loop multiplies term by term.  Kronecker substitution (Kronecker
-1882; Harvey, J. Symbolic Comput. 44, 2009) packs each operand into one
-big number with a fixed-width signed slot of decimal digits per cell of
-the product's bounding box, multiplies the two numbers once, and reads
-the product's coefficients back out of the slots.  The packed numbers
-are Decimals built from digit strings: the C decimal module (libmpdec)
-multiplies large operands by a number-theoretic transform, in
-quasi-linear time, where CPython's ints use Karatsuba.  Decimal <-> str
-is linear; int <-> Decimal is not, so no int is converted whole.  A slot
-is read with int(str), so a product whose slots would need more digits
-than sys.get_int_max_str_digits() allows goes to the dict loop.
-mul_terms picks the path from the operands' shape alone.  Every step is
-exact integer or exact decimal arithmetic.
-
-The oracle's products never reach the rational paths: germ.substitute
-clears the denominators of its operands once per call and hands every
-product int operands.  A Fraction operand comes only from a direct
-product of rational polynomials: poly.poly_mul, poly.poly_pow and
-SparsePoly2's `*` and `**`.
+mul_terms has two paths, mul_dict and mul_kronecker, and both take and
+return int term dicts only.  mul_terms clears each operand's
+denominators once (_clear_denominators; an all-int operand is its own
+numerators) and divides the int product once, in divided, the one place
+a product's Fractions are made.  The dict loop multiplies term by term.
+Kronecker substitution (Kronecker 1882; Harvey, J. Symbolic Comput. 44,
+2009) packs each operand into one big number with a fixed-width signed
+slot of decimal digits per cell of the product's bounding box,
+multiplies the two numbers once, and reads the product's coefficients
+back out of the slots.  The packed numbers are Decimals built from digit
+strings: the C decimal module (libmpdec) multiplies large operands by a
+number-theoretic transform, in quasi-linear time, where CPython's ints
+use Karatsuba.  Decimal <-> str is linear; int <-> Decimal is not, so no
+int is converted whole.  A slot is read with int(str), so a product
+whose slots would need more digits than sys.get_int_max_str_digits()
+allows goes to the dict loop.  mul_terms picks the path from the
+operands' shape alone.  Every step is exact integer or exact decimal
+arithmetic.
 """
 
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, DivisionByZero,
@@ -51,13 +46,6 @@ BACKEND = "pure"
 # a floor on the multiply-adds changed it by under 0.1%.  The transform
 # keeps the bound flat in size: a 2,802 x 2,801-term product spread to
 # 5.3 multiply-adds per cell took 3.9 s against the dict loop's 5.0 s.
-# The bound holds for Fraction products too, since both paths do int
-# arithmetic on the cleared numerators and build one coefficient per
-# output term: over the 18 Fraction products oracle_rational made
-# before germ.substitute cleared denominators, the total was flat from 2
-# to 12 per cell, and below the bound the dict loop won
-# (17 x 17 terms at 0.80 per cell: 0.27 ms against 0.60 ms by
-# Kronecker; 87 x 17 at 1.89: 1.13 ms against 1.76 ms).
 KRONECKER_MIN_WORK_PER_CELL = 5
 # The box has at least as many cells as the larger operand has terms,
 # so a product whose smaller operand has fewer terms than this cannot
@@ -70,22 +58,21 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
 
 
 def add_terms(a, *rest):
-    """Sum of term dicts in one pass, canonical; zero coefficients are
-    dropped.
+    """Sum of canonical term dicts in one pass, canonical; zero
+    coefficients are dropped.
 
     Only the first operand is copied, and every further one is added
-    into that copy in turn, so the largest should come first.
+    into that copy in turn, so the largest should come first.  The
+    operands' terms are stored as they are; only a sum of two goes
+    through exact.as_coeff.
     """
     out = dict(a)
-    for key, c in a.items():  # as_coeff inlined: most terms are a's
-        if type(c) is not int and c.denominator == 1:
-            out[key] = c.numerator
     get = out.get
     for b in rest:
         for key, c in b.items():
             v = get(key)
             if v is None:
-                out[key] = c if type(c) is int else as_coeff(c)
+                out[key] = c
             else:
                 v = v + c
                 if v:
@@ -101,83 +88,82 @@ def scale_terms(a, c):
 
 
 def mul_terms(a, b):
-    """Product of two term dicts; cancellations are dropped.
+    """Product of two term dicts, canonical; cancellations are dropped.
 
-    Products whose multiply-adds reach KRONECKER_MIN_WORK_PER_CELL per
-    cell of their bounding box go through mul_kronecker when it takes
-    them; all others go through mul_dict.
+    Each operand is cleared to its integer numerators once
+    (_clear_denominators), a squared one once for both sides.  Products
+    whose multiply-adds reach KRONECKER_MIN_WORK_PER_CELL per cell of
+    their bounding box go through mul_kronecker when it takes them; all
+    others go through mul_dict.  The int product is divided by the
+    product of the two denominators once, by divided.
     """
+    square = b is a
+    den_a, a = _clear_denominators(a)
+    den_b, b = (den_a, a) if square else _clear_denominators(b)
+    out = None
     if min(len(a), len(b)) >= KRONECKER_MIN_TERMS:
         box_a, box_b = _box(a), _box(b)
         rows, width = _product_shape(box_a, box_b)
         if rows * width * KRONECKER_MIN_WORK_PER_CELL <= len(a) * len(b):
             out = mul_kronecker(a, b, box_a, box_b)
-            if out is not None:
-                return out
-    return mul_dict(a, b)
+    if out is None:
+        out = mul_dict(a, b)
+    return divided(out, den_a * den_b)
+
+
+def divided(terms, den):
+    """Term dict of ints with each coefficient divided by the positive
+    int den, canonical: v // den where den divides v, Fraction(v, den)
+    otherwise.  terms itself when den is 1."""
+    if den == 1:
+        return terms
+    return {key: Fraction(v, den) if v % den else v // den
+            for key, v in terms.items()}
 
 
 def mul_dict(a, b):
-    """Product of two term dicts by the term-by-term dict loop.
+    """Product of two int term dicts by the term-by-term dict loop.
 
     The loop runs over the larger operand's terms within each of the
-    smaller one's and drops a key whose partial sum cancels.  A
-    one-term operand scales the other.  Otherwise the loop runs on the
-    operands' integer numerators (_clear_denominators) and divides each
-    coefficient by the product of the two denominators once, at the
-    end.  Either way every coefficient is canonical (exact.as_coeff).
+    smaller one's and drops a key whose partial sum cancels; a one-term
+    operand scales the other.
     """
     if len(a) > len(b):
         a, b = b, a
     if len(a) == 1:
         ((i1, j1), c1), = a.items()
-        out = {}
-        for (i2, j2), c2 in b.items():
-            c = c1 * c2
-            out[(i1 + i2, j1 + j2)] = c if type(c) is int else as_coeff(c)
-        return out
-    den_a, num_a = _clear_denominators(a)
-    den_b, num_b = (den_a, num_a) if b is a else _clear_denominators(b)
+        return {(i1 + i2, j1 + j2): c1 * c2 for (i2, j2), c2 in b.items()}
     out = {}
     get = out.get
-    for (i1, j1), n1 in num_a.items():
-        for (i2, j2), n2 in num_b.items():
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
             key = (i1 + i2, j1 + j2)
             v = get(key)
             if v is None:
-                out[key] = n1 * n2
+                out[key] = c1 * c2
             else:
-                v = v + n1 * n2
+                v = v + c1 * c2
                 if v:
                     out[key] = v
                 else:
                     del out[key]
-    den = den_a * den_b
-    if den == 1:
-        return out
-    return {key: Fraction(v, den) if v % den else v // den
-            for key, v in out.items()}
+    return out
 
 
 def mul_kronecker(a, b, box_a=None, box_b=None):
-    """Product of two term dicts by Kronecker substitution.
+    """Product of two int term dicts by Kronecker substitution.
 
-    Runs on the operands' integer numerators, like mul_dict, and returns
-    the dict mul_dict returns, canonical coefficients included, or None
-    when a slot would need more decimal digits than int <-> str
-    conversion allows (exact.int_max_str_digits).  box_a and box_b, when
-    given, are the operands' _box.
+    Returns the dict mul_dict returns, or None when a slot would need
+    more decimal digits than int <-> str conversion allows
+    (exact.int_max_str_digits).  box_a and box_b, when given, are the
+    operands' _box.
     """
     if not a or not b:
         return {}
-    den_a, num_a = _clear_denominators(a)
-    den_b, num_b = (den_a, num_a) if b is a else _clear_denominators(b)
-    den = den_a * den_b
-
     # No product coefficient exceeds sum|a| * max|b| or max|a| * sum|b|
     # in absolute value, so a slot of `digits` digits holds each one,
     # biased by half, without carries.
-    abs_a, abs_b = list(map(abs, num_a.values())), list(map(abs, num_b.values()))
+    abs_a, abs_b = list(map(abs, a.values())), list(map(abs, b.values()))
     bound = min(sum(abs_a) * max(abs_b), max(abs_a) * sum(abs_b))
     digits = _slot_digits(bound)
     limit = int_max_str_digits()
@@ -189,8 +175,8 @@ def mul_kronecker(a, b, box_a=None, box_b=None):
     rows, width = _product_shape(box_a, box_b)
     cells = rows * width
     ctx = _EXACT
-    packed_a = _pack(num_a, box_a, width, digits)
-    packed_b = packed_a if b is a else _pack(num_b, box_b, width, digits)
+    packed_a = _pack(a, box_a, width, digits)
+    packed_b = packed_a if b is a else _pack(b, box_b, width, digits)
     product = ctx.multiply(packed_a, packed_b)
     del packed_a, packed_b
     # Adding `half` to every slot maps a coefficient v, |v| < half, to
@@ -219,10 +205,7 @@ def mul_kronecker(a, b, box_a=None, box_b=None):
             for j, start in zip(columns, starts):
                 slot = row[start:start + digits]
                 if slot != zero:
-                    v = int(slot) - half
-                    if den != 1:
-                        v = Fraction(v, den) if v % den else v // den
-                    out[(i, j)] = v
+                    out[(i, j)] = int(slot) - half
         i += 1
     return out
 

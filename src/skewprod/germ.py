@@ -24,11 +24,12 @@ with P = P'/d_P and W = W'/d_W for integer P' and W'
 D is the lcm of den(c_ij) * d_P^i * d_W^j over the terms of poly and
 poly' has the int coefficients c_ij * D / (d_P^i * d_W^j).  Either
 schedule runs on poly', P' and W', so every product it makes has int
-operands, and each output coefficient is divided by D once, at the end.
-Every intermediate polynomial is a nonzero constant multiple of the one
-the rational operands give, so each product has the same terms and the
-caps trip at the same point with the same message.  When every
-coefficient is an int, D is 1 and the operands are used as they are.
+operands, and each output coefficient is divided by D once, at the end,
+by _kernels.divided, the helper the product kernel divides by.  Every
+intermediate polynomial is a nonzero constant multiple of the one the
+rational operands give, so each product has the same terms and the caps
+trip at the same point with the same message.  When every coefficient
+is an int, D is 1 and the operands are used as they are.
 
 Both schedules make every product through poly_mul, so the resource
 caps see each one, and both check the term cap on their result, so no
@@ -61,10 +62,9 @@ so vertex_step keeps only that term.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
-from ._kernels import _clear_denominators
+from ._kernels import _clear_denominators, divided
 from .exact import as_coeff
 from .growth import check_depth
 from .newton import composed_polygon, newton_polygon
@@ -169,10 +169,7 @@ def substitute(poly: SparsePoly2, P: SparsePoly2, W: SparsePoly2,
             table = False  # Horner, the reference, decides where it trips
     if not table:
         out = _substitute_horner(by_j, P, W, limits)
-    if den == 1:
-        return out
-    return SparsePoly2._raw({key: Fraction(v, den) if v % den else v // den
-                             for key, v in out.items()})
+    return SparsePoly2._raw(divided(out._terms, den))
 
 
 def _cleared(poly: SparsePoly2, P: SparsePoly2, W: SparsePoly2):

@@ -94,7 +94,12 @@ class SparsePoly2:
 
     @classmethod
     def _raw(cls, terms: dict) -> "SparsePoly2":
-        # internal: terms already canonical, as every kernel returns them
+        """Internal: the polynomial holding `terms` itself, unchecked.
+
+        The terms must keep the class invariants, canonical coefficients
+        included, as every kernel returns them: the kernels trust their
+        operands, and add_terms stores an operand's terms as they are.
+        """
         p = object.__new__(cls)
         p._terms = terms
         p._columns = None

@@ -5,11 +5,13 @@ readings and the gamma_n routes are independent of the library's own;
 the raw systems are the
 Fraction entry points to classify's `*_pair` systems, and
 system_membership_case4_pair composes its two stages as verify's
-rectangle probes do.
+rectangle probes do.  on_numerators runs one int product path on
+rational operands the way mul_terms does.
 """
 
 from fractions import Fraction
 
+from skewprod import _kernels
 from skewprod.classify import (
     system_membership_case4_ar_pair,
     system_membership_case4_first_pair,
@@ -118,3 +120,19 @@ def system_membership_case4_pair(f, case, l_first, l_sum) -> bool:
     a_s, b_s = l_sum.numerator, l_sum.denominator
     return system_membership_case4_second_pair(
         f, case, a1, b1, a_s * b1 - a1 * b_s, b_s * b1)
+
+
+# -- one product path on rational operands ------------------------------------
+
+
+def on_numerators(path, a, b):
+    """path (_kernels.mul_dict or _kernels.mul_kronecker), which takes
+    int term dicts only, run as mul_terms runs it: on the operands'
+    integer numerators, a squared operand cleared once, and the product
+    divided once by _kernels.divided.  None where the path returns
+    None."""
+    den_a, num_a = _kernels._clear_denominators(a)
+    den_b, num_b = ((den_a, num_a) if b is a
+                    else _kernels._clear_denominators(b))
+    out = path(num_a, num_b)
+    return None if out is None else _kernels.divided(out, den_a * den_b)

@@ -1,8 +1,10 @@
 """Every polynomial the package computes holds canonical coefficients:
 an int when the value is integral, a Fraction with denominator > 1
-otherwise (exact.as_coeff), whatever its operands held.  The operands
-here are built with SparsePoly2._raw, so they may hold integral
-Fractions, which no computed polynomial may."""
+otherwise (exact.as_coeff).  The operands of products, substitute and
+vertex_step here are built with SparsePoly2._raw, so they may hold
+integral Fractions, which no computed polynomial may.  Sums take
+canonical operands (SparsePoly2._raw's contract), so theirs are built
+with SparsePoly2(...)."""
 
 from fractions import Fraction
 
@@ -14,6 +16,8 @@ from skewprod import germ as germ_module
 from skewprod._kernels import mul_dict, mul_kronecker, mul_terms
 from skewprod.germ import vertex_step
 from skewprod.poly import poly_pow, poly_sum
+
+from reference import on_numerators
 
 
 def assert_canonical(terms):
@@ -39,12 +43,16 @@ def raw(t):
 @given(terms, terms, coeffs)
 @settings(max_examples=300, deadline=None)
 def test_arithmetic_is_canonical(a, b, c):
-    for out in (mul_terms(a, b), mul_dict(a, b), mul_kronecker(a, b),
-                mul_dict(a, a), mul_kronecker(a, a)):
+    for out in (mul_terms(a, b), mul_terms(a, a)):
         assert_canonical(out)
+    for path in (mul_dict, mul_kronecker):
+        assert_canonical(on_numerators(path, a, b))
+        assert_canonical(on_numerators(path, a, a))
     x, y = raw(a), raw(b)
-    for out in (x + y, x - y, x * c, c * x, x * y, -x,
-                poly_sum([x, y, x]), poly_sum([x])):
+    for out in (x * c, c * x, x * y, -x):
+        assert_canonical(out._terms)
+    s, t = SparsePoly2(a), SparsePoly2(b)
+    for out in (s + t, s - t, poly_sum([s, t, s]), poly_sum([s])):
         assert_canonical(out._terms)
     # poly_pow(x, 1) is x itself, no arithmetic result.
     for k in (0, 2, 3):

@@ -1,6 +1,8 @@
 """The two product paths, Kronecker substitution and the dict loop, must
 agree exactly: same terms, same coefficient types, every coefficient
-canonical (an int when integral, a Fraction otherwise)."""
+canonical (an int when integral, a Fraction otherwise).  Both paths
+take int operands only; on rational ones they run through
+reference.on_numerators, as mul_terms runs them."""
 
 import decimal
 import random
@@ -16,6 +18,8 @@ from skewprod._kernels import mul_dict, mul_kronecker, mul_terms
 from skewprod.exact import as_coeff
 from skewprod.poly import KERNEL_BACKEND, SparsePoly2, poly_sum
 
+from reference import on_numerators
+
 
 def exact(terms):
     """The terms with their coefficient types: 2 and Fraction(2, 1) differ."""
@@ -23,9 +27,10 @@ def exact(terms):
 
 
 def assert_paths_agree(a, b):
-    expected = exact(mul_dict(a, b))
+    expected = exact(on_numerators(mul_dict, a, b))
+    assert exact(canonical(mul_pair(a, b))) == expected
     for x, y in ((a, b), (b, a)):
-        out = mul_kronecker(x, y)
+        out = on_numerators(mul_kronecker, x, y)
         assert out is not None
         assert exact(out) == expected
     assert exact(mul_terms(a, b)) == expected
@@ -75,7 +80,7 @@ def test_mixed_operands_take_the_kronecker_path(monkeypatch):
     # Large and dense enough for Kronecker, and mixed.
     a = {(i, j): (1 if (i + j) % 2 else Fraction(1, 3))
          for i in range(8) for j in range(8)}
-    expected = exact(mul_dict(a, a))
+    expected = exact(on_numerators(mul_dict, a, a))
     monkeypatch.setattr(_kernels, "mul_dict", refuse("mul_dict"))
     out = mul_terms(a, a)
     assert exact(out) == expected
@@ -90,9 +95,10 @@ def test_a_cancelled_key_restarts_its_type():
     a = {(0, 0): Fraction(2), (1, 0): 1, (2, 0): 1}
     b = {(2, 0): 1, (1, 0): -2, (0, 0): 3}
     expected = {(1, 0): -1, (0, 0): 6, (3, 0): -1, (4, 0): 1, (2, 0): 3}
-    for out in (mul_dict(a, b), mul_terms(a, b), canonical(mul_pair(a, b))):
+    for out in (on_numerators(mul_dict, a, b), mul_terms(a, b),
+                canonical(mul_pair(a, b))):
         assert repr(list(out.items())) == repr(list(expected.items()))
-    assert exact(mul_kronecker(a, b)) == exact(expected)
+    assert exact(on_numerators(mul_kronecker, a, b)) == exact(expected)
 
 
 def test_cancellation_drops_terms():
@@ -110,13 +116,14 @@ def test_cancelling_products():
         for n in (1, 2, 50):
             a = {(i, 3): one for i in range(n)}
             b = {(0, 0): one, (1, 0): -one}
-            assert mul_kronecker(a, b) == {(0, 3): 1, (n, 3): -1}
+            assert on_numerators(mul_kronecker, a, b) == {(0, 3): 1,
+                                                          (n, 3): -1}
             assert_paths_agree(a, b)
     # (w - z)(w + z) over Fractions: the cross terms cancel.
     a = {(0, 1): Fraction(2, 3), (1, 0): Fraction(-5, 7)}
     b = {(0, 1): Fraction(2, 3), (1, 0): Fraction(5, 7)}
     assert_paths_agree(a, b)
-    assert (1, 1) not in mul_kronecker(a, b)
+    assert (1, 1) not in on_numerators(mul_kronecker, a, b)
 
 
 def test_negative_coefficients():
@@ -199,7 +206,7 @@ def test_decimal_slot_boundaries():
             assert_paths_agree(a, b)
             assert_paths_agree(a, {(0, i): sign * cb for i in range(n)})
             fa = {key: Fraction(c, 3) for key, c in a.items()}
-            assert mul_kronecker(fa, b)[(n - 1, 0)] == Fraction(
+            assert on_numerators(mul_kronecker, fa, b)[(n - 1, 0)] == Fraction(
                 sign * n * ca * cb, 3)
             assert_paths_agree(fa, b)
 
@@ -224,7 +231,7 @@ def test_short_top_slot():
         top = 5 * 10**(d - 1) - 1
         for a in ({(0, 0): 1, (1, 0): -top}, {(0, 0): top, (0, 3): -top},
                   {(0, 0): Fraction(1, 7), (2, 2): Fraction(-top, 7)}):
-            assert mul_kronecker(a, {(0, 0): 1}) == a
+            assert on_numerators(mul_kronecker, a, {(0, 0): 1}) == a
             assert_paths_agree(a, {(0, 0): 1})
             assert_paths_agree(a, {(0, 0): 1, (0, 1): 1})
 
@@ -301,7 +308,7 @@ def test_dense_box_takes_the_kronecker_path(monkeypatch):
     a = {(i, j): i - 3 * j - 100 for i in range(8) for j in range(8)}
     b = {(i, j): Fraction(i + 1, j + 2) for i in range(8) for j in range(8)}
     assert len(a) * len(b) >= 15 * 15 * _kernels.KRONECKER_MIN_WORK_PER_CELL
-    expected = [exact(mul_dict(a, a)), exact(mul_dict(a, b))]
+    expected = [exact(mul_dict(a, a)), exact(on_numerators(mul_dict, a, b))]
 
     def refuse(a, b):
         raise AssertionError("a dense product reached mul_dict")
@@ -324,21 +331,21 @@ def test_row_decode_shapes():
         # rows {0, 3} fill rows 0, 2, 3 and 5 of 0..5.
         c = {(0, 0): one, (0, 3): 2 * one, (2, 1): -one, (2, 2): 3 * one}
         d = {(0, 0): one, (0, 1): -one, (3, 0): 5 * one}
-        out = mul_kronecker(c, d)
+        out = on_numerators(mul_kronecker, c, d)
         assert sorted({i for i, _ in out}) == [0, 2, 3, 5]
         assert_paths_agree(c, d)
         # A row whose highest-j slot is zero and one whose only nonzero
         # slot is its lowest j.
         e = {(0, 0): one, (0, 5): one, (1, 0): 4 * one, (2, 2): -one}
         f = {(0, 0): one, (1, 0): 2 * one}
-        out = mul_kronecker(e, f)
+        out = on_numerators(mul_kronecker, e, f)
         assert out[(1, 0)] == 6 * one * one
         assert (1, 5) in out and (2, 5) not in out
         assert_paths_agree(e, f)
         # A middle row that cancels: (1 - z^2)(w + 3 w^3).
         g = {(0, 0): one, (1, 0): one, (0, 2): 3 * one, (1, 2): 3 * one}
         h = {(0, 1): one, (1, 1): -one}
-        out = mul_kronecker(g, h)
+        out = on_numerators(mul_kronecker, g, h)
         assert out == {(0, 1): one * one, (0, 3): 3 * one * one,
                        (2, 1): -one * one, (2, 3): -3 * one * one}
         assert {type(v) for v in out.values()} == {type(one)}
@@ -371,7 +378,8 @@ def test_fraction_products_share_the_int_bound(monkeypatch):
              "mixed": (mixed, mixed), "dense": (dense, dense),
              "dense_int": (dense, dense_mixed),
              "dense_mixed": (dense_mixed, dense_mixed)}
-    expected = {name: exact(mul_dict(x, y)) for name, (x, y) in pairs.items()}
+    expected = {name: exact(on_numerators(mul_dict, x, y))
+                for name, (x, y) in pairs.items()}
     with monkeypatch.context() as m:
         m.setattr(_kernels, "mul_kronecker", refuse("mul_kronecker"))
         for name in ("int", "fraction", "both", "mixed"):
@@ -396,9 +404,49 @@ def test_sparse_fraction_products_take_the_dict_path(monkeypatch):
             for j in (0, 1)}
     dense = {(i, j): Fraction(i + j + 1, 2) for i in range(3) for j in range(3)}
     assert len(four) < _kernels.KRONECKER_MIN_TERMS
-    expected = [exact(mul_dict(a, a)), exact(mul_dict(four, dense))]
+    expected = [exact(on_numerators(mul_dict, a, a)),
+                exact(on_numerators(mul_dict, four, dense))]
     monkeypatch.setattr(_kernels, "mul_kronecker", refuse("mul_kronecker"))
     assert [exact(mul_terms(a, a)), exact(mul_terms(four, dense))] == expected
+
+
+def test_paths_take_only_int_operands(monkeypatch):
+    # mul_terms clears each operand once, a squared one once for both
+    # sides, hands either path int term dicts only, and divides once.
+    seen, cleared = [], []
+
+    def int_only(name):
+        path = getattr(_kernels, name)
+
+        def run(a, b, *boxes):
+            seen.append(name)
+            assert all(type(c) is int for c in (*a.values(), *b.values()))
+            return path(a, b, *boxes)
+        return run
+
+    clear = _kernels._clear_denominators
+    monkeypatch.setattr(_kernels, "_clear_denominators",
+                        lambda a: cleared.append(a) or clear(a))
+    for name in ("mul_dict", "mul_kronecker"):
+        monkeypatch.setattr(_kernels, name, int_only(name))
+    sparse = {(2 * i, 2 * i): Fraction(i + 1, 3) for i in range(5)}
+    dense = {(i, j): Fraction(i - j, 3) or Fraction(1, 5)
+             for i in range(8) for j in range(8)}
+    mixed = {key: c.numerator if (key[0] + key[1]) % 2 else c
+             for key, c in dense.items()}
+    integral = {(i, j): Fraction(i + 2 * j + 1)
+                for i in range(6) for j in range(6)}
+    ints = {(i, j): i - 3 * j - 100 for i in range(8) for j in range(8)}
+    one = {(1, 2): Fraction(-2, 9)}
+    pairs = [(sparse, sparse), (dense, dense), (mixed, mixed),
+             (integral, integral), (dense, mixed), (sparse, dense),
+             (integral, dense), (ints, dense), (one, dense), (mixed, one)]
+    for a, b in pairs:
+        cleared.clear()
+        out = mul_terms(a, b)
+        assert exact(out) == exact(canonical(mul_pair(a, b)))
+        assert len(cleared) == (1 if b is a else 2)
+    assert set(seen) == {"mul_dict", "mul_kronecker"}
 
 
 def refuse(name):
@@ -435,8 +483,9 @@ def test_paths_agree_with_a_fraction_operand(a, b):
 @given(mixed_terms, mixed_terms)
 @settings(max_examples=100, deadline=None)
 def test_mixed_products_match_the_dict_loop(a, b):
-    assert exact(mul_kronecker(a, b)) == exact(mul_dict(a, b))
-    assert exact(mul_terms(a, b)) == exact(mul_dict(a, b))
+    expected = exact(on_numerators(mul_dict, a, b))
+    assert exact(on_numerators(mul_kronecker, a, b)) == expected
+    assert exact(mul_terms(a, b)) == expected
 
 
 def add_pair(a, b):
@@ -494,7 +543,7 @@ small_terms = st.dictionaries(
 
 def assert_matches_mul_pair(a, b):
     expected = repr(list(canonical(mul_pair(a, b)).items()))
-    assert repr(list(mul_dict(a, b).items())) == expected
+    assert repr(list(on_numerators(mul_dict, a, b).items())) == expected
 
 
 @given(small_terms, small_terms, st.booleans())
@@ -519,7 +568,9 @@ def test_mul_dict_matches_fraction_arithmetic_on_wide_coefficients(a, b):
 def test_add_terms_in_one_pass_matches_pairwise_sums(parts):
     """Same terms and key order as summing in pairs, cancellations
     included, and each coefficient as exact.as_coeff gives its value;
-    no operand is modified."""
+    no operand is modified.  add_terms takes canonical operands, as
+    every SparsePoly2 holds, so the drawn ones go through as_coeff."""
+    parts = [canonical(p) for p in parts]
     # Negated copies make terms cancel and come back.
     parts = parts + [{k: -c for k, c in parts[0].items()}, parts[-1]]
     before = [repr(list(p.items())) for p in parts]

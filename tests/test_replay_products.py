@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import pytest
 
+from skewprod import _kernels
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -21,19 +23,13 @@ def test_replay_oracle_rational():
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     summary = json.loads(done.stdout.splitlines()[-1])
-    # The traced benchmark counts the same 30 products; substitute
-    # clears the germ's denominators first, so all of them are int.
+    # The traced benchmark counts the same 30 products.
     assert summary["products"] == 30
     assert summary["mismatches"] == 0
-    assert summary["by_kind"] == {"int": 30}
-    assert set(summary["seconds_by_ratio"]) == {"int"}
-    assert all(set(totals) == {"1/2", "5"}
-               for totals in summary["seconds_by_ratio"].values())
+    assert set(summary["seconds_by_ratio"]) == {"1/2", "5"}
+    assert all(seconds > 0 for seconds in summary["seconds_by_ratio"].values())
     assert all(summary["seconds"][path] > 0
                for path in ("dispatch", "dict", "kronecker"))
-    assert set(summary["seconds_by_kind"]) == {"int"}
-    assert all(seconds > 0 for paths in summary["seconds_by_kind"].values()
-               for seconds in paths.values())
 
 
 def test_replay_fuzz_campaign_products():
@@ -43,14 +39,11 @@ def test_replay_fuzz_campaign_products():
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     summary = json.loads(done.stdout.splitlines()[-1])
-    # The traced benchmark counts the same 88 products, each of two int
-    # operands with terms.
+    # The traced benchmark counts the same 88 products.
     assert summary["products"] == 88
-    assert summary["by_kind"] == {"int": 88}
     assert summary["mismatches"] == 0
-    assert set(summary["seconds_by_ratio"]) == {"int"}
-    assert set(summary["seconds_by_kind"]) == {"int"}
-    assert set(summary["seconds_by_kind"]["int"]) == {"dispatch", "dict"}
+    assert set(summary["seconds_by_ratio"]) == {"5"}
+    assert set(summary["seconds"]) == {"dispatch", "dict", "kronecker"}
 
 
 def _load_tool():
@@ -74,14 +67,22 @@ def test_repeat_below_one_rejected(monkeypatch, capsys):
     assert "--repeat must be at least 1" in capsys.readouterr().err
 
 
-def test_kind_labels_an_empty_operand():
+def test_replay_takes_rational_and_empty_operands():
+    # Both paths take int operands only, so the recorded operands are
+    # the numerators mul_terms hands on; a squared one stays one dict.
     tool = _load_tool()
-    half = Fraction(1, 2)
-    both = {(0, 1): 1, (1, 0): half}
-    assert tool.kind({}, {(1, 0): half}) == tool.kind(both, {}) == "empty"
-    assert tool.kind({(0, 1): 1}, {(1, 0): 2}) == "int"
-    assert tool.kind({(0, 1): 1}, {(1, 0): half}) == "fraction"
-    assert tool.kind(both, both) == "mixed"
+    both = {(0, 1): 1, (1, 0): Fraction(1, 2)}
+    numerators = {(0, 1): 2, (1, 0): 1}
+    calls = tool.record(lambda: (_kernels.mul_terms(both, both),
+                                 _kernels.mul_terms({}, both)))
+    assert calls[0][0] is calls[0][1]
+    assert calls == [(numerators, numerators), ({}, numerators)]
+    rows = tool.replay(calls, 1)
+    assert [row["cells"] for row in rows] == [9, 0]
+    assert all(row["agree"] for row in rows)
+    summary = tool.summarize(rows, [Fraction(5)])
+    assert summary["products"] == 2 and summary["mismatches"] == 0
+    assert set(summary["seconds_by_ratio"]) == {"5"}
 
 
 def test_paths_take_turns_in_each_round(monkeypatch):

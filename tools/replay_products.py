@@ -13,21 +13,18 @@ repr(sorted(...)), coefficient types included.  Only the last output
 of each path is kept, and only as that string, so no product is alive
 while the next one is timed.
 
-Products fall in four classes: "empty" (an operand with no terms),
-"int" (both operands all-int), "fraction" (an all-Fraction operand) and
-"mixed" (all others).  Every benchmark workload makes int products
-only: germ.substitute clears the denominators of a rational germ's
-iterates once per call, so oracle_rational's products are the
-integer-numerator ones.  The fraction and mixed classes come only from
-a direct product of rational polynomials.  It prints the dispatch and
-dict-loop seconds of each class.  For each ratio R (an int or a/b) it
-prints the total the products of each class but "empty" would take if
-those whose smaller operand has at least KRONECKER_MIN_TERMS terms and
-whose multiply-adds reach R per cell of the bounding box went to
-Kronecker and all others to the dict loop.  The kernel has one such bound,
-KRONECKER_MIN_WORK_PER_CELL, for every coefficient type: it is chosen
-where the totals of the classes are all least.  The last line is one
-JSON object; the exit code is 1 when two paths disagree.
+Both paths take int operands only, so each recorded operand is kept as
+its integer numerators (_kernels._clear_denominators), as mul_terms
+hands them on; every benchmark workload makes int products only, since
+germ.substitute clears the denominators of a rational germ's iterates
+once per call.  It prints the seconds of each path.  For each ratio R
+(an int or a/b) it prints the total the products would take if those
+whose smaller operand has at least KRONECKER_MIN_TERMS terms and whose
+multiply-adds reach R per cell of the bounding box went to Kronecker
+and all others to the dict loop; the kernel's one such bound,
+KRONECKER_MIN_WORK_PER_CELL, is chosen where that total is least.  The
+last line is one JSON object; the exit code is 1 when two paths
+disagree.
 """
 
 from __future__ import annotations
@@ -54,12 +51,15 @@ def exact(terms) -> str:
 
 
 def record(operation) -> list:
-    """The (a, b) of every mul_terms call operation() makes, in order."""
+    """The (a, b) of every mul_terms call operation() makes, in order,
+    each as its integer numerators; a squared operand stays one dict."""
     calls = []
     inner = _kernels.mul_terms
+    numerators = _kernels._clear_denominators
 
     def recording(a, b):
-        calls.append((a, b))
+        num_a = numerators(a)[1]
+        calls.append((num_a, num_a if b is a else numerators(b)[1]))
         return inner(a, b)
 
     _kernels.mul_terms = recording
@@ -103,23 +103,12 @@ def best_of(a, b, repeat: int):
     return best, text
 
 
-def kind(a, b) -> str:
-    if not a or not b:
-        return "empty"
-    types_a, types_b = set(map(type, a.values())), set(map(type, b.values()))
-    if types_a == types_b == {int}:
-        return "int"
-    if {Fraction} in (types_a, types_b) and types_a | types_b <= {int, Fraction}:
-        return "fraction"
-    return "mixed"
-
-
 def replay(calls, repeat: int) -> list:
-    """One row per product: its shape, class, the seconds of each path
-    (None where the path did not run), and whether the paths agree."""
+    """One row per product: its shape, the seconds of each path (None
+    where the path did not run), and whether the paths agree."""
     rows = []
     for a, b in calls:
-        row = {"kind": kind(a, b), "work": len(a) * len(b),
+        row = {"work": len(a) * len(b),
                "min_terms": min(len(a), len(b)), "cells": 0}
         if a and b:
             shape = _kernels._product_shape(_kernels._box(a), _kernels._box(b))
@@ -134,13 +123,11 @@ def replay(calls, repeat: int) -> list:
     return rows
 
 
-def total_at(rows, ratio: Fraction, which: str) -> float:
-    """Seconds of the `which` products if those reaching `ratio`
-    multiply-adds per cell went to Kronecker."""
+def total_at(rows, ratio: Fraction) -> float:
+    """Seconds of the products if those reaching `ratio` multiply-adds
+    per cell went to Kronecker."""
     total = 0.0
     for row in rows:
-        if row["kind"] != which:
-            continue
         dense = (row["min_terms"] >= _kernels.KRONECKER_MIN_TERMS
                  and row["cells"] * ratio <= row["work"])
         use_kron = dense and row["kronecker"] is not None
@@ -149,21 +136,12 @@ def total_at(rows, ratio: Fraction, which: str) -> float:
 
 
 def summarize(rows, ratios) -> dict:
-    kinds = sorted({row["kind"] for row in rows})
     return {
         "products": len(rows),
         "mismatches": sum(1 for row in rows if not row["agree"]),
-        "by_kind": {k: sum(1 for row in rows if row["kind"] == k)
-                    for k in kinds},
         "seconds": {path: sum(row[path] or 0.0 for row in rows)
                     for path in ("dispatch", "dict", "kronecker")},
-        "seconds_by_kind": {
-            k: {path: sum(row[path] for row in rows if row["kind"] == k)
-                for path in ("dispatch", "dict")}
-            for k in kinds},
-        "seconds_by_ratio": {
-            k: {str(r): total_at(rows, r, k) for r in ratios}
-            for k in kinds if k != "empty"},
+        "seconds_by_ratio": {str(r): total_at(rows, r) for r in ratios},
     }
 
 
@@ -179,16 +157,12 @@ def main(argv=None) -> int:
     ratios = [Fraction(r) for r in args.ratios.split(",")]
     rows = replay(record(workload_operation(args.workload)), args.repeat)
     summary = summarize(rows, ratios)
-    print(f"{summary['products']} products {summary['by_kind']}, "
+    print(f"{summary['products']} products, "
           f"{summary['mismatches']} mismatches")
     for path, seconds in summary["seconds"].items():
         print(f"{path:>24} {seconds:10.4f} s")
-    for k, paths in summary["seconds_by_kind"].items():
-        for path, seconds in paths.items():
-            print(f"{k + ' ' + path:>24} {seconds:10.4f} s")
-    for k, totals in summary["seconds_by_ratio"].items():
-        for r, seconds in totals.items():
-            print(f"{k:>12} at {r:>9} per cell {seconds:10.4f} s")
+    for r, seconds in summary["seconds_by_ratio"].items():
+        print(f"{'at ' + r + ' per cell':>24} {seconds:10.4f} s")
     print(json.dumps(summary))
     return 0 if summary["mismatches"] == 0 else 1
 
