@@ -36,8 +36,6 @@ from math import lcm
 
 from .exact import as_coeff, int_max_str_digits
 
-BACKEND = "pure"
-
 # The dict loop's cost grows with the multiply-adds (len(a) * len(b)),
 # Kronecker's with the cells of the product's bounding box times their
 # digits.  Timed on every product the benchmark workloads make, the
@@ -47,10 +45,6 @@ BACKEND = "pure"
 # keeps the bound flat in size: a 2,802 x 2,801-term product spread to
 # 5.3 multiply-adds per cell took 3.9 s against the dict loop's 5.0 s.
 KRONECKER_MIN_WORK_PER_CELL = 5
-# The box has at least as many cells as the larger operand has terms,
-# so a product whose smaller operand has fewer terms than this cannot
-# reach KRONECKER_MIN_WORK_PER_CELL, and mul_terms skips its box.
-KRONECKER_MIN_TERMS = KRONECKER_MIN_WORK_PER_CELL
 
 # Decimal arithmetic that never rounds: an inexact result raises.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
@@ -101,7 +95,11 @@ def mul_terms(a, b):
     den_a, a = _clear_denominators(a)
     den_b, b = (den_a, a) if square else _clear_denominators(b)
     out = None
-    if min(len(a), len(b)) >= KRONECKER_MIN_TERMS:
+    # The box has at least as many cells as the larger operand has
+    # terms, so a product whose smaller operand has fewer terms than
+    # KRONECKER_MIN_WORK_PER_CELL cannot reach that many multiply-adds
+    # per cell, and its box is skipped.
+    if min(len(a), len(b)) >= KRONECKER_MIN_WORK_PER_CELL:
         box_a, box_b = _box(a), _box(b)
         rows, width = _product_shape(box_a, box_b)
         if rows * width * KRONECKER_MIN_WORK_PER_CELL <= len(a) * len(b):

@@ -34,10 +34,12 @@ int b*gamma + a*d against b*i + a*j over the support, and a rational
 result is built once as Fraction(numerator, denominator).  Each has an
 entry point on such pairs (`Interval.contains_pair`,
 `CaseFourRectangle.contains_pair`, `r_map_pair`, the `*_pair` systems),
-which need not be in lowest terms; `Interval.contains` and
-`CaseFourRectangle.contains` take Fractions and call them.  A pair
-(l_(1), l_(1) + l_(2)) is in the rectangle's staged systems when l_(1)
-passes `system_membership_case4_first_pair` and l_(2) the second.
+which need not be in lowest terms; only `Interval.contains` takes a
+Fraction here, and the tests' reference module holds the others' forms
+on Fractions.  Every raw system compares its level with a set of
+points by one test, `_at_or_below`.  A pair (l_(1), l_(1) + l_(2)) is
+in the rectangle's staged systems when l_(1) passes
+`system_membership_case4_first_pair` and l_(2) the second.
 `r_map_pair` takes gamma_n, d^n and delta^n, which its callers read off
 the reading's growth table (`CaseData.growth`); at (gamma, d, delta) it
 is one step R.
@@ -264,6 +266,9 @@ class CaseFourRectangle:
       interior      (T_k < delta < T_{k-1}):  [l1, alpha] x [alpha, l1+l2]
                                               minus the corner (alpha, alpha)
       second_fixed  (T_k = delta < T_{k-1}):  [l1, l1+l2) x {l1+l2}
+
+    The second stage is an interval of the sum l_(1) + l_(2); only the
+    interior shape's depends on l_(1), to leave out the corner.
     """
 
     shape: str
@@ -271,69 +276,48 @@ class CaseFourRectangle:
     l1: Fraction
     l2: Fraction
     alpha: Fraction
-    excluded_corner: tuple | None
 
-    def second_of(self, l_first) -> Interval:
-        """The interval of admissible l_(2) for a given l_(1)."""
-        l_first = as_fraction(l_first)
-        if not self.first.contains(l_first):
-            raise ValueError(f"l_(1) = {l_first} outside the first interval")
-        top = self.l1 + self.l2
-        if self.shape == "first_fixed":
-            return Interval(Fraction(0), self.l2, lower_closed=False)
+    @property
+    def excluded_corner(self) -> tuple | None:
+        """The pair the closed form leaves out, fixed by the shape."""
         if self.shape == "second_fixed":
-            return Interval(top - l_first, top - l_first)
-        if l_first < self.alpha:
-            return Interval(self.alpha - l_first, top - l_first)
-        return Interval(Fraction(0), top - self.alpha, lower_closed=False)
-
-    def contains(self, l_first, l_sum) -> bool:
-        """Membership of the pair (l_(1), l_(1) + l_(2))."""
-        l_first, l_sum = as_fraction(l_first), as_fraction(l_sum)
-        return self.contains_pair(l_first.numerator, l_first.denominator,
-                                  l_sum.numerator, l_sum.denominator)
+            return None
+        corner = self.l1 if self.shape == "first_fixed" else self.alpha
+        return corner, corner
 
     def contains_pair(self, a1: int, b1: int, a_s: int, b_s: int) -> bool:
         """Membership of the pair (a1/b1, a_s/b_s), for any b1, b_s > 0."""
         if not self.first.contains_pair(a1, b1):
             return False
-        below, above = self._second_forms
+        below, at = self._seconds
         alpha = self.alpha
-        on_sum, interval = (
-            below if self.shape == "interior"
-            and a1 * alpha.denominator < alpha.numerator * b1 else above)
-        if on_sum:
-            return interval.contains_pair(a_s, b_s)
-        # l_(2) = a_s/b_s - a1/b1 over the denominator b1*b_s.
-        return interval.contains_pair(a_s * b1 - a1 * b_s, b_s * b1)
+        second = (below if a1 * alpha.denominator < alpha.numerator * b1
+                  else at)
+        return second.contains_pair(a_s, b_s)
 
     @cached_property
-    def _second_forms(self) -> tuple:
-        """second_of's interval for an l_(1) below alpha and for one at
-        or above it, each as (on_sum, interval).  Where second_of's ends
-        are fixed values less l_(1), interval holds the fixed values and
-        bounds l_(1) + l_(2) (on_sum); where its ends are fixed, it
-        bounds l_(2).  Only the interior shape tells the two l_(1)
-        apart."""
+    def _seconds(self) -> tuple:
+        """The interval of l_(1) + l_(2) for an l_(1) below alpha and for
+        one at alpha; the two differ in the interior shape only."""
         top = self.l1 + self.l2
         if self.shape == "first_fixed":
-            form = (False, Interval(Fraction(0), self.l2, lower_closed=False))
-            return form, form
+            second = Interval(self.l1, top, lower_closed=False)
+            return second, second
         if self.shape == "second_fixed":
-            form = (True, Interval(top, top))
-            return form, form
-        return ((True, Interval(self.alpha, top)),
-                (False, Interval(Fraction(0), top - self.alpha,
-                                 lower_closed=False)))
+            second = Interval(top, top)
+            return second, second
+        return (Interval(self.alpha, top),
+                Interval(self.alpha, top, lower_closed=False))
 
 
 @dataclass(frozen=True)
 class WeightIntervals:
     """All weight sets attached to a case: the main set, and for Case 4
-    also the staged first interval and the attraction-rate interval."""
+    also the attraction-rate interval.  A Case-4 main set is a
+    CaseFourRectangle, whose first factor is the staged first
+    interval."""
 
     i_f: object  # Interval | CaseFourRectangle
-    i_f1: Interval | None = None
     i_f_ar: Interval | None = None
 
 
@@ -362,20 +346,14 @@ def _build_weight_intervals(case: CaseData) -> WeightIntervals:
     l1, l2, alpha = case.l1, case.l2, case.alpha
     top = l1 + l2
     if case.delta_eq_t_prev:
-        shape = "first_fixed"
-        first = Interval(l1, l1)
-        corner = (l1, l1)
+        shape, first = "first_fixed", Interval(l1, l1)
     elif case.delta_eq_t_next:
-        shape = "second_fixed"
-        first = Interval(l1, top, upper_closed=False)
-        corner = None
+        shape, first = "second_fixed", Interval(l1, top, upper_closed=False)
     else:
-        shape = "interior"
-        first = Interval(l1, alpha)
-        corner = (alpha, alpha)
+        shape, first = "interior", Interval(l1, alpha)
     rect = CaseFourRectangle(shape=shape, first=first, l1=l1, l2=l2,
-                             alpha=alpha, excluded_corner=corner)
-    return WeightIntervals(rect, i_f1=first, i_f_ar=Interval(l1, top))
+                             alpha=alpha)
+    return WeightIntervals(rect, i_f_ar=Interval(l1, top))
 
 
 def equality_interval(case: CaseData) -> Interval:
@@ -385,6 +363,11 @@ def equality_interval(case: CaseData) -> Interval:
 
 
 # -- raw inequality systems (independent of the closed forms) ------------
+
+
+def _at_or_below(level: int, a: int, b: int, points) -> bool:
+    """level <= b*i + a*j at every point (i, j), for l = a/b."""
+    return all(level <= b * i + a * j for i, j in points)
 
 
 def system_membership_pair(f: SkewGerm, case: CaseData, a: int,
@@ -406,21 +389,19 @@ def system_membership_pair(f: SkewGerm, case: CaseData, a: int,
             return False
     else:
         raise ValueError("Case 4 uses the staged systems")
-    return all(level <= b * i + a * j for i, j in f.q.exponents())
+    return _at_or_below(level, a, b, f.q.exponents())
 
 
 def system_membership_case4_first_pair(case: CaseData, a: int,
                                        b: int) -> bool:
     if a <= 0:
         return False
-    k = case.k
+    k, vertices = case.k, case.polygon.vertices
     level = b * case.gamma + a * case.d
-    for idx, (n, m) in enumerate(case.polygon.vertices, start=1):
-        if idx <= k - 1 and level > b * n + a * m:
-            return False
-        if idx >= k + 1 and level >= b * n + a * m:
-            return False
-    return a * case.delta <= level
+    # The vertices after k lie strictly above the level.
+    return (a * case.delta <= level
+            and _at_or_below(level, a, b, vertices[:k - 1])
+            and _at_or_below(level + 1, a, b, vertices[k:]))
 
 
 def system_membership_case4_second_pair(f: SkewGerm, case: CaseData,
@@ -438,19 +419,15 @@ def system_membership_case4_second_pair(f: SkewGerm, case: CaseData,
     s = a1_s + a2_s
     if big_b * gamma + a1_s * (d - delta) + a2_s * d > a2_s * delta:
         return False
-    level = big_b * gamma + s * d
-    return all(level <= big_b * i + s * j for i, j in f.q.exponents())
+    return _at_or_below(big_b * gamma + s * d, s, big_b, f.q.exponents())
 
 
 def system_membership_case4_ar_pair(case: CaseData, a: int, b: int) -> bool:
     if a <= 0:
         return False
-    k = case.k
-    level = b * case.gamma + a * case.d
-    for idx, (n, m) in enumerate(case.polygon.vertices, start=1):
-        if idx != k and level > b * n + a * m:
-            return False
-    return True
+    # Vertex k lies on the level, so it passes with the others.
+    return _at_or_below(b * case.gamma + a * case.d, a, b,
+                        case.polygon.vertices)
 
 
 # -- the induced action on weights ---------------------------------------

@@ -331,12 +331,13 @@ def iterates(f: SkewGerm, n_max: int, limits: ResourceLimits | None = None,
     vertex terms, wherever the full step fits the caps: its q(P, W) by
     _horner_degree_bound, with deg p^(n-1) = deg(p)^(n-1) and deg Q^(n-1)
     bounded by the bound of the step before, and its p(P) by its degree
-    deg(p)^n, which also bounds its terms.  It is compose_germ's
-    otherwise, on f^(n-1) iterated afresh if that holds vertex terms
-    only.
+    deg(p)^n, which also bounds its terms.  Otherwise compose_germ
+    composes forward to f^n from the deepest iterate held in full (f at
+    first), which is f^(n-1) unless that holds vertex terms only.
     """
     check_depth(n_max)
-    cur = f
+    cur = full = f  # full is f^m, the deepest iterate held in full
+    m = 1
     yield 1, cur
     lim = limits or DEFAULT_LIMITS
     by_j = _layers(f.q)
@@ -361,9 +362,9 @@ def iterates(f: SkewGerm, n_max: int, limits: ResourceLimits | None = None,
                     and deg_pn <= lim.max_terms):
                 step = vertex_step(f, cur, reads(n))
         if step is None:
-            if deg_q is not None:
-                cur = iterate_germ(f, n - 1, limits)
-            cur, deg_q = compose_germ(f, cur, limits), None
+            while m < n:
+                full, m = compose_germ(f, full, limits), m + 1
+            cur, deg_q = full, None
         else:
             cur, deg_q = step, bound
         yield n, cur

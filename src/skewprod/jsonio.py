@@ -82,7 +82,7 @@ def case_json(case: CaseData) -> dict:
     if case.kind == CASE4:
         iv = weight_intervals(case)
         rect: CaseFourRectangle = iv.i_f
-        out["interval_first"] = interval_json(iv.i_f1)
+        out["interval_first"] = interval_json(rect.first)
         out["rectangle"] = {
             "shape": rect.shape,
             "first": interval_json(rect.first),

@@ -681,23 +681,19 @@ def _interval_system_checks(f: SkewGerm, case: CaseData, out):
         out(CheckResult("interval-system-agreement", ok, None,
                         ("{} probes", len(probes))))
         return
-    ok_first = all(
-        iv.i_f1.contains_pair(a, b)
-        == system_membership_case4_first_pair(case, a, b)
-        for a, b in probes)
-    out(CheckResult("interval-system-agreement-first", ok_first, None,
-                    ("{} probes", len(probes))))
-    ok_ar = all(
-        iv.i_f_ar.contains_pair(a, b)
-        == system_membership_case4_ar_pair(case, a, b)
-        for a, b in probes)
-    out(CheckResult("interval-system-agreement-ar", ok_ar, None,
-                    ("{} probes", len(probes))))
+    rect = iv.i_f
+    for suffix, interval, system in (
+            ("first", rect.first, system_membership_case4_first_pair),
+            ("ar", iv.i_f_ar, system_membership_case4_ar_pair)):
+        ok = all(interval.contains_pair(a, b) == system(case, a, b)
+                 for a, b in probes)
+        out(CheckResult(f"interval-system-agreement-{suffix}", ok, None,
+                        ("{} probes", len(probes))))
     # The pairs (l_(1), l_(1) + l_(2)) of the first six probes; the
     # staged systems read l_(2) = a_s/b_s - a1/b1 over b1*b_s.
     pair_probes = probes[:6]
     pair_ok = all(
-        iv.i_f.contains_pair(a1, b1, a_s, b_s)
+        rect.contains_pair(a1, b1, a_s, b_s)
         == (system_membership_case4_first_pair(case, a1, b1)
             and system_membership_case4_second_pair(
                 f, case, a1, b1, a_s * b1 - a1 * b_s, b1 * b_s))

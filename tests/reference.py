@@ -2,17 +2,20 @@
 
 Nothing in the package calls these.  The polygon reads, the case
 readings and the gamma_n routes are independent of the library's own;
-the raw systems are the
-Fraction entry points to classify's `*_pair` systems, and
-system_membership_case4_pair composes its two stages as verify's
-rectangle probes do.  on_numerators runs one int product path on
-rational operands the way mul_terms does.
+the raw systems are the Fraction entry points to classify's `*_pair`
+systems, and system_membership_case4_pair composes its two stages as
+verify's rectangle probes do.  second_of is the Case-4 rectangle's
+second stage as the paper states it per shape, an interval of l_(2)
+for a given l_(1), and rect_contains the rectangle's membership on
+Fractions through contains_pair.  on_numerators runs one int product
+path on rational operands the way mul_terms does.
 """
 
 from fractions import Fraction
 
 from skewprod import _kernels
 from skewprod.classify import (
+    Interval,
     system_membership_case4_ar_pair,
     system_membership_case4_first_pair,
     system_membership_case4_second_pair,
@@ -120,6 +123,31 @@ def system_membership_case4_pair(f, case, l_first, l_sum) -> bool:
     a_s, b_s = l_sum.numerator, l_sum.denominator
     return system_membership_case4_second_pair(
         f, case, a1, b1, a_s * b1 - a1 * b_s, b_s * b1)
+
+
+# -- the Case-4 rectangle on Fractions --------------------------------------
+
+
+def second_of(rect, l_first) -> Interval:
+    """The interval of admissible l_(2) for a given l_(1)."""
+    l_first = as_fraction(l_first)
+    if not rect.first.contains(l_first):
+        raise ValueError(f"l_(1) = {l_first} outside the first interval")
+    top = rect.l1 + rect.l2
+    if rect.shape == "first_fixed":
+        return Interval(Fraction(0), rect.l2, lower_closed=False)
+    if rect.shape == "second_fixed":
+        return Interval(top - l_first, top - l_first)
+    if l_first < rect.alpha:
+        return Interval(rect.alpha - l_first, top - l_first)
+    return Interval(Fraction(0), top - rect.alpha, lower_closed=False)
+
+
+def rect_contains(rect, l_first, l_sum) -> bool:
+    """Membership of the pair (l_(1), l_(1) + l_(2))."""
+    l_first, l_sum = as_fraction(l_first), as_fraction(l_sum)
+    return rect.contains_pair(l_first.numerator, l_first.denominator,
+                              l_sum.numerator, l_sum.denominator)
 
 
 # -- one product path on rational operands ------------------------------------

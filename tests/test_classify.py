@@ -19,11 +19,14 @@ from skewprod import (
 from skewprod.classify import r_map_pair
 from skewprod.fuzz import generate_germs
 from skewprod.germ import SkewGerm
+from skewprod.jsonio import case_json
 from skewprod.newton import newton_polygon
 from skewprod.poly import SparsePoly2
 from conftest import CRITERION_5, germ
 from reference import (
     case_readings,
+    rect_contains,
+    second_of,
     system_membership,
     system_membership_case4_ar,
     system_membership_case4_first,
@@ -71,15 +74,15 @@ def test_case4(germs):
     assert case.l1_plus_l2 == 2
     assert case.alpha == 1
     ivs = weight_intervals(case)
-    assert ivs.i_f1 == Interval(Fraction(1, 2), Fraction(1))
+    assert ivs.i_f.first == Interval(Fraction(1, 2), Fraction(1))
     assert ivs.i_f_ar == Interval(Fraction(1, 2), Fraction(2))
     rect = ivs.i_f
     assert rect.shape == "interior"
     assert rect.excluded_corner == (Fraction(1), Fraction(1))
-    assert rect.contains(Fraction(1, 2), Fraction(3, 2))
-    assert not rect.contains(1, 1)  # the excluded corner
-    assert rect.contains(1, 2)
-    assert not rect.contains(Fraction(1, 4), Fraction(3, 2))
+    assert rect_contains(rect, Fraction(1, 2), Fraction(3, 2))
+    assert not rect_contains(rect, 1, 1)  # the excluded corner
+    assert rect_contains(rect, 1, 2)
+    assert not rect_contains(rect, Fraction(1, 4), Fraction(3, 2))
 
 
 def test_boundary_overlap_g5(germs):
@@ -121,7 +124,7 @@ def test_case4_shapes():
     rect = weight_intervals(ff).i_f
     assert rect.shape == "first_fixed"
     assert rect.first == Interval(ff.l1, ff.l1)
-    assert rect.second_of(ff.l1) == Interval(
+    assert second_of(rect, ff.l1) == Interval(
         Fraction(0), ff.l2, lower_closed=False)
     sf = variants[0]  # delta = T_k
     assert sf.delta_eq_t_next and sf.alpha == sf.l1_plus_l2
@@ -129,7 +132,30 @@ def test_case4_shapes():
     assert rect2.shape == "second_fixed"
     assert rect2.first == Interval(sf.l1, sf.l1_plus_l2, upper_closed=False)
     top = sf.l1_plus_l2
-    assert rect2.second_of(sf.l1) == Interval(top - sf.l1, top - sf.l1)
+    assert second_of(rect2, sf.l1) == Interval(top - sf.l1, top - sf.l1)
+
+
+def test_g8_degenerate_rectangles_json(germs):
+    """g8's two readings are the fixtures' only second_fixed and
+    first_fixed rectangles, and no golden holds them."""
+    def iv(lower, upper, lower_closed, upper_closed):
+        return {"lower": lower, "upper": upper, "lower_closed": lower_closed,
+                "upper_closed": upper_closed}
+
+    first_k2 = iv("1/4", "1", True, False)
+    first_k3 = iv("1", "1", True, True)
+    want = [
+        {"interval_first": first_k2,
+         "rectangle": {"shape": "second_fixed", "first": first_k2,
+                       "excluded_corner": None}},
+        {"interval_first": first_k3,
+         "rectangle": {"shape": "first_fixed", "first": first_k3,
+                       "excluded_corner": ["1", "1"]}},
+    ]
+    got = [{key: case_json(case)[key] for key in ("interval_first",
+                                                   "rectangle")}
+           for case in case_variants(germs["g8"])]
+    assert got == want
 
 
 def test_alpha_undefined_when_delta_equals_d():
@@ -284,14 +310,14 @@ def test_case4_intervals_match_systems(germs):
             anchors = [case.l1, case.alpha, case.l1_plus_l2]
             probes = _random_ls(rng, 200) + anchors
             for l in probes:
-                assert ivs.i_f1.contains(l) == \
+                assert ivs.i_f.first.contains(l) == \
                     system_membership_case4_first(case, l), (name, l)
                 assert ivs.i_f_ar.contains(l) == \
                     system_membership_case4_ar(case, l), (name, l)
             for _ in range(200):
                 x = rng.choice(probes)
                 y = rng.choice(probes)
-                assert ivs.i_f.contains(x, y) == \
+                assert rect_contains(ivs.i_f, x, y) == \
                     system_membership_case4_pair(f, case, x, y), (name, x, y)
 
 
@@ -306,12 +332,12 @@ def test_interval_extremes(germs):
     for name in ("g4", "g6", "g7"):
         c4 = classify(germs[name])
         ivs = weight_intervals(c4)
-        assert ivs.i_f1.lower == c4.l1 and ivs.i_f1.lower_closed
+        assert ivs.i_f.first.lower == c4.l1 and ivs.i_f.first.lower_closed
         top = c4.l1_plus_l2
         rect = ivs.i_f
         sums = []
-        for x in ivs.i_f1.sample_points():
-            second = rect.second_of(x)
+        for x in ivs.i_f.first.sample_points():
+            second = second_of(rect, x)
             if second.upper_closed:
                 sums.append(x + second.upper)
         assert max(sums) == top

@@ -132,6 +132,37 @@ def test_truncated_oracle_gives_the_full_reports(seed):
     assert h.hexdigest()[:16] == STREAM_DIGESTS[seed]
 
 
+# The criterion-5 stream at a deeper n_max: the germs under the degree
+# cap, their whole-stream digest (hashed as above) and the full steps
+# the vertex route makes.
+DEEP_STREAMS = {4: (85, "389940aff3fcf019", 48),
+                5: (32, "5d31864c7dc2f15a", 24)}
+
+
+@pytest.mark.parametrize("n_max", sorted(DEEP_STREAMS))
+def test_truncated_oracle_gives_the_full_reports_deep(n_max, step_log):
+    """Past n = 3 a vertex step can be refused after another vertex
+    step, and the full step composes forward from the deepest iterate
+    held in full.  Every report's JSON must equal the default's, and no
+    check may fail."""
+    cfg = replace(CRITERION_5, n_max=n_max)
+    limits = campaign_limits(cfg)
+    h = hashlib.sha256()
+    verified = full_steps = 0
+    for g in generate_germs(cfg):
+        if _projected_degree(g, cfg.n_max) > cfg.degree_cap:
+            continue
+        report = verify_germ(g, cfg.n_max, limits=limits)
+        assert report.failures == 0
+        full = json.dumps(verification_json(report), sort_keys=True)
+        step_log.clear()
+        assert _report_json(g, cfg, limits, full_iterates=False) == full
+        full_steps += len(step_log)
+        verified += 1
+        h.update(full.encode())
+    assert (verified, h.hexdigest()[:16], full_steps) == DEEP_STREAMS[n_max]
+
+
 # The full steps each campaign stream makes: one per germ with a
 # vanishing event, whose Q^2 loses a predicted vertex.
 FULL_STEPS = {20260809: 26, 7: 32, 11: 31}

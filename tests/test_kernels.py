@@ -396,14 +396,15 @@ def test_fraction_products_share_the_int_bound(monkeypatch):
 
 def test_sparse_fraction_products_take_the_dict_path(monkeypatch):
     # 5 x 5 terms over 9 x 9 cells: 25 multiply-adds in 81 cells, under
-    # the bound; and 4 terms, under the floor, however dense.
+    # the bound; and 4 terms, under the same bound as a floor on the
+    # smaller operand's terms, however dense.
     a = {(2 * i, 2 * i): Fraction(i + 1, 3) for i in range(5)}
     cells, work = shape_of(a, a)
     assert cells * _kernels.KRONECKER_MIN_WORK_PER_CELL > work
     four = {(i, j): Fraction(i - j, 5) or Fraction(1) for i in (0, 1)
             for j in (0, 1)}
     dense = {(i, j): Fraction(i + j + 1, 2) for i in range(3) for j in range(3)}
-    assert len(four) < _kernels.KRONECKER_MIN_TERMS
+    assert len(four) < _kernels.KRONECKER_MIN_WORK_PER_CELL
     expected = [exact(on_numerators(mul_dict, a, a)),
                 exact(on_numerators(mul_dict, four, dense))]
     monkeypatch.setattr(_kernels, "mul_kronecker", refuse("mul_kronecker"))

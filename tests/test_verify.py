@@ -271,8 +271,9 @@ def test_g5_certificate_falls_back(n, germs, step_log):
     verify_germ(f, n, full_iterates=False)
     # At n = 2 and 4 a boundary term of Q^n cancels, so N(Q^n) is
     # smaller than predicted and the full step follows.  Q^3 is a vertex
-    # step, so the full step to Q^4 iterates afresh from f.
-    composed = {2: [1], 3: [1], 4: [1, 1, 2, 3]}[n]
+    # step, so the full step to Q^4 composes forward from Q^2, the
+    # deepest iterate held in full.
+    composed = {2: [1], 3: [1], 4: [1, 2, 3]}[n]
     assert step_log == [full[k - 1] for k in composed]
 
 
@@ -305,7 +306,8 @@ def test_dominant_read_in_interior_takes_full_step(germs, step_log,
     full = verify_germ(f, n)
     step_log.clear()
     cut = verify_germ(f, n, full_iterates=False)
-    # Q^2 is a vertex step, so the full step to Q^3 iterates afresh.
+    # Q^2 is a vertex step, so the full step to Q^3 composes forward
+    # from f, the deepest iterate held in full.
     assert step_log == [f, full.oracle[1].germ]
     assert _json(cut) == _json(full)
     assert _vertex_terms(cut.oracle[1], full.oracle[1])

@@ -19,10 +19,11 @@ hands them on; every benchmark workload makes int products only, since
 germ.substitute clears the denominators of a rational germ's iterates
 once per call.  It prints the seconds of each path.  For each ratio R
 (an int or a/b) it prints the total the products would take if those
-whose smaller operand has at least KRONECKER_MIN_TERMS terms and whose
-multiply-adds reach R per cell of the bounding box went to Kronecker
-and all others to the dict loop; the kernel's one such bound,
-KRONECKER_MIN_WORK_PER_CELL, is chosen where that total is least.  The
+whose smaller operand has at least KRONECKER_MIN_WORK_PER_CELL terms
+(the floor mul_terms tests) and whose multiply-adds reach R per cell of
+the bounding box went to Kronecker and all others to the dict loop; the
+kernel's one such bound, KRONECKER_MIN_WORK_PER_CELL, is chosen where
+that total is least.  The
 last line is one JSON object; the exit code is 1 when two paths
 disagree.
 """
@@ -128,7 +129,7 @@ def total_at(rows, ratio: Fraction) -> float:
     per cell went to Kronecker."""
     total = 0.0
     for row in rows:
-        dense = (row["min_terms"] >= _kernels.KRONECKER_MIN_TERMS
+        dense = (row["min_terms"] >= _kernels.KRONECKER_MIN_WORK_PER_CELL
                  and row["cells"] * ratio <= row["work"])
         use_kron = dense and row["kronecker"] is not None
         total += row["kronecker"] if use_kron else row["dict"]
